@@ -16,7 +16,7 @@ from .errors import (
     PreconditionError,
 )
 from .finitefield import Fq, FqElt, fq_factor, is_irreducible
-from .montes import FactorCertificate, certify, default_floor, factorize
+from .montes import FactorCertificate, RunResult, certify, factorize, run
 from .polygon import Component, NewtonPolygon, apply_affinity, component_of, lower_hull
 from .residual import ResidualResult, graded_lift, r0, ri
 from .typecalc import (
@@ -58,9 +58,10 @@ __all__ = [
     "fq_factor",
     "is_irreducible",
     "FactorCertificate",
+    "RunResult",
     "certify",
-    "default_floor",
     "factorize",
+    "run",
     "Component",
     "NewtonPolygon",
     "apply_affinity",

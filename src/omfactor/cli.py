@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .arith import INF, Poly, format_poly, parse_poly
 from .errors import ConfigError, ParseError, PreconditionError
-from .montes import certify, default_floor, factorize
+from .montes import _run, certify
 from .residual import ri
 from .serialize import (
     canonical_json,
@@ -34,7 +34,7 @@ from .serialize import (
     type_to_json,
 )
 from .typecalc import Type, equivalent, optimize, representative
-from .valuation import mu_eval, v_norm
+from .valuation import mu_eval
 
 
 def _read_text(path: str) -> str:
@@ -79,14 +79,12 @@ def _print(text: str) -> None:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     f = _load_input_poly(args)
+    if args.precision_floor is not None and args.precision_floor < 1:
+        raise ConfigError("--precision-floor must be at least 1")
     trace: list | None = [] if args.trace else None
-    certs = factorize(f, args.prime, trace)
-    if args.precision_floor is not None:
-        if args.precision_floor < 1:
-            raise ConfigError("--precision-floor must be at least 1")
-        floor = args.precision_floor
-    else:
-        floor = default_floor(f, args.prime)
+    result = _run(f, args.prime, trace)
+    certs = result.certificates
+    floor = result.floor if args.precision_floor is None else args.precision_floor
     if args.json:
         doc = {
             "p": args.prime,
@@ -154,26 +152,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     g = parse_poly(args.poly)
     levels = args.level if args.level else list(range(chain.r + 1))
     rows = []
+    lines = []
     for i in levels:
         mu = mu_eval(chain, i, g)
-        v = v_norm(chain, i, g)
+        zero = mu == INF
         row: dict = {
             "level": i,
-            "mu": "INF" if mu == INF else {"num": mu.numerator, "den": mu.denominator},
-            "v": "INF" if v == INF else int(v),
+            "mu": "INF" if zero else {"num": mu.numerator, "den": mu.denominator},
+            "v": "INF" if zero else int(mu * chain.e_cum[i]),
         }
+        lines.append(f"level {i}: mu = {'INF' if zero else mu}, v = {row['v']}")
         if args.residual:
-            row["residual"] = residual_to_json(ri(chain, i, g))
+            res = ri(chain, i, g)
+            row["residual"] = residual_to_json(res)
+            lines.append(f"  residual {format_residual(res)}")
         rows.append(row)
     if args.json:
         _print(canonical_json({"p": chain.p, "poly": qpoly_to_json(g), "levels": rows}))
-        return 0
-    for i, row in zip(levels, rows):
-        mu = row["mu"]
-        mu_text = mu if isinstance(mu, str) else str(mu_eval(chain, i, g))
-        _print(f"level {i}: mu = {mu_text}, v = {row['v']}")
-        if args.residual:
-            _print(f"  residual {format_residual(ri(chain, i, g))}")
+    else:
+        _print("\n".join(lines))
     return 0
 
 

@@ -325,11 +325,6 @@ class Fq:
             yield self.from_index(k)
 
 
-def tower_extend(field: Fq, psi: Poly) -> Fq:
-    """Functional alias for Fq.extend."""
-    return field.extend(psi)
-
-
 def ypoly(field: Fq, coeffs) -> Poly:
     """Polynomial over a tower field from constant-first coefficients."""
     return Poly(field, coeffs)

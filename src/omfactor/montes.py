@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INF, Poly, content_vp, gcd_monic, phi_expansion, qpoly, vp
+from .arith import INF, Poly, content_vp, gcd_monic, qpoly, vp
 from .errors import InternalError, PreconditionError
 from .finitefield import fq_factor
 from .polygon import NewtonPolygon, lower_hull
@@ -140,16 +140,17 @@ def _close(t: Type, state: _RunState, trace: list | None) -> FactorCertificate:
 
 
 def _perturbed_representative(
-    chain: MacLaneChain, phi: Poly, f: Poly, trace: list | None
-) -> tuple[Poly, Fraction]:
+    chain: MacLaneChain, phi: Poly, f: Poly, pts: list[tuple[int, Fraction]], trace: list | None
+) -> tuple[Poly, Fraction, list[tuple[int, Fraction]]]:
     """Replace an exact-divisor representative by an equivalent key that does
     not divide f, deep enough that the divisor gets its own polygon side.
 
-    Returns the new representative and the slope reserved for the divisor.
+    Takes the expansion points of f by phi; returns the new representative,
+    the slope reserved for the divisor, and the expansion points of f by the
+    new representative.
     """
     _emit(trace, ExactDivisor(phi))
     r = chain.r
-    pts = expansion_points(chain, phi, f)
     hull = lower_hull(pts)
     lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
     nu_star = Fraction(math.floor(lam_max) + 1)
@@ -159,9 +160,10 @@ def _perturbed_representative(
         W = v_norm(chain, r, phi) + int(nu_star) * chain.e_cum[r]
         bump = graded_lift(chain, r, W, chain.fields[r].one)
     shifted = phi + bump
-    if phi_expansion(f, shifted)[0].is_zero():
+    shifted_pts = expansion_points(chain, shifted, f)
+    if shifted_pts[0][0] != 0:
         raise InternalError("perturbed representative still divides the input")
-    return shifted, nu_star
+    return shifted, nu_star, shifted_pts
 
 
 def _branch(
@@ -173,10 +175,10 @@ def _branch(
     phi = representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
-    if phi_expansion(f, phi)[0].is_zero():
-        exact = phi
-        phi, exact_slope = _perturbed_representative(chain, phi, f, trace)
     pts = expansion_points(chain, phi, f)
+    if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
+        exact = phi
+        phi, exact_slope, pts = _perturbed_representative(chain, phi, f, pts, trace)
     hull = lower_hull(pts)
     principal = hull.principal_sides()
     length = sum(side.length for side in principal)
@@ -219,7 +221,17 @@ def _branch(
     return certs
 
 
-def _run(f: Poly, p: int, trace: list | None) -> tuple[list[FactorCertificate], int]:
+@dataclass(frozen=True)
+class RunResult:
+    """One walk of the tree: the certificates and the precision floor, one
+    more than the largest integer ordinate seen on a closing node's polygon
+    (1 if none)."""
+
+    certificates: list[FactorCertificate]
+    floor: int
+
+
+def _run(f: Poly, p: int, trace: list | None = None) -> RunResult:
     _validate_input(f, p)
     base = empty_chain(p)
     red = r0(p, f)
@@ -236,20 +248,17 @@ def _run(f: Poly, p: int, trace: list | None) -> tuple[list[FactorCertificate], 
     if sum(c.degree for c in certs) != f.degree:
         raise InternalError("certificate degrees do not sum to the input degree")
     floor = 1 if state.closing_bound is None else 1 + state.closing_bound
-    return certs, floor
+    return RunResult(certs, floor)
+
+
+# Public name of the walk; `_run` stays the name that callers inside the
+# package use and that perfbench/tracer.py wraps.
+run = _run
 
 
 def factorize(f: Poly, p: int, trace: list | None = None) -> list[FactorCertificate]:
     """One certificate per p-adic prime factor of a monic squarefree f."""
-    certs, _ = _run(f, p, trace)
-    return certs
-
-
-def default_floor(f: Poly, p: int) -> int:
-    """Precision floor declared for certify: one more than the largest
-    integer ordinate seen on a closing node's polygon (1 if none)."""
-    _, floor = _run(f, p, None)
-    return floor
+    return _run(f, p, trace).certificates
 
 
 @dataclass(frozen=True)
@@ -269,13 +278,9 @@ class CertReport:
         return all(c.ok for c in self.checks)
 
 
-def certify(
-    f: Poly, p: int, certs: list[FactorCertificate], floor: int | None = None
-) -> CertReport:
-    """Validate certificates against the input; failures are reported, not
-    raised. The precision floor defaults to the run's derived bound."""
-    if floor is None:
-        floor = default_floor(f, p)
+def certify(f: Poly, p: int, certs: list[FactorCertificate], floor: int) -> CertReport:
+    """Validate certificates against the input at the given precision floor
+    (normally the RunResult's); failures are reported, not raised."""
     checks: list[CertCheck] = []
     total = sum(c.degree for c in certs)
     checks.append(

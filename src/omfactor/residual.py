@@ -1,4 +1,4 @@
-"""Residual polynomial operators and the graded-algebra toolkit.
+"""Residual polynomial operators and graded lifts.
 
 ri(chain, i, g) computes the level-i residual data of a nonzero polynomial:
 the left endpoint (s_i, u_i) of the slope-lambda_i line under the points of
@@ -21,7 +21,7 @@ from fractions import Fraction
 from .arith import Poly, phi_expansion, qpoly, vp
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt
-from .valuation import MacLaneChain, _vi
+from .valuation import MacLaneChain
 
 
 @dataclass(frozen=True)
@@ -75,63 +75,6 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
         eps = z ** (lp_prev * sub.s - l_prev * sub.u)
         coeffs[(s - s_i) // lev.e] = c * eps
     return ResidualResult(s_i, u_i, Poly(field, coeffs))
-
-
-def left_end(chain: MacLaneChain, i: int, g: Poly) -> tuple[int, int]:
-    """Left endpoint (s_i, u_i) computed from expansion values alone.
-
-    Independent route: ordinates come from the lower-level valuation, not
-    from the residual recursion.
-    """
-    if g.is_zero():
-        raise PreconditionError("left endpoint of the zero polynomial")
-    if not 1 <= i <= chain.r:
-        raise PreconditionError(f"level {i} out of range")
-    lev = chain.level(i)
-    pts = []
-    for s, a in enumerate(phi_expansion(g, lev.phi)):
-        if a.is_zero():
-            continue
-        pts.append((s, _vi(chain, i - 1, a) + s * lev.V))
-    t_min = min(lev.e * u + lev.h * s for s, u in pts)
-    for s, u in pts:
-        if lev.e * u + lev.h * s == t_min:
-            return (s, u)
-    raise InternalError("unreachable")
-
-
-def residual_ideal_data(chain: MacLaneChain, i: int, g: Poly) -> tuple[int, Poly]:
-    """Homogeneous part of the residual ideal: (ceil(s_i / e_i), R_i(g))."""
-    res = ri(chain, i, g)
-    e = chain.level(i).e
-    return (-(-res.s // e), res.poly)
-
-
-@dataclass(frozen=True)
-class GradedTerm:
-    """Monomial p^exp_p x_i^exp_x with a residue-field coefficient in y_i."""
-
-    exp_p: int
-    exp_x: int
-    coeff: Poly
-
-
-def graded_normalize(chain: MacLaneChain, i: int, terms: list[GradedTerm]) -> tuple[GradedTerm, ...]:
-    """Canonical form at level i: exp_x reduced mod e_i via x^e = y p^h,
-    like terms merged, zero terms dropped, sorted by (exp_p, exp_x)."""
-    lev = chain.level(i)
-    merged: dict[tuple[int, int], Poly] = {}
-    for t in terms:
-        k, rem = divmod(t.exp_x, lev.e)
-        coeff = t.coeff.shift(k) if k else t.coeff
-        key = (t.exp_p + lev.h * k, rem)
-        merged[key] = merged[key] + coeff if key in merged else coeff
-    out = [
-        GradedTerm(ep, ex, c)
-        for (ep, ex), c in sorted(merged.items())
-        if not c.is_zero()
-    ]
-    return tuple(out)
 
 
 def graded_lift(chain: MacLaneChain, i: int, W: int, beta: FqElt) -> Poly:

@@ -31,7 +31,6 @@ from .montes import (
     NodeResidual,
     RootResidual,
 )
-from .polygon import NewtonPolygon
 from .residual import ResidualResult
 from .typecalc import Type
 from .valuation import MacLaneChain, build_chain
@@ -72,10 +71,6 @@ def points_to_json(points) -> list[list[int]]:
         q = Fraction(u)
         out.append([int(s), q.numerator, q.denominator])
     return out
-
-
-def polygon_to_json(polygon: NewtonPolygon) -> list[list[int]]:
-    return points_to_json(polygon.vertices)
 
 
 def chain_to_json(chain: MacLaneChain) -> dict:
@@ -309,14 +304,11 @@ def format_chain(chain: MacLaneChain) -> str:
 
 def format_type(t: Type) -> str:
     """Tuple rendering (psi_0; (phi_1, nu_1, psi_1); ...; (phi_r, nu_r, psi_r))."""
-    chain = t.chain
-    parts = [format_fq_poly(chain.level(1).psi_prev)]
-    for i in range(1, chain.r + 1):
-        psi = t.psi_top if i == chain.r else chain.level(i + 1).psi_prev
-        parts.append(
-            f"({format_poly(chain.level(i).phi)}, {chain.level(i).nu}, "
-            f"{format_fq_poly(psi)})"
-        )
+    levels = t.chain.levels
+    psis = [lev.psi_prev for lev in levels] + [t.psi_top]
+    parts = [format_fq_poly(psis[0])]
+    for lev, psi in zip(levels, psis[1:]):
+        parts.append(f"({format_poly(lev.phi)}, {lev.nu}, {format_fq_poly(psi)})")
     return "(" + "; ".join(parts) + ")"
 
 

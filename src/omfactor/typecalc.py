@@ -89,12 +89,6 @@ def is_optimal(t: Type) -> bool:
     return not any(is_stationary_level(t, i) for i in range(1, t.chain.r))
 
 
-def is_strongly_optimal(t: Type) -> bool:
-    if not is_optimal(t):
-        return False
-    return t.chain.r == 0 or not is_stationary_level(t, t.chain.r)
-
-
 def representative(t: Type) -> Poly:
     """Monic integer polynomial of degree e_r m_r f_top with residual psi_top.
 

@@ -166,15 +166,9 @@ def key_divides(chain: MacLaneChain, phi: Poly, g: Poly) -> bool:
     """
     if g.is_zero():
         return True
-    r = chain.r
-    vphi = _vi(chain, r, phi)
-    vals: dict[int, int] = {}
-    for s, a in enumerate(phi_expansion(g, phi)):
-        if a.is_zero():
-            continue
-        vals[s] = _vi(chain, r, a) + s * vphi
-    lo = min(vals.values())
-    return vals.get(0, None) != lo
+    pts = expansion_points(chain, phi, g)
+    lo = min(u for _, u in pts)
+    return pts[0] != (0, lo)
 
 
 def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:

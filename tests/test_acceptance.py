@@ -25,8 +25,8 @@ from omfactor.montes import (
     NodeResidual,
     RootResidual,
     certify,
-    default_floor,
     factorize,
+    run,
 )
 from omfactor.polygon import apply_affinity, component_of, lower_hull
 from omfactor.residual import ri
@@ -409,8 +409,8 @@ def _artifact() -> str:
     for p in (3, 5, 7, 11, 13, 17):
         f = fixture_poly(p)
         trace: list | None = [] if p == 3 else None
-        certs = factorize(f, p, trace)
-        floor = default_floor(f, p)
+        result = run(f, p, trace)
+        certs, floor = result.certificates, result.floor
         entry = {
             "p": p,
             "poly": qpoly_to_json(f),

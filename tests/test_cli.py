@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 
-from omfactor.arith import format_poly
+from omfactor import cli, montes
+from omfactor.arith import format_poly, parse_poly
 from omfactor.cli import main
 from omfactor.montes import factorize
 from omfactor.serialize import (
@@ -136,6 +137,52 @@ def test_certify_failure_reported_and_floor_override(capsys) -> None:
     assert "certified ok" in out
 
 
+def test_factor_walks_the_tree_once(capsys, monkeypatch) -> None:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    walk = montes._run
+    monkeypatch.setattr(montes, "_run", counted)
+    monkeypatch.setattr(cli, "_run", counted)
+    for extra in ([], ["--precision-floor", "2"], ["--json"]):
+        calls.clear()
+        code, _, _ = run_cli(capsys, ["factor", "--prime", "3", "--poly", "x^3 - 9*x"] + extra)
+        assert code == 0
+        assert len(calls) == 1, extra
+    calls.clear()
+    code, _, err = run_cli(
+        capsys, ["factor", "--prime", "3", "--poly", "x^3 - 9*x", "--precision-floor", "0"]
+    )
+    assert code == 2
+    assert err == "error: --precision-floor must be at least 1\n"
+    assert calls == []
+
+
+def test_order0_type_renders_psi0(capsys, tmp_path) -> None:
+    code, out, err = run_cli(capsys, ["factor", "--prime", "3", "--poly", "x^2+1"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "certificate 1:\n"
+        "  degree 2, e = 1, f = 2\n"
+        "  okutsu depth 0, frame []\n"
+        "  slopes []\n"
+        "  approximation x^2 + 1\n"
+        "  type (y^2 + 1)\n"
+        "precision floor 1\n"
+        "certified ok\n"
+    )
+    [cert] = factorize(parse_poly("x^2+1"), 3)
+    path = write_type(tmp_path, cert.final_type)
+    code, out, _ = run_cli(capsys, ["optimize", "--file", path])
+    assert (code, out) == (0, "(y^2 + 1)\n")
+    code, out, _ = run_cli(capsys, ["equiv", path, path])
+    assert code == 0
+    assert out == "equivalent\noptimized A: (y^2 + 1)\noptimized B: (y^2 + 1)\n"
+
+
 def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
@@ -186,6 +233,12 @@ def test_eval_levels_text(capsys, tmp_path) -> None:
     )
     assert code == 0
     assert out == "level 0: mu = 2, v = 2\nlevel 1: mu = 2, v = 4\n"
+    code, out, _ = run_cli(
+        capsys,
+        ["eval", "--file", chain_path, "--poly", "0", "--level", "0", "--level", "3"],
+    )
+    assert code == 0
+    assert out == "level 0: mu = INF, v = INF\nlevel 3: mu = INF, v = INF\n"
 
 
 def test_eval_json(capsys, tmp_path) -> None:

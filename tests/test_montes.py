@@ -13,17 +13,18 @@ from omfactor import (
     ConfigError,
     PreconditionError,
     certify,
-    default_floor,
     factorize,
     ord_type,
     qpoly,
+    run,
 )
 from omfactor.arith import content_vp, format_poly, gcd_monic
 
 
 def test_quartic_fixture_p3() -> None:
     f = fixture_poly(3)
-    certs = factorize(f, 3)
+    result = run(f, 3)
+    certs = result.certificates
     assert len(certs) == 1
     c = certs[0]
     assert (c.degree, c.e, c.f) == (4, 2, 2)
@@ -31,13 +32,14 @@ def test_quartic_fixture_p3() -> None:
     assert [format_poly(g) for g in c.okutsu_frame] == ["x", "x^2 + 15"]
     assert list(c.slopes) == [Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1)]
     assert c.approximation == f
-    assert default_floor(f, 3) == 9
+    assert result.floor == 9
     assert certify(f, 3, certs, 9).ok
 
 
 def test_quartic_fixture_p5_split() -> None:
     f = fixture_poly(5)
-    certs = factorize(f, 5)
+    result = run(f, 5)
+    certs = result.certificates
     assert [c.degree for c in certs] == [2, 2]
     assert all((c.e, c.f, c.okutsu_depth) == (2, 1, 1) for c in certs)
     assert all([format_poly(g) for g in c.okutsu_frame] == ["x"] for c in certs)
@@ -45,14 +47,15 @@ def test_quartic_fixture_p5_split() -> None:
     assert terms == [-1155, 1345]
     prod = certs[0].approximation * certs[1].approximation
     assert content_vp(f - prod, 5) == 9
-    assert default_floor(f, 5) == 9
+    assert result.floor == 9
     assert certify(f, 5, certs, 9).ok
 
 
 def test_quartic_fixture_larger_primes() -> None:
     for p, split in [(7, False), (11, False), (13, True), (17, True)]:
         f = fixture_poly(p)
-        certs = factorize(f, p)
+        result = run(f, p)
+        certs = result.certificates
         if split:
             assert [c.degree for c in certs] == [2, 2]
             prod = certs[0].approximation * certs[1].approximation
@@ -61,7 +64,7 @@ def test_quartic_fixture_larger_primes() -> None:
             assert len(certs) == 1
             assert certs[0].degree == 4
             assert (certs[0].e, certs[0].f) == (2, 2)
-        assert certify(f, p, certs, default_floor(f, p)).ok
+        assert certify(f, p, certs, result.floor).ok
 
 
 def test_certificate_types_have_ord_one() -> None:
@@ -120,9 +123,10 @@ def test_unramified_inputs_mirror_residual_factors() -> None:
 
 def test_exact_divisor_shallow() -> None:
     g = qpoly([0, -9, 0, 1])
-    certs = factorize(g, 3)
+    result = run(g, 3)
+    certs = result.certificates
     assert sorted(format_poly(c.approximation) for c in certs) == ["x", "x + 12", "x + 6"]
-    assert default_floor(g, 3) == 5
+    assert result.floor == 5
     report = certify(g, 3, certs, 5)
     assert not report.ok
     failing = [c for c in report.checks if not c.ok]
@@ -132,11 +136,12 @@ def test_exact_divisor_shallow() -> None:
 
 def test_exact_divisor_deep() -> None:
     h = qpoly([-9, 0, 0, 0, 1])
-    certs = factorize(h, 3)
+    result = run(h, 3)
+    certs = result.certificates
     assert {format_poly(c.approximation) for c in certs} == {"x^2 - 3", "x^2 + 3"}
     prod = certs[0].approximation * certs[1].approximation
     assert prod == h
-    assert certify(h, 3, certs, default_floor(h, 3)).ok
+    assert certify(h, 3, certs, result.floor).ok
 
 
 def test_certify_check_names() -> None:
