@@ -117,8 +117,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     tb = _load_type(args.type_b)
     if ta.chain.p != tb.chain.p:
         raise ConfigError("types are defined over different primes")
-    witness = equivalent(ta, tb)
     opt_a, opt_b = optimize(ta), optimize(tb)
+    witness = equivalent(opt_a, opt_b)
     if args.json:
         doc = {
             "equivalent": witness.equivalent,

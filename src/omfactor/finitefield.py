@@ -163,7 +163,7 @@ class Fq:
 
     __slots__ = (
         "p", "base", "modulus", "deg_over_base", "deg_abs", "q",
-        "_skey", "_hash", "_zero", "_one", "_ext_cache",
+        "_skey", "_hash", "_zero", "_one", "_gen", "_ext_cache",
     )
 
     _prime_cache: dict[int, "Fq"] = {}
@@ -187,6 +187,7 @@ class Fq:
             self._skey = ("e", base._skey, tuple(c.rep_key() for c in modulus.coeffs))
             self._zero = FqElt(self, Poly(base, []))
             self._one = FqElt(self, Poly(base, [base.one]))
+            self._gen = FqElt(self, Poly(base, [base.zero, base.one]) % modulus)
         self._hash = hash(self._skey)
         self._ext_cache: dict[tuple, Fq] = {}
 
@@ -274,8 +275,7 @@ class Fq:
         """Class of y modulo this field's modulus."""
         if self.base is None:
             raise PreconditionError("a prime field has no tower generator")
-        y = Poly(self.base, [self.base.zero, self.base.one])
-        return FqElt(self, y % self.modulus)
+        return self._gen
 
     def embed(self, x: FqElt) -> FqElt:
         """Embed an element of the immediate base field."""

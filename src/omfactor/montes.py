@@ -17,7 +17,7 @@ the exact divisor as that side's approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arith import INF, Poly, content_vp, gcd_monic, qpoly, vp
@@ -202,16 +202,7 @@ def _branch(
                 if exact is not None and lam == exact_slope:
                     if cert.degree != exact.degree:
                         raise InternalError("exact divisor does not match its closing branch")
-                    cert = FactorCertificate(
-                        degree=cert.degree,
-                        e=cert.e,
-                        f=cert.f,
-                        okutsu_depth=cert.okutsu_depth,
-                        okutsu_frame=cert.okutsu_frame,
-                        slopes=cert.slopes,
-                        approximation=exact,
-                        final_type=cert.final_type,
-                    )
+                    cert = replace(cert, approximation=exact)
                 certs.append(cert)
                 closed_here = True
             else:

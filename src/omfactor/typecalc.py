@@ -21,7 +21,7 @@ from .arith import Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, is_irreducible, multiplicity_of, tower_map
 from .residual import graded_lift, r0, ri
-from .valuation import MacLaneChain, _vi, collapse_step
+from .valuation import MacLaneChain, _vi, merge_levels
 
 
 @dataclass(frozen=True)
@@ -115,51 +115,53 @@ def representative(t: Type) -> Poly:
     return phi
 
 
-def _transport_images(old_top, new_chain: MacLaneChain, dropped: int) -> list[FqElt]:
+def _transport_images(old_top, new_chain: MacLaneChain, dropped: set[int]) -> list[FqElt]:
     """Images of the old tower generators in the collapsed chain's top field.
 
-    The dropped modulus must become linear once its coefficients are mapped;
-    its generator goes to the root. Every other generator maps to the
-    matching generator of the new tower, checked to be a root of the mapped
-    modulus.
+    Each dropped modulus must become linear once its coefficients are
+    mapped; its generator goes to the root. Every other generator maps to
+    the matching generator of the new tower, checked to be a root of the
+    mapped modulus.
     """
     dst = new_chain.fields[new_chain.r]
     images: list[FqElt] = []
+    kept = 0
     for j, psi in enumerate(old_top.tower_moduli()):
         mapped = Poly(dst, [tower_map(c, dst, images) for c in psi.coeffs])
-        if j == dropped:
+        if j in dropped:
             if mapped.degree != 1:
                 raise InternalError("dropped level is not linear over the new tower")
             images.append(-mapped.coeff(0))
             continue
-        j2 = j if j < dropped else j - 1
-        cand = dst.lift_from(new_chain.fields[j2 + 1].gen())
+        kept += 1
+        cand = dst.lift_from(new_chain.fields[kept].gen())
         if mapped.evaluate(cand) != dst.zero:
             raise InternalError("tower transport failed at a kept level")
         images.append(cand)
     return images
 
 
-def optimize_step(t: Type) -> Type:
-    """Collapse the highest stationary level below the top, if any."""
-    st = [i for i in range(1, t.chain.r) if is_stationary_level(t, i)]
-    if not st:
-        return t
-    i = max(st)
-    new_chain = collapse_step(t.chain, i + 1)
-    images = _transport_images(t.chain.fields[t.chain.r], new_chain, i)
+def _collapse(t: Type, dropped: set[int]) -> Type:
+    """Merge the stationary levels in `dropped` into the levels above them,
+    rebuilding the chain once and transporting psi_top once."""
+    new_chain = merge_levels(t.chain, dropped)
+    images = _transport_images(t.chain.fields[t.chain.r], new_chain, dropped)
     dst = new_chain.fields[new_chain.r]
     new_psi = Poly(dst, [tower_map(c, dst, images) for c in t.psi_top.coeffs])
     return Type(new_chain, new_psi)
 
 
+def optimize_step(t: Type) -> Type:
+    """Collapse the highest stationary level below the top, if any."""
+    st = [i for i in range(1, t.chain.r) if is_stationary_level(t, i)]
+    return _collapse(t, {st[-1]}) if st else t
+
+
 def optimize(t: Type) -> Type:
-    """Iterate optimize_step to an optimal type (fixed point)."""
-    while True:
-        nxt = optimize_step(t)
-        if nxt is t:
-            return t
-        t = nxt
+    """Collapse every stationary level below the top in one rebuild: the
+    optimal type that iterating optimize_step reaches."""
+    st = {i for i in range(1, t.chain.r) if is_stationary_level(t, i)}
+    return _collapse(t, st) if st else t
 
 
 def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
@@ -270,9 +272,8 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
         images.append(dst.lift_from(A.fields[j + 1].gen()) + shift)
     mapped_top = Poly(dst, [tower_map(c, dst, images) for c in tb_o.psi_top.coeffs])
     shift_top = dst.zero if r == 0 else dst.lift_from(etas[r - 1])
-    target_top = ta_o.psi_top.compose(Poly(dst, [-shift_top, dst.one])) if r == 0 else Poly(
-        dst, [dst.lift_from(c) for c in ta_o.psi_top.coeffs]
-    ).compose(Poly(dst, [-shift_top, dst.one]))
+    lifted_top = Poly(dst, [dst.lift_from(c) for c in ta_o.psi_top.coeffs])
+    target_top = lifted_top.compose(Poly(dst, [-shift_top, dst.one]))
     if mapped_top != target_top:
         degen = r > 0 and ta_o.psi_top.evaluate(-etas[r - 1]) == A.fields[r].zero
         return _fail("psi_top", etas, degen)

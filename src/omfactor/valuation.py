@@ -19,9 +19,7 @@ from typing import Sequence
 
 from .arith import INF, Poly, Val, is_prime, phi_expansion, vp
 from .errors import ConfigError, InternalError, PreconditionError
-from .finitefield import Fq, FqElt
-
-_VIRTUAL0 = {"e": 1, "h": 0, "l": 0, "lp": 1, "V": 0, "m": 1}
+from .finitefield import Fq, FqElt, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,6 @@ class MacLaneChain:
         """Normalized value v_i(phi_i) = e_i V_i + h_i."""
         lev = self.level(i)
         return lev.e * lev.V + lev.h
-
-    def lam(self, i: int) -> Fraction:
-        lev = self.level(i)
-        return Fraction(lev.h, lev.e)
 
     def steps(self) -> list[tuple[Poly, Fraction]]:
         return [(lev.phi, lev.nu) for lev in self.levels]
@@ -177,34 +171,38 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:
     Returns (verdict, diagnostic); the diagnostic names the first failed
     condition, or describes the kind of key on success.
     """
+    return _key_check(chain, phi)[:2]
+
+
+def _key_check(chain: MacLaneChain, phi: Poly):
+    """key_check's verdict and diagnostic, plus the top-level residual of phi
+    it computed. The residual is None only when phi is equivalent to the
+    current key, and such a phi divides it, so augment rejects it."""
     _check_key_poly_shape(phi)
     if chain.r == 0:
         from .residual import r0
 
         red = r0(chain.p, phi)
         if red.u != 0:
-            return False, "key has positive content valuation"
-        from .finitefield import is_irreducible
-
+            return False, "key has positive content valuation", red
         if red.poly.degree != phi.degree or not is_irreducible(red.poly):
-            return False, "reduction modulo p is not irreducible"
-        return True, "key for the base valuation"
+            return False, "reduction modulo p is not irreducible", red
+        return True, "key for the base valuation", red
     lev = chain.level(chain.r)
     if phi.degree == lev.m:
         diff = phi - lev.phi
         if _vi(chain, chain.r, diff) > chain.key_value(chain.r):
-            return True, "key equivalent to the current key (improper step)"
-    from .finitefield import is_irreducible
+            return True, "key equivalent to the current key (improper step)", None
     from .residual import ri
 
     res = ri(chain, chain.r, phi)
     if res.poly.degree == 0:
-        return False, "residual polynomial is constant"
+        return False, "residual polynomial is constant", res
     if phi.degree != lev.e * lev.m * res.poly.degree:
-        return False, "degree differs from e * m * deg(residual)"
+        return False, "degree differs from e * m * deg(residual)", res
     if not is_irreducible(res.poly):
-        return False, "residual polynomial is reducible"
-    return True, "key with irreducible residual polynomial"
+        return False, "residual polynomial is reducible", res
+    return True, "key with irreducible residual polynomial", res
 
 
 def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
@@ -216,7 +214,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     nu = Fraction(nu)
     if nu <= 0:
         raise PreconditionError("slope must be positive")
-    ok, msg = key_check(chain, phi)
+    ok, msg, res = _key_check(chain, phi)
     if not ok:
         raise PreconditionError(f"key check failed: {msg}")
     r = chain.r
@@ -225,13 +223,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
             raise PreconditionError("key degree is not a multiple of the current key degree")
         if key_divides(chain, phi, chain.level(r).phi):
             raise PreconditionError("improper step: the new key divides the current key")
-        from .residual import ri
-
-        psi_prev = ri(chain, r, phi).poly
-    else:
-        from .residual import r0
-
-        psi_prev = r0(chain.p, phi).poly
+    psi_prev = res.poly
     if not psi_prev.is_monic():
         raise InternalError("residual of a key polynomial must be monic")
 
@@ -268,26 +260,41 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     )
 
 
-def build_chain(p: int, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
-    """Build a chain from (phi, nu) steps, validating every level."""
-    chain = empty_chain(p)
+def _extend(chain: MacLaneChain, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
     for phi, nu in steps:
         chain = augment(chain, phi, nu)
     return chain
+
+
+def build_chain(p: int, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
+    """Build a chain from (phi, nu) steps, validating every level."""
+    return _extend(empty_chain(p), steps)
+
+
+def merge_levels(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
+    """Merge each level i in `dropped` into level i+1, whose slope absorbs
+    nu_i. Levels below the lowest dropped one are kept as they are; the
+    levels above it are augmented again."""
+    lo = min(dropped)
+    steps: list[tuple[Poly, Fraction]] = []
+    nu = Fraction(0)
+    for i, lev in enumerate(chain.levels[lo - 1 :], start=lo):
+        nu += lev.nu
+        if i not in dropped:
+            steps.append((lev.phi, nu))
+            nu = Fraction(0)
+        elif lev.m != chain.level(i + 1).m:
+            raise PreconditionError("collapse requires equal key degrees")
+    kept = MacLaneChain(chain.p, chain.levels[: lo - 1], chain.fields[:lo], chain.e_cum[:lo])
+    return _extend(kept, steps)
 
 
 def collapse_step(chain: MacLaneChain, i: int) -> MacLaneChain:
     """Merge levels i-1 and i into the single level (phi_i, nu_{i-1} + nu_i).
 
     Requires deg phi_{i-1} = deg phi_i (which forces level i-1 to be
-    stationary). The collapsed chain is rebuilt and revalidated from its
-    steps.
+    stationary). Levels 1..i-2 are kept, as in merge_levels.
     """
     if not 2 <= i <= chain.r:
         raise PreconditionError(f"collapse index {i} out of range")
-    lo, hi = chain.level(i - 1), chain.level(i)
-    if lo.m != hi.m:
-        raise PreconditionError("collapse requires equal key degrees")
-    steps = chain.steps()
-    steps[i - 2 : i] = [(hi.phi, lo.nu + hi.nu)]
-    return build_chain(chain.p, steps)
+    return merge_levels(chain, {i - 1})

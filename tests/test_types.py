@@ -21,13 +21,17 @@ from omfactor import (
     Type,
     build_chain,
     equivalent,
+    factorize,
+    montes,
     okutsu_data,
     optimize,
     ord_type,
+    parse_poly,
     qpoly,
     representative,
     ri,
 )
+from omfactor.serialize import canonical_json, type_to_json
 from omfactor.typecalc import (
     f_level,
     is_optimal,
@@ -113,6 +117,28 @@ def test_optimize_preserves_ord() -> None:
     for _ in range(30):
         g = random_qpoly(rng, 8)
         assert ord_type(t4, g) == ord_type(opt, g)
+
+
+def _optimize_by_steps(t: Type) -> Type:
+    """Optimization as a loop of optimize_step up to its fixed point."""
+    while True:
+        nxt = optimize_step(t)
+        if nxt is t:
+            return t
+        t = nxt
+
+
+def test_optimize_equals_stepwise_fixed_point(monkeypatch) -> None:
+    closing: list[Type] = []
+    wrapped = montes.optimize
+    monkeypatch.setattr(montes, "optimize", lambda t: closing.append(t) or wrapped(t))
+    factorize(parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"), 2)
+    raw = max(closing, key=lambda t: t.order)
+    # Two separated runs of stationary levels, where fixture_t4 has one run {2, 3}.
+    assert (raw.order, stationary_levels(raw)) == (17, [3, *range(5, 17)])
+    for t in (fixture_t4(), raw):
+        stepwise = canonical_json(type_to_json(_optimize_by_steps(t)))
+        assert canonical_json(type_to_json(optimize(t))) == stepwise
 
 
 def test_representative_of_optimized_fixture_is_input() -> None:

@@ -261,6 +261,15 @@ def test_index_range_errors() -> None:
         collapse_step(chain, 1)
 
 
+def test_collapse_step_keeps_the_prefix() -> None:
+    chain = fixture_chain3()
+    for i in (3, 4):
+        col = collapse_step(chain, i)
+        assert col.r == chain.r - 1
+        assert all(a is b for a, b in zip(col.levels[: i - 2], chain.levels[: i - 2], strict=True))
+        assert all(a is b for a, b in zip(col.fields[: i - 1], chain.fields[: i - 1], strict=True))
+
+
 def test_collapse_requires_equal_degrees() -> None:
     chain = fixture_chain3()
     with pytest.raises(PreconditionError):
