@@ -9,7 +9,7 @@ the float infinity `INF`, which is the only non-rational value ever produced.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ConfigError, ParseError, PreconditionError
 
@@ -234,9 +234,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * other + Poly(self.ring, [c])
         return acc
-
-    def map_coeffs(self, fn: Callable, ring) -> "Poly":
-        return Poly(ring, [fn(c) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"Poly({self.ring!r}, {list(self.coeffs)!r})"

@@ -3,7 +3,8 @@
 Commands: factor, equiv, eval, optimize, representative. Output is
 deterministic: identical inputs produce byte-identical text or JSON.
 Exit codes: 0 success, 2 parse or configuration error, 3 precondition
-failure reported by the library.
+failure reported by the library, 4 internal error (a failed consistency
+check or the exhausted node budget).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .arith import INF, Poly, format_poly, parse_poly
-from .errors import ConfigError, ParseError, PreconditionError
+from .errors import ConfigError, InternalError, ParseError, PreconditionError
 from .montes import _run, certify
 from .residual import ri
 from .serialize import (
@@ -250,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except InternalError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
 Exit-code mapping used by the CLI: ParseError and ConfigError exit with 2,
-PreconditionError with 3.
+PreconditionError with 3, InternalError with 4.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import Poly, is_prime
+from .arith import Poly, gcd_monic, is_prime
 from .errors import ConfigError, InternalError, PreconditionError
 
 
@@ -57,7 +57,6 @@ class FqElt:
     def rep_key(self):
         if isinstance(self.rep, int):
             return self.rep
-        sub = self.field.base
         return tuple(c.rep_key() for c in self._padded())
 
     def _padded(self) -> list["FqElt"]:
@@ -127,17 +126,10 @@ class FqElt:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FqElt":
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        out = self.field.one
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        base = self.inverse() if n < 0 else self
+        if isinstance(self.rep, int):
+            return FqElt(self.field, pow(base.rep, abs(n), self.field.p))
+        return FqElt(self.field, pow_mod(base.rep, abs(n), self.field.modulus))
 
     def __repr__(self) -> str:
         return f"FqElt({self.field.label()}, {self.rep_key()!r})"
@@ -345,12 +337,6 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return out
 
 
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
 def _pth_root(g: Poly) -> Poly:
     """p-th root of a polynomial whose derivative vanishes."""
     field: Fq = g.ring
@@ -371,11 +357,11 @@ def _squarefree_parts(g: Poly) -> list[tuple[Poly, int]]:
         for h, m in _squarefree_parts(_pth_root(g)):
             out.append((h, m * field.p))
         return out
-    c = _gcd(g, d)
+    c = gcd_monic(g, d)
     w = g // c
     i = 1
     while w.degree > 0:
-        y = _gcd(w, c)
+        y = gcd_monic(w, c)
         z = w // y
         if z.degree > 0:
             out.append((z, i))
@@ -420,7 +406,7 @@ def _split_equal_degree(h: Poly, d: int) -> list[Poly]:
                 acc = (acc * acc) % h
         else:
             t = pow_mod(r, (q ** d - 1) // 2, h) - Poly(field, [field.one])
-        g = _gcd(h, t)
+        g = gcd_monic(h, t)
         if 0 < g.degree < h.degree:
             return _split_equal_degree(g, d) + _split_equal_degree(h // g, d)
 
@@ -432,7 +418,7 @@ def _factor_squarefree(w: Poly) -> list[Poly]:
     h = pow_mod(Poly(field, [field.zero, field.one]), field.q, w)
     d = 1
     while w.degree >= 2 * d:
-        g = _gcd(w, h - Poly(field, [field.zero, field.one]))
+        g = gcd_monic(w, h - Poly(field, [field.zero, field.one]))
         if g.degree > 0:
             out.extend(_split_equal_degree(g, d))
             w = w // g
@@ -518,7 +504,7 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
     flat = Fq.prime(field.p)
     images: list[FqElt] = []
     for psi in field.tower_moduli():
-        mapped = Poly(flat, [tower_map(c, flat, images) for c in psi.coeffs])
+        mapped = map_poly(psi, flat, images)
         if mapped.degree == 1:
             images.append(-mapped.coeff(0))
         else:
@@ -529,6 +515,7 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
     return flat, images
 
 
-def flatten_poly(g: Poly, flat: Fq, images: list[FqElt]) -> Poly:
-    """Map a polynomial over a tower field into the flattened tower."""
-    return Poly(flat, [tower_map(c, flat, images) for c in g.coeffs])
+def map_poly(g: Poly, dst: Fq, images: list[FqElt]) -> Poly:
+    """Apply tower_map with these generator images to every coefficient of a
+    polynomial over a tower field, giving a polynomial over dst."""
+    return Poly(dst, [tower_map(c, dst, images) for c in g.coeffs])

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arith import INF, Poly, content_vp, gcd_monic, qpoly, vp
+from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import fq_factor
 from .polygon import NewtonPolygon, lower_hull
@@ -110,7 +110,7 @@ def _emit(trace: list | None, event: object) -> None:
 def _validate_input(f: Poly, p: int) -> None:
     if f.degree < 1 or not f.is_monic():
         raise PreconditionError("input must be monic of degree >= 1")
-    if any(vp(c, p) < 0 for c in f.coeffs if c):
+    if content_vp(f, p) < 0:
         raise PreconditionError("input coefficients must have nonnegative p-adic valuation")
     if gcd_monic(f, f.derivative()).degree != 0:
         raise PreconditionError("input must be squarefree")

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly, phi_expansion, qpoly, vp
+from .arith import Poly, content_vp, phi_expansion, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import FqElt
+from .finitefield import Fq, FqElt
 from .valuation import MacLaneChain
 
 
@@ -35,9 +35,7 @@ def r0(p: int, g: Poly) -> ResidualResult:
     """Level-0 data: content valuation u and (g / p^u) mod p."""
     if g.is_zero():
         raise PreconditionError("residual of the zero polynomial")
-    u = min(int(vp(c, p)) for c in g.coeffs if c)
-    from .finitefield import Fq
-
+    u = int(content_vp(g, p))
     fp = Fq.prime(p)
     scale = Fraction(1, p) ** u
     coeffs = [fp.coerce(c * scale) for c in g.coeffs]
@@ -71,7 +69,7 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
     for s, _, sub in line:
         if (s - s_i) % lev.e != 0:
             raise InternalError("on-line abscissa not congruent to the left endpoint")
-        c = sub.poly.map_coeffs(field.embed, field).evaluate(z)
+        c = FqElt(field, sub.poly % field.modulus)
         eps = z ** (lp_prev * sub.s - l_prev * sub.u)
         coeffs[(s - s_i) // lev.e] = c * eps
     return ResidualResult(s_i, u_i, Poly(field, coeffs))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .arith import Poly, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import FqElt, is_irreducible, multiplicity_of, tower_map
-from .residual import graded_lift, r0, ri
+from .finitefield import FqElt, is_irreducible, map_poly, multiplicity_of
+from .residual import graded_lift, ri
 from .valuation import MacLaneChain, _vi, merge_levels
 
 
@@ -51,18 +51,14 @@ class Type:
     def degree(self) -> int:
         """Degree of the factors singled out: e(mu_r) * m_r-growth * f_top."""
         r = self.chain.r
-        if r == 0:
-            return self.psi_top.degree
-        lev = self.chain.level(r)
-        return lev.e * lev.m * self.psi_top.degree
+        return self.chain.e(r) * self.chain.m(r) * self.psi_top.degree
 
 
 def ord_type(t: Type, g: Poly) -> int:
     """Multiplicity of psi_top in the top residual polynomial of g."""
     if g.is_zero():
         raise PreconditionError("order of the zero polynomial")
-    r = t.chain.r
-    res = r0(t.chain.p, g) if r == 0 else ri(t.chain, r, g)
+    res = ri(t.chain, t.chain.r, g)
     return multiplicity_of(t.psi_top, res.poly)
 
 
@@ -101,7 +97,7 @@ def representative(t: Type) -> Poly:
     if r == 0:
         return qpoly([c.lift_int() for c in psi.coeffs])
     lev = chain.level(r)
-    step = lev.e * lev.V + lev.h
+    step = chain.key_value(r)
     phi = lev.phi ** (lev.e * psi.degree)
     for j in range(psi.degree):
         beta = psi.coeff(j)
@@ -127,7 +123,7 @@ def _transport_images(old_top, new_chain: MacLaneChain, dropped: set[int]) -> li
     images: list[FqElt] = []
     kept = 0
     for j, psi in enumerate(old_top.tower_moduli()):
-        mapped = Poly(dst, [tower_map(c, dst, images) for c in psi.coeffs])
+        mapped = map_poly(psi, dst, images)
         if j in dropped:
             if mapped.degree != 1:
                 raise InternalError("dropped level is not linear over the new tower")
@@ -147,8 +143,7 @@ def _collapse(t: Type, dropped: set[int]) -> Type:
     new_chain = merge_levels(t.chain, dropped)
     images = _transport_images(t.chain.fields[t.chain.r], new_chain, dropped)
     dst = new_chain.fields[new_chain.r]
-    new_psi = Poly(dst, [tower_map(c, dst, images) for c in t.psi_top.coeffs])
-    return Type(new_chain, new_psi)
+    return Type(new_chain, map_poly(t.psi_top, dst, images))
 
 
 def optimize_step(t: Type) -> Type:
@@ -262,7 +257,7 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
     moduli_a = dst.tower_moduli()
     moduli_b = B.fields[r].tower_moduli()
     for j in range(r):
-        mapped = Poly(dst, [tower_map(c, dst, images) for c in moduli_b[j].coeffs])
+        mapped = map_poly(moduli_b[j], dst, images)
         shift = dst.zero if j == 0 else dst.lift_from(etas[j - 1])
         lifted = Poly(dst, [dst.lift_from(c) for c in moduli_a[j].coeffs])
         target = lifted.compose(Poly(dst, [-shift, dst.one]))
@@ -270,7 +265,7 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
             degen = j > 0 and moduli_a[j].evaluate(-etas[j - 1]) == A.fields[j].zero
             return _fail(f"psi@{j}", etas, degen)
         images.append(dst.lift_from(A.fields[j + 1].gen()) + shift)
-    mapped_top = Poly(dst, [tower_map(c, dst, images) for c in tb_o.psi_top.coeffs])
+    mapped_top = map_poly(tb_o.psi_top, dst, images)
     shift_top = dst.zero if r == 0 else dst.lift_from(etas[r - 1])
     lifted_top = Poly(dst, [dst.lift_from(c) for c in ta_o.psi_top.coeffs])
     target_top = lifted_top.compose(Poly(dst, [-shift_top, dst.one]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import INF, Poly, Val, is_prime, phi_expansion, vp
+from .arith import INF, Poly, Val, content_vp, is_prime, phi_expansion
 from .errors import ConfigError, InternalError, PreconditionError
 from .finitefield import Fq, FqElt, is_irreducible
 
@@ -78,9 +78,8 @@ class MacLaneChain:
         return 1 if i == 0 else self.level(i).m
 
     def key_value(self, i: int) -> int:
-        """Normalized value v_i(phi_i) = e_i V_i + h_i."""
-        lev = self.level(i)
-        return lev.e * lev.V + lev.h
+        """Normalized value v_i(phi_i) = e_i V_i + h_i; 0 at level 0."""
+        return self.e(i) * self.V(i) + self.h(i)
 
     def steps(self) -> list[tuple[Poly, Fraction]]:
         return [(lev.phi, lev.nu) for lev in self.levels]
@@ -104,9 +103,9 @@ def _vi(chain: MacLaneChain, i: int, g: Poly) -> int | float:
     if g.is_zero():
         return INF
     if i == 0:
-        return min(int(vp(c, chain.p)) for c in g.coeffs if c)
+        return int(content_vp(g, chain.p))
     lev = chain.level(i)
-    step = lev.e * lev.V + lev.h
+    step = chain.key_value(i)
     best = None
     for s, a in enumerate(phi_expansion(g, lev.phi)):
         if a.is_zero():
@@ -121,9 +120,7 @@ def _vi(chain: MacLaneChain, i: int, g: Poly) -> int | float:
 
 def mu_eval(chain: MacLaneChain, i: int, g: Poly) -> Val:
     """Value mu_i(g) as an exact rational; INF for the zero polynomial."""
-    if not 0 <= i <= chain.r:
-        raise PreconditionError(f"valuation index {i} out of range")
-    v = _vi(chain, i, g)
+    v = v_norm(chain, i, g)
     if v == INF:
         return INF
     return Fraction(v, chain.e_cum[i])
@@ -221,7 +218,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     if r >= 1:
         if phi.degree % chain.m(r) != 0:
             raise PreconditionError("key degree is not a multiple of the current key degree")
-        if key_divides(chain, phi, chain.level(r).phi):
+        if res is None:
             raise PreconditionError("improper step: the new key divides the current key")
     psi_prev = res.poly
     if not psi_prev.is_monic():
@@ -234,7 +231,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     lp_new = (1 - l_new * h_new) // e_new
     V_new = _vi(chain, r, phi)
     d = psi_prev.degree
-    if V_new != d * chain.e(r) * (chain.e(r) * chain.V(r) + chain.h(r)):
+    if V_new != d * chain.e(r) * chain.key_value(r):
         raise InternalError("key value disagrees with the level recurrence")
     if phi.degree != chain.e(r) * d * chain.m(r):
         raise InternalError("key degree disagrees with the level recurrence")

@@ -15,8 +15,8 @@ import oracles
 from omfactor.arith import Poly, content_vp, qpoly
 from omfactor.finitefield import (
     flatten_field,
-    flatten_poly,
     is_irreducible,
+    map_poly,
     multiplicity_of,
     ypoly,
 )
@@ -66,7 +66,7 @@ BATCH_RUN_LIMIT = 30.0  # seconds for the 100-sample unramified suite
 def _flat_equal(a: Poly, b: Poly) -> bool:
     fa, ia = flatten_field(a.ring)
     fb, ib = flatten_field(b.ring)
-    return fa == fb and flatten_poly(a, fa, ia) == flatten_poly(b, fb, ib)
+    return fa == fb and map_poly(a, fa, ia) == map_poly(b, fb, ib)
 
 
 def test_quartic_single_certificate_with_exact_trace() -> None:

@@ -210,6 +210,14 @@ def test_exit_code_three_on_precondition_failures(capsys) -> None:
         assert err.startswith("error: ")
 
 
+def test_exit_code_four_on_internal_errors(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(montes, "_MAX_NODES", 0)
+    code, out, err = run_cli(capsys, ["factor", "--prime", "3", "--poly", QUARTIC])
+    assert code == 4
+    assert out == ""
+    assert err == "error: branch tree exceeded the node budget\n"
+
+
 def test_eval_levels_text(capsys, tmp_path) -> None:
     chain_path = write_chain(tmp_path)
     code, out, _ = run_cli(capsys, ["eval", "--file", chain_path, "--poly", QUARTIC])

@@ -13,7 +13,7 @@ from omfactor.finitefield import (
     Poly,
     balanced_int,
     flatten_field,
-    flatten_poly,
+    map_poly,
     multiplicity_of,
     tower_map,
     ypoly,
@@ -32,6 +32,22 @@ def test_balanced_int() -> None:
     assert [balanced_int(k, 2) for k in range(2)] == [0, 1]
 
 
+def _check_powers(field: Fq, elems: list) -> None:
+    """a ** n is the repeated product, of inverses when n < 0."""
+    for a in elems:
+        for n in range(-3, 7):
+            if n < 0 and not a:
+                continue
+            base = a if n >= 0 else a.inverse()
+            want = field.one
+            for _ in range(abs(n)):
+                want = want * base
+            assert a ** n == want
+    assert field.zero ** 0 == field.one
+    with pytest.raises(PreconditionError):
+        field.zero ** -1
+
+
 def test_prime_field_laws() -> None:
     for p in [2, 3, 5, 7]:
         field = Fq.prime(p)
@@ -47,6 +63,7 @@ def test_prime_field_laws() -> None:
             for b in elems:
                 assert a + b == b + a
                 assert a * b == b * a
+        _check_powers(field, elems)
 
 
 def test_extension_field_laws() -> None:
@@ -60,6 +77,7 @@ def test_extension_field_laws() -> None:
             assert a + (-a) == field.zero
             if a:
                 assert a * a.inverse() == field.one
+        _check_powers(field, elems)
         z = field.gen()
         lifted = Poly(field, [field.lift_from(c) for c in field.modulus.coeffs])
         assert lifted.evaluate(z) == field.zero
@@ -216,6 +234,6 @@ def test_flatten_collapses_linear_levels() -> None:
         mapped = Poly(flat, [tower_map(c, flat, images) for c in psi.coeffs])
         assert mapped.evaluate(images[j]) == flat.zero
     g = Poly(top, [top.gen(), top.one])
-    h = flatten_poly(g, flat, images)
+    h = map_poly(g, flat, images)
     assert h.degree == g.degree
     assert h.coeff(0) == images[-1]

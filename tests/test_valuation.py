@@ -52,7 +52,7 @@ def test_fixture_chain_bookkeeping() -> None:
     assert [chain.level(i).m for i in range(1, 5)] == [1, 2, 2, 2]
     assert [chain.level(i).f_prev for i in range(1, 5)] == [1, 1, 1, 1]
     assert chain.e_cum == (1, 2, 2, 2, 2)
-    assert [chain.key_value(i) for i in range(1, 5)] == [1, 4, 6, 8]
+    assert [chain.key_value(i) for i in range(5)] == [0, 1, 4, 6, 8]
 
 
 def test_bezout_data() -> None:
@@ -239,6 +239,41 @@ def test_augment_rejects_non_keys() -> None:
         augment(empty, qpoly([-3, 0, 1]), Fraction(1))
     with pytest.raises(PreconditionError):
         augment(empty, qpoly([0, 1]), Fraction(0))
+    trunc2 = build_chain(3, fixture_chain3().steps()[:2])
+    for phi in (qpoly([24, 0, 1]), trunc2.level(2).phi):
+        with pytest.raises(PreconditionError, match="improper step"):
+            augment(trunc2, phi, Fraction(1))
+
+
+def test_improper_verdict_matches_graded_division() -> None:
+    """Over each level of the chains, perturb the top key by p-adic noise:
+    whenever key_check accepts the result, it calls it improper exactly when
+    it divides the top key in the graded algebra, and augment rejects
+    exactly those keys."""
+    rng = random.Random(211)
+    chains = [fixture_chain3(), fixture_chain5()] + [random_type(rng).chain for _ in range(12)]
+    verdicts = {True: 0, False: 0}
+    for chain in chains:
+        p = chain.p
+        for i in range(1, chain.r + 1):
+            trunc = build_chain(p, chain.steps()[:i])
+            top = trunc.level(i).phi
+            for _ in range(6):
+                noise = [rng.randrange(-p, p + 1) * p ** rng.randrange(0, 6)
+                         for _ in range(top.degree)]
+                phi = top + qpoly(noise)
+                ok, why = key_check(trunc, phi)
+                if not ok:
+                    continue
+                improper = key_divides(trunc, phi, top)
+                assert improper == ("improper" in why)
+                verdicts[improper] += 1
+                if improper:
+                    with pytest.raises(PreconditionError, match="improper step"):
+                        augment(trunc, phi, Fraction(1))
+                else:
+                    assert augment(trunc, phi, Fraction(1)).r == i + 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_build_chain_round_trips_steps() -> None:
