@@ -1,11 +1,15 @@
 """Finite-field towers and deterministic polynomial factorization.
 
 A field is either a prime field or an extension of another tower field by a
-monic irreducible modulus. Elements are kept fully reduced, so equality is
-representation equality. Factorization is squarefree / distinct-degree /
-equal-degree splitting with a deterministic candidate sequence, and factor
-lists are sorted canonically by degree, then by balanced coefficient
-coordinates from the constant term upward.
+monic irreducible modulus. An element is stored flat, as its coordinate
+vector over F_p in the tower monomial basis (see FqElt). A degree-one level
+y - a adds no coordinates: its elements keep the vectors of their base
+images and use the base's arithmetic, so only levels of degree >= 2
+multiply and reduce. Elements are fully reduced, so equality is vector
+equality. Factorization is squarefree / distinct-degree / equal-degree
+splitting with a deterministic candidate sequence, and factor lists are
+sorted canonically by degree, then by balanced coefficient coordinates from
+the constant term upward.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ def balanced_int(rep: int, p: int) -> int:
 
 
 class FqElt:
-    """Element of a tower field; rep is an int below p for prime fields and a
-    reduced Poly over the base field otherwise."""
+    """Element of a tower field: rep is an int below p if the field has
+    absolute degree 1, else a tuple of deg_abs ints below p. Over the
+    immediate base, the coefficient of y^j is the j-th chunk of
+    base.deg_abs coordinates, laid out the same way one level down, so base
+    coordinates are innermost; flat_key() is rep in balanced form."""
 
     __slots__ = ("field", "rep")
 
@@ -42,7 +49,7 @@ class FqElt:
             raise InternalError("mixed-field arithmetic")
 
     def __bool__(self) -> bool:
-        return bool(self.rep) if isinstance(self.rep, int) else not self.rep.is_zero()
+        return self.rep != self.field._zero.rep
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FqElt):
@@ -52,23 +59,17 @@ class FqElt:
         return self.field == other.field and self.rep == other.rep
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rep_key()))
-
-    def rep_key(self):
-        if isinstance(self.rep, int):
-            return self.rep
-        return tuple(c.rep_key() for c in self._padded())
-
-    def _padded(self) -> list["FqElt"]:
-        cs = list(self.rep.coeffs)
-        cs += [self.field.base.zero] * (self.field.deg_over_base - len(cs))
-        return cs
+        return hash((self.field, self.rep))
 
     def coords(self) -> list["FqElt"]:
         """Coordinates over the immediate base field, padded to full length."""
-        if isinstance(self.rep, int):
+        if self.field.base is None:
             raise PreconditionError("coords of a prime-field element")
-        return self._padded()
+        return [FqElt(self.field.base, c) for c in self.field._chunks(self.rep)]
+
+    def poly(self) -> Poly:
+        """The element as a reduced polynomial over the immediate base field."""
+        return Poly(self.field.base, self.coords())
 
     def flat_key(self) -> tuple[int, ...]:
         """Absolute coordinate vector over the prime field, balanced.
@@ -76,50 +77,40 @@ class FqElt:
         Used as the canonical sort key for elements; length equals the
         absolute degree of the field.
         """
-        if isinstance(self.rep, int):
-            return (balanced_int(self.rep, self.field.p),)
-        out: list[int] = []
-        for c in self._padded():
-            out.extend(c.flat_key())
-        return tuple(out)
+        p = self.field.p
+        if self.field.deg_abs == 1:
+            return (balanced_int(self.rep, p),)
+        return tuple(balanced_int(c, p) for c in self.rep)
 
     def lift_int(self) -> int:
         """Balanced integer lift; prime-field elements only."""
-        if not isinstance(self.rep, int):
+        if self.field.base is not None:
             raise PreconditionError("integer lift of a non-prime-field element")
         return balanced_int(self.rep, self.field.p)
 
     def __add__(self, other: "FqElt") -> "FqElt":
         self._same(other)
-        if isinstance(self.rep, int):
-            return FqElt(self.field, (self.rep + other.rep) % self.field.p)
-        return FqElt(self.field, self.rep + other.rep)
+        return FqElt(self.field, self.field._add(self.rep, other.rep))
 
     def __sub__(self, other: "FqElt") -> "FqElt":
         self._same(other)
-        if isinstance(self.rep, int):
-            return FqElt(self.field, (self.rep - other.rep) % self.field.p)
-        return FqElt(self.field, self.rep - other.rep)
+        return FqElt(self.field, self.field._sub(self.rep, other.rep))
 
     def __neg__(self) -> "FqElt":
-        if isinstance(self.rep, int):
-            return FqElt(self.field, -self.rep % self.field.p)
-        return FqElt(self.field, -self.rep)
+        return FqElt(self.field, self.field._sub(self.field._zero.rep, self.rep))
 
     def __mul__(self, other: "FqElt") -> "FqElt":
         self._same(other)
-        if isinstance(self.rep, int):
-            return FqElt(self.field, self.rep * other.rep % self.field.p)
-        return FqElt(self.field, (self.rep * other.rep) % self.field.modulus)
+        return FqElt(self.field, self.field._kernel._mul(self.rep, other.rep))
 
     def inverse(self) -> "FqElt":
         if not self:
             raise PreconditionError("inverse of zero")
-        if isinstance(self.rep, int):
-            return FqElt(self.field, pow(self.rep, -1, self.field.p))
-        if self.rep.degree == 0:
-            return FqElt(self.field, Poly(self.rep.ring, [self.rep.coeff(0).inverse()]))
-        return FqElt(self.field, _poly_inverse(self.rep, self.field.modulus))
+        k = self.field._kernel
+        if k.base is None:
+            return FqElt(self.field, pow(self.rep, -1, k.p))
+        inv = k.from_poly(_poly_inverse(FqElt(k, self.rep).poly(), k.modulus))
+        return FqElt(self.field, inv.rep)
 
     def __truediv__(self, other: "FqElt") -> "FqElt":
         self._same(other)
@@ -127,12 +118,14 @@ class FqElt:
 
     def __pow__(self, n: int) -> "FqElt":
         base = self.inverse() if n < 0 else self
-        if isinstance(self.rep, int):
-            return FqElt(self.field, pow(base.rep, abs(n), self.field.p))
-        return FqElt(self.field, pow_mod(base.rep, abs(n), self.field.modulus))
+        k = self.field._kernel
+        if k.base is None:
+            return FqElt(self.field, pow(base.rep, abs(n), k.p))
+        out = k.from_poly(pow_mod(FqElt(k, base.rep).poly(), abs(n), k.modulus))
+        return FqElt(self.field, out.rep)
 
     def __repr__(self) -> str:
-        return f"FqElt({self.field.label()}, {self.rep_key()!r})"
+        return f"FqElt({self.field.label()}, {self.rep!r})"
 
 
 def _poly_inverse(a: Poly, modulus: Poly) -> Poly:
@@ -151,11 +144,12 @@ def _poly_inverse(a: Poly, modulus: Poly) -> Poly:
 
 class Fq:
     """Prime field or extension of a tower field by a monic irreducible
-    modulus. Doubles as the coefficient-ring adapter for Poly."""
+    modulus. Doubles as the coefficient-ring adapter for Poly, and holds the
+    arithmetic on its elements' coordinate vectors."""
 
     __slots__ = (
-        "p", "base", "modulus", "deg_over_base", "deg_abs", "q",
-        "_skey", "_hash", "_zero", "_one", "_gen", "_ext_cache",
+        "p", "base", "modulus", "deg_over_base", "deg_abs", "q", "_kernel",
+        "_mod_reps", "_skey", "_hash", "_zero", "_one", "_gen", "_ext_cache",
     )
 
     _prime_cache: dict[int, "Fq"] = {}
@@ -165,21 +159,23 @@ class Fq:
         self.base = base
         self.modulus = modulus
         if base is None:
-            self.deg_over_base = 1
-            self.deg_abs = 1
+            self.deg_over_base = self.deg_abs = 1
+            self._kernel = self
+            self._skey = ("p", p)
         else:
             self.deg_over_base = modulus.degree
             self.deg_abs = base.deg_abs * modulus.degree
+            # The field whose multiplication this one's vectors use.
+            self._kernel = self if modulus.degree > 1 else base._kernel
+            self._mod_reps = tuple(c.rep for c in modulus.coeffs)
+            self._skey = ("e", base._skey, self._mod_reps)
         self.q = p ** self.deg_abs
-        if base is None:
-            self._skey = ("p", p)
-            self._zero = FqElt(self, 0)
-            self._one = FqElt(self, 1)
-        else:
-            self._skey = ("e", base._skey, tuple(c.rep_key() for c in modulus.coeffs))
-            self._zero = FqElt(self, Poly(base, []))
-            self._one = FqElt(self, Poly(base, [base.one]))
-            self._gen = FqElt(self, Poly(base, [base.zero, base.one]) % modulus)
+        self._zero = FqElt(self, 0 if self.deg_abs == 1 else (0,) * self.deg_abs)
+        self._one = FqElt(self, self._pad(1))
+        if base is not None:
+            # y itself, or the root -a of a degree-one modulus y + a.
+            y = self.from_index(base.q) if modulus.degree > 1 else -modulus.coeff(0)
+            self._gen = FqElt(self, y.rep)
         self._hash = hash(self._skey)
         self._ext_cache: dict[tuple, Fq] = {}
 
@@ -209,6 +205,60 @@ class Fq:
     def __repr__(self) -> str:
         return self.label()
 
+    # Coordinate vectors.
+
+    def _pad(self, r):
+        """Vector of an element of a field below this one in the tower: its
+        own vector followed by zeros."""
+        if self.deg_abs == 1:
+            return r
+        r = (r,) if isinstance(r, int) else r  # absolute degree 1
+        return r + self._zero.rep[len(r):]
+
+    def _chunks(self, r) -> list:
+        """Coordinates over the immediate base, as base vectors."""
+        if self.deg_over_base == 1:
+            return [r]
+        n = self.base.deg_abs
+        return list(r) if n == 1 else [r[i:i + n] for i in range(0, self.deg_abs, n)]
+
+    def _flatten(self, chunks: list):
+        """Inverse of _chunks."""
+        if self.deg_over_base == 1:
+            return chunks[0]
+        return tuple(chunks) if self.base.deg_abs == 1 else sum(chunks, ())
+
+    def _add(self, a, b):
+        if self.deg_abs == 1:
+            return (a + b) % self.p
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        if self.deg_abs == 1:
+            return (a - b) % self.p
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def _mul(self, a, b):
+        """Product of two vectors, on the prime field or a level of degree
+        >= 2: chunkwise product over the base, reduced by the modulus."""
+        if self.base is None:
+            return a * b % self.p
+        base, d = self.base, self.deg_over_base
+        mul, add, sub, zero = base._kernel._mul, base._add, base._sub, base._zero.rep
+        prod = [zero] * (2 * d - 1)
+        bs = self._chunks(b)
+        for i, x in enumerate(self._chunks(a)):
+            if x != zero:
+                for j, y in enumerate(bs):
+                    if y != zero:
+                        prod[i + j] = add(prod[i + j], mul(x, y))
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            if c != zero:
+                for j in range(d):
+                    prod[k - d + j] = sub(prod[k - d + j], mul(c, self._mod_reps[j]))
+        return self._flatten(prod[:d])
+
     # Ring adapter surface.
 
     @property
@@ -230,9 +280,13 @@ class Fq:
             if v.denominator % self.p == 0:
                 raise PreconditionError("denominator not invertible modulo p")
             return self.coerce(v.numerator) / self.coerce(v.denominator)
-        if self.base is None:
-            return FqElt(self, v % self.p)
-        return FqElt(self, Poly(self.base, [self.base.coerce(v)]))
+        return FqElt(self, self._pad(v % self.p))
+
+    def from_poly(self, g: Poly) -> FqElt:
+        """Class of a polynomial over the immediate base modulo the modulus."""
+        cs = [c.rep for c in (g % self.modulus).coeffs]
+        cs += [self.base._zero.rep] * (self.deg_over_base - len(cs))
+        return FqElt(self, self._flatten(cs))
 
     # Tower structure.
 
@@ -273,21 +327,16 @@ class Fq:
         """Embed an element of the immediate base field."""
         if self.base is None or x.field != self.base:
             raise InternalError("embed expects an element of the immediate base")
-        return FqElt(self, Poly(self.base, [x]))
+        return FqElt(self, self._pad(x.rep))
 
     def lift_from(self, x: FqElt) -> FqElt:
         """Embed an element of any field along this tower's base chain."""
-        path: list[Fq] = []
         cur: Fq | None = self
         while cur is not None and cur != x.field:
-            path.append(cur)
             cur = cur.base
         if cur is None:
             raise InternalError("element does not belong to this tower")
-        out = x
-        for field in reversed(path):
-            out = field.embed(out)
-        return out
+        return FqElt(self, self._pad(x.rep))
 
     def tower_moduli(self) -> list[Poly]:
         """Moduli from the first extension up to this field."""
@@ -300,17 +349,13 @@ class Fq:
         return out
 
     def from_index(self, k: int) -> FqElt:
-        """Deterministic enumeration of elements; 0 maps to zero."""
+        """Deterministic enumeration of elements; 0 maps to zero. The
+        coordinates are the base-p digits of k, lowest first."""
         if not 0 <= k < self.q:
             raise PreconditionError("element index out of range")
-        if self.base is None:
+        if self.deg_abs == 1:
             return FqElt(self, k)
-        digits: list[FqElt] = []
-        sub = self.base
-        while k:
-            digits.append(sub.from_index(k % sub.q))
-            k //= sub.q
-        return FqElt(self, Poly(sub, digits))
+        return FqElt(self, tuple(k // self.p ** i % self.p for i in range(self.deg_abs)))
 
     def elements(self) -> Iterator[FqElt]:
         for k in range(self.q):
@@ -487,8 +532,7 @@ def tower_map(x: FqElt, dst: Fq, images: list[FqElt]) -> FqElt:
     tower to images[j]; all images must be elements of dst."""
     if x.field.base is None:
         return dst.coerce(x.rep)
-    lvl = x.field.level
-    img = images[lvl - 1]
+    img = images[x.field.level - 1]
     acc = dst.zero
     for c in reversed(x.coords()):
         acc = acc * img + tower_map(c, dst, images)

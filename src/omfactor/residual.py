@@ -69,7 +69,7 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
     for s, _, sub in line:
         if (s - s_i) % lev.e != 0:
             raise InternalError("on-line abscissa not congruent to the left endpoint")
-        c = FqElt(field, sub.poly % field.modulus)
+        c = field.from_poly(sub.poly)
         eps = z ** (lp_prev * sub.s - l_prev * sub.u)
         coeffs[(s - s_i) // lev.e] = c * eps
     return ResidualResult(s_i, u_i, Poly(field, coeffs))

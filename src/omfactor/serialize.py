@@ -56,7 +56,7 @@ def qpoly_to_json(g: Poly) -> list[str]:
 def fq_elt_to_json(a: FqElt) -> str | list:
     """Prime-field elements are balanced decimal strings; extension elements
     are coordinate lists over the base, padded to the extension degree."""
-    if isinstance(a.rep, int):
+    if a.field.base is None:
         return str(a.lift_int())
     return [fq_elt_to_json(c) for c in a.coords()]
 
@@ -168,7 +168,7 @@ def fq_elt_from_json(field: Fq, obj) -> FqElt:
     if len(obj) != field.deg_over_base:
         raise ParseError("element coordinate array has the wrong length")
     coords = [fq_elt_from_json(field.base, c) for c in obj]
-    return FqElt(field, Poly(field.base, coords))
+    return field.from_poly(Poly(field.base, coords))
 
 
 def fq_poly_from_json(field: Fq, arr) -> Poly:
@@ -255,9 +255,9 @@ def format_fraction(q: Fraction) -> str:
 
 
 def format_fq_elt(a: FqElt) -> str:
-    if isinstance(a.rep, int):
+    if a.field.base is None:
         return str(a.lift_int())
-    return format_fq_poly(a.rep, f"z{a.field.level - 1}")
+    return format_fq_poly(a.poly(), f"z{a.field.level - 1}")
 
 
 def _is_plain(text: str) -> bool:

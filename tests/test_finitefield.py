@@ -15,9 +15,11 @@ from omfactor.finitefield import (
     flatten_field,
     map_poly,
     multiplicity_of,
+    pow_mod,
     tower_map,
     ypoly,
 )
+from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
 
 def small_tower(p: int = 3) -> Fq:
@@ -237,3 +239,81 @@ def test_flatten_collapses_linear_levels() -> None:
     h = map_poly(g, flat, images)
     assert h.degree == g.degree
     assert h.coeff(0) == images[-1]
+
+
+# Flat coordinate-vector arithmetic against the quotient-ring definition.
+
+# Degrees of the levels above F_p; 0 stands for the modulus y itself.
+TOWER_SHAPES = [[0, 1, 2, 1, 3], [2, 1, 2], [1, 3, 1]]
+
+
+def _random_tower(p: int, shape: list[int], rng: random.Random) -> list[Fq]:
+    """Fields F_p = F_0, ..., F_k with a random monic irreducible modulus of
+    each degree; degree-1 levels above level 1 get y - a with a != 0."""
+    fields = [Fq.prime(p)]
+    for d in shape:
+        cur = fields[-1]
+        if d == 0:
+            psi = ypoly(cur, [0, 1])
+        else:
+            while True:
+                low = [cur.from_index(rng.randrange(cur.q)) for _ in range(d)]
+                psi = Poly(cur, low + [cur.one])
+                if (d > 1 or low[0]) and _independent_irreducible(psi):
+                    break
+        fields.append(cur.extend(psi))
+    return fields
+
+
+def _random_elements(field: Fq, rng: random.Random, n: int) -> list:
+    return [field.zero, field.one] + [field.from_index(rng.randrange(field.q)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", TOWER_SHAPES)
+def test_flat_arithmetic_matches_quotient_ring(p: int, shape: list[int]) -> None:
+    rng = random.Random(1000 * p + len(shape))
+    fields = _random_tower(p, shape, rng)
+    top = fields[-1]
+    images = [top.lift_from(f.gen()) for f in fields[1:]]
+    for field in fields[1:]:
+        mod = field.modulus
+        one = Poly(field.base, [field.base.one])
+        lifted = Poly(field, [field.lift_from(c) for c in mod.coeffs])
+        assert lifted.evaluate(field.gen()) == field.zero
+        elems = _random_elements(field, rng, 6)
+        for a in elems:
+            ap = a.poly()
+            assert len(a.flat_key()) == field.deg_abs
+            assert a.flat_key() == tuple(k for c in a.coords() for k in c.flat_key())
+            assert (-a).poly() == -ap
+            assert tower_map(top.lift_from(a), top, images) == top.lift_from(a)
+            assert fq_elt_from_json(field, fq_elt_to_json(a)) == a
+            if a:
+                assert (a.inverse().poly() * ap) % mod == one
+            for n in range(-3, 7):
+                if n < 0 and not a:
+                    continue
+                want = pow_mod(a.inverse().poly() if n < 0 else ap, abs(n), mod)
+                assert (a ** n).poly() == want
+            for b in elems:
+                bp = b.poly()
+                assert (a * b).poly() == (ap * bp) % mod
+                assert (a + b).poly() == ap + bp
+                assert (a - b).poly() == ap - bp
+
+
+def test_separately_built_fields_agree() -> None:
+    rng = random.Random(7)
+    fields = _random_tower(3, TOWER_SHAPES[0], rng)
+    # Rebuild the tower without the extension cache, from JSON coordinates.
+    twin = Fq(3, None, None)
+    for field in fields[1:]:
+        coeffs = [fq_elt_from_json(twin, fq_elt_to_json(c)) for c in field.modulus.coeffs]
+        twin = Fq(3, twin, Poly(twin, coeffs))
+    top = fields[-1]
+    assert twin is not top and twin == top and hash(twin) == hash(top)
+    for a in _random_elements(top, rng, 20):
+        b = fq_elt_from_json(twin, fq_elt_to_json(a))
+        assert b == a and hash(b) == hash(a)
+        assert b.field is twin and b * b == a * a

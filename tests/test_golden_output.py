@@ -1,0 +1,43 @@
+"""Byte-identity of the command line on tower-heavy inputs.
+
+Each case runs cli.main in-process and compares stdout with a file under
+tests/data/golden/. The files were written by the code that predates the
+flat residue-field representation, so a change in how tower elements are
+stored, multiplied or rendered shows here as a diff. The cases cover the
+degree-16 p = 2 input (seventeen levels, nearly all of degree one), a p = 5
+input whose tower has a degree-2 level above degree-1 levels (its trace and
+type render z generators and nested coordinate arrays), and the README
+quartic.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from omfactor.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
+TOWER_P5 = "((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13"
+P5_TYPE = str(GOLDEN / "p5_type.json")
+
+CASES = {
+    "deep_p2_factor_trace.txt": ["factor", "--prime", "2", "--poly", DEEP_P2, "--trace"],
+    "tower_p5_factor_trace.txt": ["factor", "--prime", "5", "--poly", TOWER_P5, "--trace"],
+    "tower_p5_factor_json_trace.json": [
+        "factor", "--prime", "5", "--poly", TOWER_P5, "--json", "--trace",
+    ],
+    "quartic_p3_factor.txt": ["factor", "--prime", "3", "--poly", "x^4 + 30*x^2 + 6786"],
+    "p5_type_eval_residual.txt": ["eval", "--file", P5_TYPE, "--poly", TOWER_P5, "--residual"],
+    "p5_type_equiv.json": ["equiv", P5_TYPE, P5_TYPE, "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name: str) -> None:
+    code = main(CASES[name])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
