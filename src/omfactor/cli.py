@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .arith import INF, Poly, format_poly, parse_poly
@@ -35,7 +36,7 @@ from .serialize import (
     type_to_json,
 )
 from .typecalc import Type, equivalent, optimize, representative
-from .valuation import mu_eval
+from .valuation import v_norm
 
 
 def _read_text(path: str) -> str:
@@ -155,16 +156,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = []
     lines = []
     for i in levels:
-        mu = mu_eval(chain, i, g)
-        zero = mu == INF
+        # One walk gives value and residual; v_norm reports a bad level.
+        res = ri(chain, i, g) if args.residual and 0 <= i <= chain.r else None
+        v = v_norm(chain, i, g) if res is None else chain.residual_value(i, res)
+        zero = v == INF
+        mu = "INF" if zero else Fraction(v, chain.e_cum[i])
         row: dict = {
             "level": i,
             "mu": "INF" if zero else {"num": mu.numerator, "den": mu.denominator},
-            "v": "INF" if zero else int(mu * chain.e_cum[i]),
+            "v": "INF" if zero else v,
         }
-        lines.append(f"level {i}: mu = {'INF' if zero else mu}, v = {row['v']}")
-        if args.residual:
-            res = ri(chain, i, g)
+        lines.append(f"level {i}: mu = {mu}, v = {row['v']}")
+        if res is not None:
             row["residual"] = residual_to_json(res)
             lines.append(f"  residual {format_residual(res)}")
         rows.append(row)

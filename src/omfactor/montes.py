@@ -24,9 +24,9 @@ from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import fq_factor
 from .polygon import NewtonPolygon, lower_hull
-from .residual import graded_lift, r0, ri
+from .residual import expansion_entries, graded_lift, line_residual, r0
 from .typecalc import Type, okutsu_data, optimize, ord_type, representative
-from .valuation import MacLaneChain, augment, empty_chain, expansion_points, v_norm
+from .valuation import MacLaneChain, augment, empty_chain, v_norm
 
 _MAX_NODES = 10000
 
@@ -139,16 +139,19 @@ def _close(t: Type, state: _RunState, trace: list | None) -> FactorCertificate:
     return cert
 
 
-def _perturbed_representative(
-    chain: MacLaneChain, phi: Poly, f: Poly, pts: list[tuple[int, Fraction]], trace: list | None
-) -> tuple[Poly, Fraction, list[tuple[int, Fraction]]]:
-    """Replace an exact-divisor representative by an equivalent key that does
-    not divide f, deep enough that the divisor gets its own polygon side.
+def _node_expansion(chain: MacLaneChain, phi: Poly, f: Poly) -> tuple[list, list]:
+    """Entries of f's phi-expansion at the top valuation, and their points."""
+    r = chain.r
+    entries = expansion_entries(chain, r, phi, v_norm(chain, r, phi), f)
+    return entries, [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
 
-    Takes the expansion points of f by phi; returns the new representative,
-    the slope reserved for the divisor, and the expansion points of f by the
-    new representative.
-    """
+
+def _perturbed_representative(
+    chain: MacLaneChain, phi: Poly, pts: list[tuple[int, Fraction]], trace: list | None
+) -> tuple[Poly, Fraction]:
+    """Replace an exact-divisor representative phi by an equivalent key, deep
+    enough that the divisor gets its own polygon side. Takes the points of f
+    by phi; returns the new key and the slope reserved for the divisor."""
     _emit(trace, ExactDivisor(phi))
     r = chain.r
     hull = lower_hull(pts)
@@ -159,11 +162,7 @@ def _perturbed_representative(
     else:
         W = v_norm(chain, r, phi) + int(nu_star) * chain.e_cum[r]
         bump = graded_lift(chain, r, W, chain.fields[r].one)
-    shifted = phi + bump
-    shifted_pts = expansion_points(chain, shifted, f)
-    if shifted_pts[0][0] != 0:
-        raise InternalError("perturbed representative still divides the input")
-    return shifted, nu_star, shifted_pts
+    return phi + bump, nu_star
 
 
 def _branch(
@@ -175,10 +174,13 @@ def _branch(
     phi = representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
-    pts = expansion_points(chain, phi, f)
+    entries, pts = _node_expansion(chain, phi, f)
     if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
         exact = phi
-        phi, exact_slope, pts = _perturbed_representative(chain, phi, f, pts, trace)
+        phi, exact_slope = _perturbed_representative(chain, phi, pts, trace)
+        entries, pts = _node_expansion(chain, phi, f)
+        if pts[0][0] != 0:
+            raise InternalError("perturbed representative still divides the input")
     hull = lower_hull(pts)
     principal = hull.principal_sides()
     length = sum(side.length for side in principal)
@@ -190,7 +192,7 @@ def _branch(
     for side in sorted(principal, key=lambda s: -s.slope):
         lam = -side.slope
         chain2 = augment(chain, phi, lam)
-        res = ri(chain2, r + 1, f)
+        res = line_residual(chain2, r + 1, entries)
         _emit(trace, NodeResidual(r + 1, lam, res.s, res.u, res.poly))
         e2 = chain2.level(r + 1).e
         if side.length != e2 * res.poly.degree + res.s - side.left[0]:

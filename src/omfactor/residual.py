@@ -3,10 +3,12 @@
 ri(chain, i, g) computes the level-i residual data of a nonzero polynomial:
 the left endpoint (s_i, u_i) of the slope-lambda_i line under the points of
 the phi_i-expansion, together with the residual polynomial R_i(g) over the
-level-i residue field. The recursion mirrors the level structure: each
-on-line coefficient contributes its lower-level residual evaluated at the
-tower generator, twisted by a power of that generator determined by the
-Bezout pair of the previous level.
+level-i residue field. It is the package's only walk over phi-expansions:
+expansion_entries gives (s, u_s, R_j(a_s)) for each nonzero a_s, with
+u_s = v_j(a_s phi^s) normalized (the polygon points are (s, u_s / e(mu_j))),
+and line_residual builds R_i on the line: each on-line coefficient
+contributes its lower-level residual evaluated at the tower generator,
+twisted by a power of that generator set by the previous Bezout pair.
 
 graded_lift inverts the residual map on homogeneous pieces: given a target
 normalized degree W >= V_i and a nonzero residue beta, it produces an
@@ -17,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .arith import Poly, content_vp, phi_expansion, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt
-from .valuation import MacLaneChain
+
+if TYPE_CHECKING:
+    from .valuation import MacLaneChain
 
 
 @dataclass(frozen=True)
@@ -51,15 +56,22 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
     if i == 0:
         return r0(chain.p, g)
     lev = chain.level(i)
-    e_prev, h_prev = chain.e(i - 1), chain.h(i - 1)
-    l_prev, lp_prev = chain.l(i - 1), chain.lp(i - 1)
-    entries = []
-    for s, a in enumerate(phi_expansion(g, lev.phi)):
-        if a.is_zero():
-            continue
-        sub = ri(chain, i - 1, a)
-        u_s = e_prev * sub.u + h_prev * sub.s + s * lev.V
-        entries.append((s, u_s, sub))
+    return line_residual(chain, i, expansion_entries(chain, i - 1, lev.phi, lev.V, g))
+
+
+def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, g: Poly) -> list:
+    """(s, u_s, R_j(a_s)) for each nonzero a_s of g = sum a_s phi^s, where
+    u_s = v_j(a_s) + s V, the normalized value of a_s phi^s if V = v_j(phi)."""
+    subs = [(s, ri(chain, j, a)) for s, a in enumerate(phi_expansion(g, phi)) if not a.is_zero()]
+    return [(s, chain.residual_value(j, sub) + s * V, sub) for s, sub in subs]
+
+
+def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
+    """Level-i residual data from the entries of the phi_i-expansion: the
+    left endpoint of the slope-lambda_i line and R_i built on it."""
+    if not entries:
+        raise InternalError("empty expansion of a nonzero polynomial")
+    lev = chain.level(i)
     t_min = min(lev.e * u_s + lev.h * s for s, u_s, _ in entries)
     line = [(s, u_s, sub) for s, u_s, sub in entries if lev.e * u_s + lev.h * s == t_min]
     s_i, u_i = line[0][0], line[0][1]
@@ -70,7 +82,7 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
         if (s - s_i) % lev.e != 0:
             raise InternalError("on-line abscissa not congruent to the left endpoint")
         c = field.from_poly(sub.poly)
-        eps = z ** (lp_prev * sub.s - l_prev * sub.u)
+        eps = z ** (chain.lp(i - 1) * sub.s - chain.l(i - 1) * sub.u)
         coeffs[(s - s_i) // lev.e] = c * eps
     return ResidualResult(s_i, u_i, Poly(field, coeffs))
 

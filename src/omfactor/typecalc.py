@@ -21,7 +21,7 @@ from .arith import Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, is_irreducible, map_poly, multiplicity_of
 from .residual import graded_lift, ri
-from .valuation import MacLaneChain, _vi, merge_levels
+from .valuation import MacLaneChain, merge_levels
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,8 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
         if diff.is_zero():
             etas.append(A.fields[j].zero)
             continue
-        vd = _vi(A, j, diff)
+        res = ri(A, j, diff)
+        vd = A.residual_value(j, res)
         kv = A.key_value(j)
         if vd > kv:
             etas.append(A.fields[j].zero)
@@ -248,7 +249,6 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
         else:
             if la.e != 1:
                 raise InternalError("equal key value with ramified level")
-            res = ri(A, j, diff)
             if res.poly.degree != 0:
                 raise InternalError("nonconstant residual of a small difference")
             etas.append(res.poly.coeff(0))

@@ -8,7 +8,8 @@ the normalized key value V_i, and the residual polynomial of phi_i through
 the prefix, which generates level i of the residue tower.
 
 Values are exact: mu_eval returns a Fraction (INF only for the zero
-polynomial) and v_norm returns the integer e(mu_i) * mu_i(g).
+polynomial) and v_norm returns the integer e(mu_i) * mu_i(g). Both are read
+from the residual walk, as v_i(g) = e_i u_i + h_i s_i of ri(chain, i, g).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import INF, Poly, Val, content_vp, is_prime, phi_expansion
+from .arith import INF, Poly, Val, is_prime
 from .errors import ConfigError, InternalError, PreconditionError
 from .finitefield import Fq, FqElt, is_irreducible
+from .residual import ResidualResult, expansion_entries, r0, ri
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ class MacLaneChain:
         """Normalized value v_i(phi_i) = e_i V_i + h_i; 0 at level 0."""
         return self.e(i) * self.V(i) + self.h(i)
 
+    def residual_value(self, i: int, res: ResidualResult) -> int:
+        """Normalized value v_i(g) = e_i u_i + h_i s_i of res = ri(chain, i, g)."""
+        return self.e(i) * res.u + self.h(i) * res.s
+
     def steps(self) -> list[tuple[Poly, Fraction]]:
         return [(lev.phi, lev.nu) for lev in self.levels]
 
@@ -98,26 +104,6 @@ def empty_chain(p: int) -> MacLaneChain:
     return MacLaneChain(p, (), (Fq.prime(p),), (1,))
 
 
-def _vi(chain: MacLaneChain, i: int, g: Poly) -> int | float:
-    """Normalized integer valuation e(mu_i) * mu_i(g); INF for g = 0."""
-    if g.is_zero():
-        return INF
-    if i == 0:
-        return int(content_vp(g, chain.p))
-    lev = chain.level(i)
-    step = chain.key_value(i)
-    best = None
-    for s, a in enumerate(phi_expansion(g, lev.phi)):
-        if a.is_zero():
-            continue
-        w = lev.e * _vi(chain, i - 1, a) + s * step
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise InternalError("empty expansion of a nonzero polynomial")
-    return best
-
-
 def mu_eval(chain: MacLaneChain, i: int, g: Poly) -> Val:
     """Value mu_i(g) as an exact rational; INF for the zero polynomial."""
     v = v_norm(chain, i, g)
@@ -130,7 +116,13 @@ def v_norm(chain: MacLaneChain, i: int, g: Poly) -> int | float:
     """Normalized value e(mu_i) * mu_i(g), an integer; INF for zero."""
     if not 0 <= i <= chain.r:
         raise PreconditionError(f"valuation index {i} out of range")
-    return _vi(chain, i, g)
+    if g.is_zero():
+        return INF
+    return chain.residual_value(i, ri(chain, i, g))
+
+
+# Internal name of v_norm; perfbench/tracer.py wraps it as valuation.vi.
+_vi = v_norm
 
 
 def expansion_points(chain: MacLaneChain, phi: Poly, g: Poly) -> list[tuple[int, Fraction]]:
@@ -139,14 +131,8 @@ def expansion_points(chain: MacLaneChain, phi: Poly, g: Poly) -> list[tuple[int,
     Zero coefficients contribute no point.
     """
     r = chain.r
-    vphi = _vi(chain, r, phi)
-    den = chain.e_cum[r]
-    pts = []
-    for s, a in enumerate(phi_expansion(g, phi)):
-        if a.is_zero():
-            continue
-        pts.append((s, Fraction(_vi(chain, r, a) + s * vphi, den)))
-    return pts
+    entries = expansion_entries(chain, r, phi, v_norm(chain, r, phi), g)
+    return [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
 
 
 def key_divides(chain: MacLaneChain, phi: Poly, g: Poly) -> bool:
@@ -177,8 +163,6 @@ def _key_check(chain: MacLaneChain, phi: Poly):
     current key, and such a phi divides it, so augment rejects it."""
     _check_key_poly_shape(phi)
     if chain.r == 0:
-        from .residual import r0
-
         red = r0(chain.p, phi)
         if red.u != 0:
             return False, "key has positive content valuation", red
@@ -188,10 +172,8 @@ def _key_check(chain: MacLaneChain, phi: Poly):
     lev = chain.level(chain.r)
     if phi.degree == lev.m:
         diff = phi - lev.phi
-        if _vi(chain, chain.r, diff) > chain.key_value(chain.r):
+        if v_norm(chain, chain.r, diff) > chain.key_value(chain.r):
             return True, "key equivalent to the current key (improper step)", None
-    from .residual import ri
-
     res = ri(chain, chain.r, phi)
     if res.poly.degree == 0:
         return False, "residual polynomial is constant", res
@@ -229,7 +211,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     e_new, h_new = lam.denominator, lam.numerator
     l_new = pow(h_new, -1, e_new) if e_new > 1 else 0
     lp_new = (1 - l_new * h_new) // e_new
-    V_new = _vi(chain, r, phi)
+    V_new = chain.residual_value(r, res)
     d = psi_prev.degree
     if V_new != d * chain.e(r) * chain.key_value(r):
         raise InternalError("key value disagrees with the level recurrence")

@@ -247,6 +247,12 @@ def test_eval_levels_text(capsys, tmp_path) -> None:
     )
     assert code == 0
     assert out == "level 0: mu = INF, v = INF\nlevel 3: mu = INF, v = INF\n"
+    code, out, err = run_cli(
+        capsys,
+        ["eval", "--file", chain_path, "--poly", "0", "--level", "3", "--residual"],
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: residual of the zero polynomial\n"
 
 
 def test_eval_json(capsys, tmp_path) -> None:

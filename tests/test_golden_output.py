@@ -7,7 +7,11 @@ stored, multiplied or rendered shows here as a diff. The cases cover the
 degree-16 p = 2 input (seventeen levels, nearly all of degree one), a p = 5
 input whose tower has a degree-2 level above degree-1 levels (its trace and
 type render z generators and nested coordinate arrays), and the README
-quartic.
+quartic. Two more cases, written by the code that predates the single
+residual walk (one expansion of f per node key), pin the exact-divisor
+path: x^3 - 9x at p = 3 has the exact divisor x at level 1, on a polygon
+with two sides, and x^3 - 6x^2 - 32x + 32 at p = 2 has the exact divisor
+x + 4 at level 2, where the perturbed key comes from a graded lift.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ CASES = {
     "quartic_p3_factor.txt": ["factor", "--prime", "3", "--poly", "x^4 + 30*x^2 + 6786"],
     "p5_type_eval_residual.txt": ["eval", "--file", P5_TYPE, "--poly", TOWER_P5, "--residual"],
     "p5_type_equiv.json": ["equiv", P5_TYPE, P5_TYPE, "--json"],
+    "exact_p3_factor_trace.txt": ["factor", "--prime", "3", "--poly", "x^3 - 9*x", "--trace"],
+    "exact_level2_p2_factor_trace.txt": [
+        "factor", "--prime", "2", "--poly", "x^3 - 6*x^2 - 32*x + 32", "--trace",
+    ],
 }
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from omfactor import (
     qpoly,
     run,
 )
-from omfactor.arith import content_vp, format_poly, gcd_monic
+from omfactor.arith import content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
+from omfactor.montes import ExactDivisor, NodePolygon
 
 
 def test_quartic_fixture_p3() -> None:
@@ -205,3 +208,29 @@ def test_trace_event_stream_shape() -> None:
     assert any(isinstance(e, BranchStart) and e.omega == 4 for e in trace)
     closes = [e for e in trace if isinstance(e, NodeClose)]
     assert closes[0].certificate.degree == 4
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41", 2), ("x^3 - 9*x", 3)],
+)
+def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> None:
+    """The polygon and every side's residual of a node read one expansion of
+    f by the node's key; on the exact-divisor path the divisor and its
+    perturbed replacement are expanded once each."""
+    f = parse_poly(poly)
+    seen: Counter = Counter()
+
+    def counting(g, phi):
+        if g == f:
+            seen[phi.coeffs] += 1
+        return phi_expansion(g, phi)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("omfactor") and getattr(mod, "phi_expansion", None) is phi_expansion:
+            monkeypatch.setattr(mod, "phi_expansion", counting)
+    trace: list = []
+    run(f, p, trace)
+    keys = [e.phi.coeffs for e in trace if isinstance(e, (NodePolygon, ExactDivisor))]
+    assert keys and len(set(keys)) == len(keys)
+    assert seen == Counter(keys)

@@ -30,6 +30,7 @@ from omfactor import (
     key_check,
     mu_eval,
     qpoly,
+    representative,
     v_norm,
 )
 from omfactor.valuation import expansion_points, key_divides
@@ -78,23 +79,43 @@ def test_mu_pins_on_fixture() -> None:
     assert mu_eval(chain, 2, qpoly([])) == INF
 
 
+def _direct_points(p: int, steps, phi, g) -> list[tuple[int, Fraction]]:
+    """Points (s, mu(a_s phi^s)) from sympy digits and products, each value
+    taken straight from the defining recursion."""
+    out = []
+    phi_s = oracles._to_sympy(list(phi))
+    for s, digit in enumerate(oracles.phi_expansion_oracle(list(g), list(phi))):
+        if digit:
+            term = oracles._from_sympy(oracles._to_sympy(digit) * phi_s**s)
+            out.append((s, oracles.mu_direct(p, steps, term)))
+    return out
+
+
 def test_mu_matches_direct_recursion() -> None:
     rng = random.Random(79)
     chain3 = fixture_chain3()
     steps3 = [(list(phi), nu) for phi, nu in chain3.steps()]
+    truncs = [build_chain(3, chain3.steps()[:i]) for i in range(4)]
     for _ in range(20):
         g = random_qpoly(rng, 8)
         for i in range(5):
             want = oracles.mu_direct(3, steps3[:i], list(g))
             assert mu_eval(chain3, i, g) == want
+        for i, trunc in enumerate(truncs):
+            phi = chain3.level(i + 1).phi
+            want = _direct_points(3, steps3[:i], phi, g)
+            assert expansion_points(trunc, phi, g) == want
     for _ in range(30):
         t = random_type(rng)
         chain = t.chain
         steps = [(list(phi), nu) for phi, nu in chain.steps()]
+        rep = representative(t)
         for _ in range(3):
             g = random_qpoly(rng, 9)
             want = oracles.mu_direct(chain.p, steps, list(g))
             assert mu_eval(chain, chain.r, g) == want
+            want_pts = _direct_points(chain.p, steps, rep, g)
+            assert expansion_points(chain, rep, g) == want_pts
 
 
 def test_v_norm_is_integral() -> None:
