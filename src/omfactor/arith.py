@@ -19,9 +19,13 @@ Val = Union[Fraction, float]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for int n."""
+    """Deterministic Miller-Rabin primality test for int n. The witnesses
+    decide every n below 3317044064679887385961981, the least strong
+    pseudoprime to all of them; from there on it raises ConfigError."""
     if n < 2:
         return False
+    if n >= 3317044064679887385961981:
+        raise ConfigError(f"{n} is at or above the primality test limit 3317044064679887385961981")
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     for q in small:
         if n == q:
@@ -32,7 +36,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # These witnesses decide primality for all n < 3.3 * 10^24.
     for a in small:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -303,9 +306,9 @@ def _tokenize(text: str) -> list[str]:
         elif ch in _TOKEN_OPS:
             toks.append(ch)
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(text[i:j])
             i = j

@@ -323,12 +323,6 @@ class Fq:
             raise PreconditionError("a prime field has no tower generator")
         return self._gen
 
-    def embed(self, x: FqElt) -> FqElt:
-        """Embed an element of the immediate base field."""
-        if self.base is None or x.field != self.base:
-            raise InternalError("embed expects an element of the immediate base")
-        return FqElt(self, self._pad(x.rep))
-
     def lift_from(self, x: FqElt) -> FqElt:
         """Embed an element of any field along this tower's base chain."""
         cur: Fq | None = self
@@ -553,7 +547,7 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
             images.append(-mapped.coeff(0))
         else:
             bigger = Fq(field.p, flat, mapped)
-            images = [bigger.embed(img) for img in images]
+            images = [bigger.lift_from(img) for img in images]
             images.append(bigger.gen())
             flat = bigger
     return flat, images

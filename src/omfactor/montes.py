@@ -26,7 +26,7 @@ from .finitefield import fq_factor
 from .polygon import NewtonPolygon, lower_hull
 from .residual import expansion_entries, graded_lift, line_residual, r0
 from .typecalc import Type, okutsu_data, optimize, ord_type, representative
-from .valuation import MacLaneChain, augment, empty_chain, v_norm
+from .valuation import augment, empty_chain
 
 _MAX_NODES = 10000
 
@@ -139,28 +139,29 @@ def _close(t: Type, state: _RunState, trace: list | None) -> FactorCertificate:
     return cert
 
 
-def _node_expansion(chain: MacLaneChain, phi: Poly, f: Poly) -> tuple[list, list]:
-    """Entries of f's phi-expansion at the top valuation, and their points."""
-    r = chain.r
-    entries = expansion_entries(chain, r, phi, v_norm(chain, r, phi), f)
+def _node_expansion(t: Type, phi: Poly, f: Poly) -> tuple[list, list]:
+    """Entries and points of f's phi-expansion at the top valuation; phi is
+    t's representative or equivalent to it, so the level recurrence fixes its value."""
+    chain, r = t.chain, t.chain.r
+    entries = expansion_entries(chain, r, phi, chain.next_key_value(t.f_top), f)
     return entries, [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
 
 
 def _perturbed_representative(
-    chain: MacLaneChain, phi: Poly, pts: list[tuple[int, Fraction]], trace: list | None
+    t: Type, phi: Poly, pts: list[tuple[int, Fraction]], trace: list | None
 ) -> tuple[Poly, Fraction]:
-    """Replace an exact-divisor representative phi by an equivalent key, deep
-    enough that the divisor gets its own polygon side. Takes the points of f
-    by phi; returns the new key and the slope reserved for the divisor."""
+    """Replace an exact-divisor representative phi of t by an equivalent key,
+    deep enough that the divisor gets its own polygon side. Takes the points
+    of f by phi; returns the new key and the slope reserved for the divisor."""
     _emit(trace, ExactDivisor(phi))
-    r = chain.r
+    chain, r = t.chain, t.chain.r
     hull = lower_hull(pts)
     lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
     nu_star = Fraction(math.floor(lam_max) + 1)
     if r == 0:
         bump = qpoly([Fraction(chain.p) ** int(nu_star)])
     else:
-        W = v_norm(chain, r, phi) + int(nu_star) * chain.e_cum[r]
+        W = chain.next_key_value(t.f_top) + int(nu_star) * chain.e_cum[r]
         bump = graded_lift(chain, r, W, chain.fields[r].one)
     return phi + bump, nu_star
 
@@ -174,11 +175,11 @@ def _branch(
     phi = representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
-    entries, pts = _node_expansion(chain, phi, f)
+    entries, pts = _node_expansion(t, phi, f)
     if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
         exact = phi
-        phi, exact_slope = _perturbed_representative(chain, phi, pts, trace)
-        entries, pts = _node_expansion(chain, phi, f)
+        phi, exact_slope = _perturbed_representative(t, phi, pts, trace)
+        entries, pts = _node_expansion(t, phi, f)
         if pts[0][0] != 0:
             raise InternalError("perturbed representative still divides the input")
     hull = lower_hull(pts)

@@ -33,7 +33,7 @@ from .montes import (
 )
 from .residual import ResidualResult
 from .typecalc import Type
-from .valuation import MacLaneChain, build_chain
+from .valuation import Level, MacLaneChain, build_chain
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +73,17 @@ def points_to_json(points) -> list[list[int]]:
     return out
 
 
+def _derived_fields(lev: Level) -> dict:
+    """A level's derived fields, in document order and as cross-checked."""
+    return {"e": lev.e, "h": lev.h, "f": lev.f_prev, "m": lev.m,
+            "V": lev.V, "l": lev.l, "lp": lev.lp}
+
+
 def chain_to_json(chain: MacLaneChain) -> dict:
-    levels = []
-    for lev in chain.levels:
-        levels.append(
-            {
-                "phi": qpoly_to_json(lev.phi),
-                "nu": fraction_to_json(lev.nu),
-                "e": lev.e,
-                "h": lev.h,
-                "f": lev.f_prev,
-                "m": lev.m,
-                "V": lev.V,
-                "l": lev.l,
-                "lp": lev.lp,
-            }
-        )
+    levels = [
+        {"phi": qpoly_to_json(lev.phi), "nu": fraction_to_json(lev.nu), **_derived_fields(lev)}
+        for lev in chain.levels
+    ]
     return {"p": chain.p, "levels": levels}
 
 
@@ -190,17 +185,7 @@ def chain_from_json(doc) -> MacLaneChain:
     except (PreconditionError, ConfigError) as exc:
         raise ParseError(f"serialized chain is not a valid chain: {exc}") from exc
     for i, entry in enumerate(levels, start=1):
-        lev = chain.level(i)
-        stored = {
-            "e": lev.e,
-            "h": lev.h,
-            "f": lev.f_prev,
-            "m": lev.m,
-            "V": lev.V,
-            "l": lev.l,
-            "lp": lev.lp,
-        }
-        for key, want in stored.items():
+        for key, want in _derived_fields(chain.level(i)).items():
             if _need(entry, key, int) != want:
                 raise ParseError(
                     f"level {i} field {key!r} is {entry[key]}, recomputed {want}"

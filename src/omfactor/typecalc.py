@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Poly, qpoly
+from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, is_irreducible, map_poly, multiplicity_of
 from .residual import graded_lift, ri
@@ -236,11 +236,8 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
         if la.m != lb.m:
             return _fail(f"degree@{j}", etas)
         diff = lb.phi - la.phi
-        if diff.is_zero():
-            etas.append(A.fields[j].zero)
-            continue
-        res = ri(A, j, diff)
-        vd = A.residual_value(j, res)
+        res = None if diff.is_zero() else ri(A, j, diff)
+        vd = INF if res is None else A.residual_value(j, res)
         kv = A.key_value(j)
         if vd > kv:
             etas.append(A.fields[j].zero)
@@ -252,24 +249,19 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
             if res.poly.degree != 0:
                 raise InternalError("nonconstant residual of a small difference")
             etas.append(res.poly.coeff(0))
+    # psi@j is the modulus of field j+1 over field j; psi_top comes last.
     dst = A.fields[r]
     images: list[FqElt] = []
-    moduli_a = dst.tower_moduli()
-    moduli_b = B.fields[r].tower_moduli()
-    for j in range(r):
+    moduli_a = dst.tower_moduli() + [ta_o.psi_top]
+    moduli_b = B.fields[r].tower_moduli() + [tb_o.psi_top]
+    for j in range(r + 1):
         mapped = map_poly(moduli_b[j], dst, images)
         shift = dst.zero if j == 0 else dst.lift_from(etas[j - 1])
         lifted = Poly(dst, [dst.lift_from(c) for c in moduli_a[j].coeffs])
         target = lifted.compose(Poly(dst, [-shift, dst.one]))
         if mapped != target:
             degen = j > 0 and moduli_a[j].evaluate(-etas[j - 1]) == A.fields[j].zero
-            return _fail(f"psi@{j}", etas, degen)
-        images.append(dst.lift_from(A.fields[j + 1].gen()) + shift)
-    mapped_top = map_poly(tb_o.psi_top, dst, images)
-    shift_top = dst.zero if r == 0 else dst.lift_from(etas[r - 1])
-    lifted_top = Poly(dst, [dst.lift_from(c) for c in ta_o.psi_top.coeffs])
-    target_top = lifted_top.compose(Poly(dst, [-shift_top, dst.one]))
-    if mapped_top != target_top:
-        degen = r > 0 and ta_o.psi_top.evaluate(-etas[r - 1]) == A.fields[r].zero
-        return _fail("psi_top", etas, degen)
+            return _fail(f"psi@{j}" if j < r else "psi_top", etas, degen)
+        if j < r:
+            images.append(dst.lift_from(A.fields[j + 1].gen()) + shift)
     return EquivWitness(True, None, tuple(etas), False)

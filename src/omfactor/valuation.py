@@ -21,7 +21,7 @@ from typing import Sequence
 from .arith import INF, Poly, Val, is_prime
 from .errors import ConfigError, InternalError, PreconditionError
 from .finitefield import Fq, FqElt, is_irreducible
-from .residual import ResidualResult, expansion_entries, r0, ri
+from .residual import ResidualResult, expansion_entries, ri
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class MacLaneChain:
     def key_value(self, i: int) -> int:
         """Normalized value v_i(phi_i) = e_i V_i + h_i; 0 at level 0."""
         return self.e(i) * self.V(i) + self.h(i)
+
+    def next_key_value(self, d: int) -> int:
+        """Value d e_r (e_r V_r + h_r) of a key with top residual of degree d."""
+        return d * self.e(self.r) * self.key_value(self.r)
 
     def residual_value(self, i: int, res: ResidualResult) -> int:
         """Normalized value v_i(g) = e_i u_i + h_i s_i of res = ri(chain, i, g)."""
@@ -157,31 +161,30 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:
     return _key_check(chain, phi)[:2]
 
 
+# Wording of the irreducibility verdict (failed, passed), at level 0 and above.
+_IRREDUCIBLE_WORDS = (
+    ("reduction modulo p is not irreducible", "key for the base valuation"),
+    ("residual polynomial is reducible", "key with irreducible residual polynomial"),
+)
+
+
 def _key_check(chain: MacLaneChain, phi: Poly):
     """key_check's verdict and diagnostic, plus the top-level residual of phi
-    it computed. The residual is None only when phi is equivalent to the
-    current key, and such a phi divides it, so augment rejects it."""
+    it computed. The residual is None only for an improper step: phi has the
+    current key degree and residual abscissa s > 0, so it divides that key."""
     _check_key_poly_shape(phi)
-    if chain.r == 0:
-        red = r0(chain.p, phi)
-        if red.u != 0:
-            return False, "key has positive content valuation", red
-        if red.poly.degree != phi.degree or not is_irreducible(red.poly):
-            return False, "reduction modulo p is not irreducible", red
-        return True, "key for the base valuation", red
-    lev = chain.level(chain.r)
-    if phi.degree == lev.m:
-        diff = phi - lev.phi
-        if v_norm(chain, chain.r, diff) > chain.key_value(chain.r):
-            return True, "key equivalent to the current key (improper step)", None
-    res = ri(chain, chain.r, phi)
+    r = chain.r
+    res = ri(chain, r, phi)
+    if res.s > 0 and phi.degree == chain.m(r):
+        return True, "key equivalent to the current key (improper step)", None
     if res.poly.degree == 0:
         return False, "residual polynomial is constant", res
-    if phi.degree != lev.e * lev.m * res.poly.degree:
+    if phi.degree != chain.e(r) * chain.m(r) * res.poly.degree:
         return False, "degree differs from e * m * deg(residual)", res
+    failed, passed = _IRREDUCIBLE_WORDS[min(r, 1)]
     if not is_irreducible(res.poly):
-        return False, "residual polynomial is reducible", res
-    return True, "key with irreducible residual polynomial", res
+        return False, failed, res
+    return True, passed, res
 
 
 def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
@@ -197,11 +200,10 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     if not ok:
         raise PreconditionError(f"key check failed: {msg}")
     r = chain.r
-    if r >= 1:
-        if phi.degree % chain.m(r) != 0:
-            raise PreconditionError("key degree is not a multiple of the current key degree")
-        if res is None:
-            raise PreconditionError("improper step: the new key divides the current key")
+    if phi.degree % chain.m(r) != 0:
+        raise PreconditionError("key degree is not a multiple of the current key degree")
+    if res is None:
+        raise PreconditionError("improper step: the new key divides the current key")
     psi_prev = res.poly
     if not psi_prev.is_monic():
         raise InternalError("residual of a key polynomial must be monic")
@@ -213,7 +215,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     lp_new = (1 - l_new * h_new) // e_new
     V_new = chain.residual_value(r, res)
     d = psi_prev.degree
-    if V_new != d * chain.e(r) * chain.key_value(r):
+    if V_new != chain.next_key_value(d):
         raise InternalError("key value disagrees with the level recurrence")
     if phi.degree != chain.e(r) * d * chain.m(r):
         raise InternalError("key degree disagrees with the level recurrence")

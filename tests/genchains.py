@@ -180,3 +180,16 @@ def shift_pair(rng: random.Random, p: int | None = None
     res = ri(chain, r, a)
     assert res.s == 0 and res.poly.degree == 0
     return chain, star, a, res.poly.coeff(0)
+
+
+def unshifted_top_pair(rng: random.Random) -> tuple[Type, Type]:
+    """Types over a shift pair that keep the same top residual y + eta.
+
+    Equivalence needs the second top recentered to y, which no type above
+    order 0 may carry, so equivalent fails at psi_top with the degenerate
+    flag set (y + eta vanishes at -eta)."""
+    chain, star, _, eta = shift_pair(rng)
+    r = chain.r
+    ta = Type(chain, Poly(chain.fields[r], [eta, chain.fields[r].one]))
+    tb = Type(star, Poly(star.fields[r], [eta, star.fields[r].one]))
+    return ta, tb

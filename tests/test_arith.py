@@ -61,6 +61,19 @@ def test_is_prime_small() -> None:
         assert is_prime(n) == (n in primes)
 
 
+def test_is_prime_limit() -> None:
+    """The witnesses decide primality below the least strong pseudoprime to
+    all of them; from that number on is_prime refuses to answer."""
+    pseudo = 3317044064679887385961981
+    assert pseudo == 1287836182261 * 2575672364521
+    assert is_prime(1287836182261) and is_prime(2575672364521)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert not is_prime(pseudo - 2)
+    for n in (pseudo, pseudo + 2, 2**89 - 1):
+        with pytest.raises(ConfigError, match="primality test limit"):
+            is_prime(n)
+
+
 def test_poly_ring_laws() -> None:
     rng = random.Random(23)
     for _ in range(60):
@@ -163,7 +176,7 @@ def test_parse_expression_grammar() -> None:
 
 
 def test_parse_rejects_garbage() -> None:
-    for text in ["x + y", "x**2", "1/2", "x^", "(x", "x!", ""]:
+    for text in ["x + y", "x**2", "1/2", "x^", "(x", "x!", "", "x^\u00b2+1", "\u0663*x"]:
         with pytest.raises(ParseError):
             parse_poly(text)
 

@@ -7,6 +7,7 @@ exact stdout/stderr bytes are pinned without spawning subprocesses.
 from __future__ import annotations
 
 import json
+import random
 
 from omfactor import cli, montes
 from omfactor.arith import format_poly, parse_poly
@@ -21,7 +22,7 @@ from omfactor.serialize import (
 )
 from omfactor.typecalc import equivalent, optimize
 
-from genchains import fixture_chain3, fixture_poly, fixture_t4
+from genchains import fixture_chain3, fixture_poly, fixture_t4, unshifted_top_pair
 
 QUARTIC = "x^4 + 30*x^2 + 6786"
 
@@ -192,6 +193,9 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         ["factor", "--prime", "3"],
         ["factor", "--prime", "3", "--poly", "x", "--file", "unused"],
         ["factor", "--prime", "3", "--poly", "x", "--precision-floor", "0"],
+        ["factor", "--prime", "3", "--poly", "x^\u00b2+1"],
+        ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+1"],
+        ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+x+1"],
         ["eval", "--poly", "x"],
         ["eval", "--file", str(bad_json), "--poly", "x"],
         ["optimize"],
@@ -199,8 +203,8 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, argv)
-        assert code == 2, argv
-        assert err.startswith("error: ")
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_code_three_on_precondition_failures(capsys) -> None:
@@ -255,6 +259,19 @@ def test_eval_levels_text(capsys, tmp_path) -> None:
     assert err == "error: residual of the zero polynomial\n"
 
 
+def test_eval_rejects_chain_with_reducible_key(capsys, tmp_path) -> None:
+    path = tmp_path / "chain.json"
+    doc = chain_to_json(fixture_chain3())
+    doc["levels"][0]["phi"] = ["-1", "0", "1"]
+    path.write_text(canonical_json(doc))
+    code, out, err = run_cli(capsys, ["eval", "--file", str(path), "--poly", "x"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: serialized chain is not a valid chain: "
+        "key check failed: reduction modulo p is not irreducible\n"
+    )
+
+
 def test_eval_json(capsys, tmp_path) -> None:
     chain_path = write_chain(tmp_path)
     code, out, _ = run_cli(
@@ -300,6 +317,19 @@ def test_equiv_split_pair_fails_at_top_psi(capsys, tmp_path) -> None:
     assert doc["equivalent"] is False
     assert doc["failed"] == "psi_top"
     assert doc["degenerate"] is False
+
+
+def test_equiv_degenerate_failure(capsys, tmp_path) -> None:
+    ta, tb = unshifted_top_pair(random.Random(5))
+    pa = write_type(tmp_path, ta, "a.json")
+    pb = write_type(tmp_path, tb, "b.json")
+    code, out, _ = run_cli(capsys, ["equiv", pa, pb])
+    assert code == 0
+    assert out.startswith("not equivalent: failed at psi_top (degenerate)\n")
+    code, out, _ = run_cli(capsys, ["equiv", pa, pb, "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["equivalent"], doc["failed"], doc["degenerate"]) == (False, "psi_top", True)
 
 
 def test_equiv_mixed_primes_rejected(capsys, tmp_path) -> None:

@@ -14,6 +14,7 @@ from genchains import (
     random_qpoly,
     random_type,
     shift_pair,
+    unshifted_top_pair,
 )
 from omfactor import (
     Poly,
@@ -255,3 +256,11 @@ def test_shift_pair_types_are_equivalent() -> None:
             g = random_qpoly(rng, 8)
             assert ord_type(ta, g) == ord_type(tb, g)
         done += 1
+
+
+def test_unshifted_top_residual_fails_degenerate() -> None:
+    for seed in (1, 5, 7, 9):
+        ta, tb = unshifted_top_pair(random.Random(seed))
+        w = equivalent(ta, tb)
+        assert (w.equivalent, w.failed, w.degenerate) == (False, "psi_top", True)
+        assert len(w.etas) == optimize(ta).order

@@ -29,10 +29,13 @@ from omfactor import (
     graded_lift,
     key_check,
     mu_eval,
+    parse_poly,
     qpoly,
     representative,
+    ri,
     v_norm,
 )
+from omfactor.finitefield import is_irreducible
 from omfactor.valuation import expansion_points, key_divides
 
 
@@ -228,18 +231,97 @@ def test_expansion_points_pins() -> None:
         (0, Fraction(4)), (1, Fraction(3)), (2, Fraction(2))]
 
 
+KEY_CHECK_PINS = [
+    (0, "x", True, "key for the base valuation"),
+    (0, "x - 13", True, "key for the base valuation"),
+    (0, "x^2 - 3", False, "reduction modulo p is not irreducible"),
+    (0, "x^2 - 1", False, "reduction modulo p is not irreducible"),
+    (1, "x - 12", True, "key equivalent to the current key (improper step)"),
+    (1, "x - 13", False, "residual polynomial is constant"),
+    (1, "x^3 + 3*x", False, "degree differs from e * m * deg(residual)"),
+    (1, "x^4 - 9", False, "residual polynomial is reducible"),
+    (1, "x^2 + 3", True, "key with irreducible residual polynomial"),
+    (2, "x^2 - 9*x - 3", True, "key equivalent to the current key (improper step)"),
+    (2, "x - 13", False, "residual polynomial is constant"),
+    (2, "x^3 + 3*x^2 - 21*x - 9", False, "degree differs from e * m * deg(residual)"),
+    (2, "(x^2 - 3)^2 - 81", False, "residual polynomial is reducible"),
+    (2, "x^2 - 9*x - 12", True, "key with irreducible residual polynomial"),
+    (2, "x^2 - 12", True, "key with irreducible residual polynomial"),
+    (2, "x^2 + 24", True, "key equivalent to the current key (improper step)"),
+]
+
+
 def test_key_check_classification() -> None:
-    empty = empty_chain(3)
-    assert key_check(empty, qpoly([0, 1]))[0]
-    ok, why = key_check(empty, qpoly([-1, 0, 1]))
-    assert not ok and "irreducible" in why
-    ok, why = key_check(empty, qpoly([-3, 0, 1]))
-    assert not ok
-    trunc2 = build_chain(3, fixture_chain3().steps()[:2])
-    ok, why = key_check(trunc2, qpoly([-12, 0, 1]))
-    assert ok and "residual" in why
-    ok, why = key_check(trunc2, qpoly([24, 0, 1]))
-    assert ok and "improper" in why
+    """Every verdict and diagnostic of key_check, over the p = 3 fixture
+    chain truncated to levels 0, 1 and 2."""
+    steps = fixture_chain3().steps()
+    for level, text, verdict, why in KEY_CHECK_PINS:
+        chain = build_chain(3, steps[:level])
+        assert key_check(chain, parse_poly(text)) == (verdict, why), (level, text)
+
+
+def _key_check_by_definition(chain, phi) -> tuple[bool, str]:
+    """key_check spelled out level by level: at level 0 the reduction mod p
+    decides; above it, a key of the current key degree whose difference from
+    the current key has larger value is improper, and otherwise the residual
+    polynomial of phi decides."""
+    r = chain.r
+    if r == 0:
+        red = ri(chain, 0, phi)
+        if not is_irreducible(red.poly):
+            return False, "reduction modulo p is not irreducible"
+        return True, "key for the base valuation"
+    lev = chain.level(r)
+    if phi.degree == lev.m and v_norm(chain, r, phi - lev.phi) > chain.key_value(r):
+        return True, "key equivalent to the current key (improper step)"
+    res = ri(chain, r, phi)
+    if res.poly.degree == 0:
+        return False, "residual polynomial is constant"
+    if phi.degree != lev.e * lev.m * res.poly.degree:
+        return False, "degree differs from e * m * deg(residual)"
+    if not is_irreducible(res.poly):
+        return False, "residual polynomial is reducible"
+    return True, "key with irreducible residual polynomial"
+
+
+def _noisy(rng: random.Random, key, p: int):
+    """key plus p-adic noise on every coefficient below the leading one."""
+    return key + qpoly([rng.randrange(-p, p + 1) * p ** rng.randrange(0, 4)
+                        for _ in range(key.degree)])
+
+
+def test_key_check_matches_definition() -> None:
+    """Seeded keys over every truncation of fixture and random chains: top
+    keys perturbed by p-adic noise, products of two such keys, and linear
+    keys."""
+    rng = random.Random(307)
+    chains = [fixture_chain3(), fixture_chain5()] + [random_type(rng).chain for _ in range(6)]
+    seen = set()
+    for chain in chains:
+        p = chain.p
+        for i in range(chain.r + 1):
+            trunc = build_chain(p, chain.steps()[:i])
+            top = trunc.level(i).phi if i else qpoly([rng.randrange(p), 1])
+            for _ in range(8):
+                kind = rng.randrange(4)
+                phi = _noisy(rng, qpoly([0, 1]) if kind == 0 else top, p)
+                if kind == 1:
+                    phi = phi * _noisy(rng, top, p)
+                got = key_check(trunc, phi)
+                assert got == _key_check_by_definition(trunc, phi)
+                seen.add(got)
+    assert len(seen) == 7
+
+
+def test_representative_value_from_the_level_recurrence() -> None:
+    """v_r(phi) = d e_r (e_r V_r + h_r) for the representative phi of a type
+    whose top residual polynomial has degree d, at orders 0 to 3."""
+    rng = random.Random(401)
+    for depth in (0, 1, 2, 3) * 4:
+        t = random_type(rng, depth=depth)
+        chain, r = t.chain, t.chain.r
+        want = t.psi_top.degree * chain.e(r) * chain.key_value(r)
+        assert v_norm(chain, r, representative(t)) == want
 
 
 def test_key_check_rejects_bad_shapes() -> None:
