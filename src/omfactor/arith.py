@@ -26,7 +26,7 @@ def is_prime(n: int) -> bool:
         return False
     if n >= 3317044064679887385961981:
         raise ConfigError(f"{n} is at or above the primality test limit 3317044064679887385961981")
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for q in small:
         if n == q:
             return True

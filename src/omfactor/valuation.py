@@ -161,13 +161,6 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:
     return _key_check(chain, phi)[:2]
 
 
-# Wording of the irreducibility verdict (failed, passed), at level 0 and above.
-_IRREDUCIBLE_WORDS = (
-    ("reduction modulo p is not irreducible", "key for the base valuation"),
-    ("residual polynomial is reducible", "key with irreducible residual polynomial"),
-)
-
-
 def _key_check(chain: MacLaneChain, phi: Poly):
     """key_check's verdict and diagnostic, plus the top-level residual of phi
     it computed. The residual is None only for an improper step: phi has the
@@ -181,7 +174,10 @@ def _key_check(chain: MacLaneChain, phi: Poly):
         return False, "residual polynomial is constant", res
     if phi.degree != chain.e(r) * chain.m(r) * res.poly.degree:
         return False, "degree differs from e * m * deg(residual)", res
-    failed, passed = _IRREDUCIBLE_WORDS[min(r, 1)]
+    if r == 0:
+        failed, passed = "reduction modulo p is not irreducible", "key for the base valuation"
+    else:
+        failed, passed = "residual polynomial is reducible", "key with irreducible residual polynomial"
     if not is_irreducible(res.poly):
         return False, failed, res
     return True, passed, res

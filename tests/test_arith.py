@@ -69,6 +69,8 @@ def test_is_prime_limit() -> None:
     assert is_prime(1287836182261) and is_prime(2575672364521)
     assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
     assert not is_prime(pseudo - 2)
+    # The least strong pseudoprime to the twelve primes up to 37.
+    assert not is_prime(318665857834031151167461)
     for n in (pseudo, pseudo + 2, 2**89 - 1):
         with pytest.raises(ConfigError, match="primality test limit"):
             is_prime(n)

@@ -196,6 +196,7 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         ["factor", "--prime", "3", "--poly", "x^\u00b2+1"],
         ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+1"],
         ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+x+1"],
+        ["factor", "--prime", "318665857834031151167461", "--poly", "x^2+1"],
         ["eval", "--poly", "x"],
         ["eval", "--file", str(bad_json), "--poly", "x"],
         ["optimize"],
