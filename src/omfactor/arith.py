@@ -75,7 +75,7 @@ class RationalRing:
     one = Fraction(1)
 
     def coerce(self, v: int | Fraction) -> Fraction:
-        return Fraction(v)
+        return v if isinstance(v, Fraction) else Fraction(v)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -162,10 +162,11 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly(self.ring, [])
         out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in right:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.ring, out)
 
@@ -295,6 +296,33 @@ def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:
 
 _TOKEN_OPS = set("+-*^()")
 
+# Input size limits, checked before each product or power is computed.
+_MAX_DEGREE = 1000
+_MAX_COEFF_BITS = 100_000
+
+
+def _size_bits(g: Poly) -> int:
+    """Bound on log2 of g's l1 norm: the largest numerator's bit length plus
+    the bit length of the term count. The l1 norm is submultiplicative, so a
+    product's coefficients have at most _size_bits(a) + _size_bits(b) bits
+    and an n-th power's at most n * _size_bits(g)."""
+    terms = [c for c in g.coeffs if c]
+    return max((abs(c.numerator).bit_length() for c in terms), default=0) + len(terms).bit_length()
+
+
+def _check_size(degree: int, bits: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise ParseError(f"polynomial degree {degree} exceeds the limit {_MAX_DEGREE}")
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(f"coefficient size bound {bits} bits exceeds the limit {_MAX_COEFF_BITS}")
+
+
+def _literal(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:  # the interpreter's digit limit for int(str)
+        raise ParseError(f"integer literal of {len(tok)} digits is too long") from exc
+
 
 def _tokenize(text: str) -> list[str]:
     toks: list[str] = []
@@ -354,7 +382,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
-            acc = acc * self.factor()
+            rhs = self.factor()
+            _check_size(acc.degree + rhs.degree, _size_bits(acc) + _size_bits(rhs))
+            acc = acc * rhs
         return acc
 
     def factor(self) -> Poly:
@@ -368,13 +398,15 @@ class _Parser:
             tok = self.next()
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
-            base = base ** int(tok)
+            n = _literal(tok)
+            _check_size(n * base.degree, n * _size_bits(base))
+            base = base ** n
         return base if sign == 1 else -base
 
     def atom(self) -> Poly:
         tok = self.next()
         if tok.isdigit():
-            return qpoly([int(tok)])
+            return qpoly([_literal(tok)])
         if tok == self.var:
             return qpoly([0, 1])
         if tok == "(":

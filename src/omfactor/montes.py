@@ -22,13 +22,16 @@ from fractions import Fraction
 
 from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import fq_factor
+from .finitefield import Fq, fq_factor
 from .polygon import NewtonPolygon, lower_hull
 from .residual import expansion_entries, graded_lift, line_residual, r0
 from .typecalc import Type, okutsu_data, optimize, ord_type, representative
 from .valuation import augment, empty_chain
 
 _MAX_NODES = 10000
+
+# The three largest primes below 2^31, for the modular squarefree test.
+_SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,29 @@ def _emit(trace: list | None, event: object) -> None:
         trace.append(event)
 
 
+def _is_squarefree(f: Poly) -> bool:
+    """Whether the monic rational f has no repeated factor.
+
+    For a prime q dividing no coefficient denominator, f monic makes
+    Res(f, f') mod q equal to Res(f mod q, (f mod q)'), so f mod q coprime to
+    its derivative proves disc f != 0. If no prime proves it, the exact gcd
+    over the rationals decides; every non-squarefree f reaches it.
+    """
+    for q in _SQUAREFREE_PRIMES:
+        if any(c.denominator % q == 0 for c in f.coeffs):
+            continue
+        fq = Poly(Fq.prime(q), f.coeffs)
+        if gcd_monic(fq, fq.derivative()).degree == 0:
+            return True
+    return gcd_monic(f, f.derivative()).degree == 0
+
+
 def _validate_input(f: Poly, p: int) -> None:
     if f.degree < 1 or not f.is_monic():
         raise PreconditionError("input must be monic of degree >= 1")
     if content_vp(f, p) < 0:
         raise PreconditionError("input coefficients must have nonnegative p-adic valuation")
-    if gcd_monic(f, f.derivative()).degree != 0:
+    if not _is_squarefree(f):
         raise PreconditionError("input must be squarefree")
 
 

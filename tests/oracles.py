@@ -58,6 +58,19 @@ def sympy_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
     return _from_sympy(q), _from_sympy(r)
 
 
+def sympy_mul(a, b, p: int | None = None) -> list:
+    """Product of ascending coefficient lists via sympy: over QQ, or over
+    F_p with residues in [0, p)."""
+    if p is None:
+        return _from_sympy(_to_sympy(a) * _to_sympy(b))
+    prod = sympy.Poly(list(reversed(a)) or [0], X, modulus=p) * sympy.Poly(
+        list(reversed(b)) or [0], X, modulus=p)
+    cs = [int(c) % p for c in reversed(prod.all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
 def sympy_gcd(a, b) -> list[Fraction]:
     return _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)))
 

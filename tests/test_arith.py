@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from omfactor.arith import (
     x_power,
 )
 from genchains import random_qpoly
+from omfactor.finitefield import Fq
 
 
 def test_vp_basics() -> None:
@@ -103,6 +105,31 @@ def test_poly_divmod_matches_oracle() -> None:
         assert list(r) == orr
 
 
+def _random_coeffs(rng: random.Random, sparse: bool, rational: bool) -> list:
+    out = []
+    for _ in range(rng.randrange(0, 30)):
+        if sparse and rng.random() < 0.85:
+            out.append(0)
+        elif rational:
+            out.append(Fraction(rng.randrange(-50, 51), rng.randrange(1, 20)))
+        else:
+            out.append(rng.randrange(-10**6, 10**6))
+    return out
+
+
+def test_poly_mul_matches_oracle() -> None:
+    rng = random.Random(43)
+    for _ in range(120):
+        a = _random_coeffs(rng, rng.random() < 0.5, False)
+        b = _random_coeffs(rng, rng.random() < 0.5, False)
+        p = rng.choice([2, 3, 7, 2147483647])
+        prod = Poly(Fq.prime(p), a) * Poly(Fq.prime(p), b)
+        assert [c.rep for c in prod] == oracles.sympy_mul(a, b, p)
+        a = _random_coeffs(rng, rng.random() < 0.5, True)
+        b = _random_coeffs(rng, rng.random() < 0.5, True)
+        assert list(qpoly(a) * qpoly(b)) == oracles.sympy_mul(a, b)
+
+
 def test_poly_pow_and_compose() -> None:
     x = qpoly([0, 1])
     assert (x + qpoly([1])) ** 3 == qpoly([1, 3, 3, 1])
@@ -175,12 +202,29 @@ def test_parse_expression_grammar() -> None:
     assert parse_poly("-x") == qpoly([0, -1])
     assert parse_poly("2^3") == qpoly([8])
     assert parse_poly("y^2 + 1", var="y") == qpoly([1, 0, 1])
+    assert parse_poly("x^1000 + 1") == qpoly([1] + [0] * 999 + [1])
+    assert parse_poly("2^41") == qpoly([2**41])
 
 
 def test_parse_rejects_garbage() -> None:
     for text in ["x + y", "x**2", "1/2", "x^", "(x", "x!", "", "x^\u00b2+1", "\u0663*x"]:
         with pytest.raises(ParseError):
             parse_poly(text)
+
+
+def test_parse_size_limits() -> None:
+    """Degree and coefficient size are bounded before a product or power is
+    computed; an over-long literal is a parse error, not a ValueError."""
+    for text in ["x^1001", "x^600*x^600", "(x^2+1)^501", "(2^1000)^1000",
+                 "2^30000*2^30000*2^30000*2^30000",
+                 "((2^1000)^1000)^1000", "x^99999999999", "2^99999999999"]:
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_poly(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for text in ["x + " + "7" * (limit + 1), "x^" + "7" * (limit + 1)]:
+            with pytest.raises(ParseError, match="too long"):
+                parse_poly(text)
 
 
 def test_x_power() -> None:

@@ -197,6 +197,10 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+1"],
         ["factor", "--prime", "3317044064679887385961981", "--poly", "x^2+x+1"],
         ["factor", "--prime", "318665857834031151167461", "--poly", "x^2+1"],
+        ["factor", "--prime", "3", "--poly", "x^99999999999"],
+        ["factor", "--prime", "3", "--poly", "2^99999999999"],
+        ["factor", "--prime", "3", "--poly", "((2^1000)^1000)^1000"],
+        ["factor", "--prime", "3", "--poly", "x^600*x^600"],
         ["eval", "--poly", "x"],
         ["eval", "--file", str(bad_json), "--poly", "x"],
         ["optimize"],

@@ -20,8 +20,10 @@ from omfactor import (
     qpoly,
     run,
 )
-from omfactor.arith import content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
-from omfactor.montes import ExactDivisor, NodePolygon
+from omfactor import montes
+from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
+from omfactor.finitefield import Fq
+from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
 
 
 def test_quartic_fixture_p3() -> None:
@@ -169,6 +171,64 @@ def test_input_validation() -> None:
         factorize(qpoly([0, 0, 1]), 3)
     with pytest.raises(PreconditionError):
         factorize(qpoly([5]), 3)
+
+
+def _gcd_rings(monkeypatch) -> list:
+    """Record the coefficient ring of every gcd_monic call the driver makes."""
+    rings: list = []
+
+    def counting(a, b):
+        rings.append(a.ring)
+        return gcd_monic(a, b)
+
+    monkeypatch.setattr(montes, "gcd_monic", counting)
+    return rings
+
+
+def test_is_squarefree_matches_sympy() -> None:
+    rng = random.Random(47)
+    for trial in range(60):
+        h = random_qpoly(rng, 6, monic=True)
+        g = random_qpoly(rng, 3, monic=True)
+        f = g * g * h if trial % 2 else h
+        if f.degree < 1:
+            continue
+        if trial % 3 == 0:  # f(d*x)/d^n: monic, denominators powers of d
+            d = rng.choice([2, 9, _SQUAREFREE_PRIMES[rng.randrange(3)]])
+            f = qpoly([c * Fraction(d) ** (k - f.degree) for k, c in enumerate(f.coeffs)])
+        expected = len(oracles.sympy_gcd(list(f), list(f.derivative()))) == 1
+        assert _is_squarefree(f) == expected, format_poly(f)
+
+
+def test_squarefree_falls_through_bad_primes(monkeypatch) -> None:
+    q1, q2, q3 = _SQUAREFREE_PRIMES
+    rings = _gcd_rings(monkeypatch)
+    # x*(x - q1) is x^2 mod q1, squarefree mod q2.
+    assert _is_squarefree(qpoly([0, -q1, 1]))
+    assert rings == [Fq.prime(q1), Fq.prime(q2)]
+    rings.clear()
+    # Not squarefree mod any test prime: the exact gcd decides.
+    assert _is_squarefree(qpoly([0, -q1 * q2 * q3, 1]))
+    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), QQ]
+    rings.clear()
+    # A denominator divisible by q1 skips q1.
+    f = qpoly([0, Fraction(1, q1), 1])
+    assert [c.degree for c in factorize(f, 3)] == [1, 1]
+    assert rings == [Fq.prime(q2)]
+    rings.clear()
+    # Every non-squarefree input reaches the exact gcd.
+    with pytest.raises(PreconditionError, match="squarefree"):
+        factorize(qpoly([1, 2, 1]), 3)
+    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), QQ]
+
+
+def test_wide_input_needs_no_rational_gcd(monkeypatch) -> None:
+    rng = random.Random(53)
+    f = qpoly([2] + [2 * rng.randint(-2, 2) for _ in range(47)] + [1])
+    rings = _gcd_rings(monkeypatch)
+    certs = run(f, 2).certificates
+    assert [c.degree for c in certs] == [48]
+    assert rings == [Fq.prime(_SQUAREFREE_PRIMES[0])]
 
 
 def test_p_integral_rational_coefficients_accepted() -> None:
