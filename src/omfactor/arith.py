@@ -221,12 +221,6 @@ class Poly:
             [self.coeffs[i] * self.ring.coerce(i) for i in range(1, len(self.coeffs))],
         )
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by the k-th power of the variable."""
-        if self.is_zero():
-            return self
-        return Poly(self.ring, (self.ring.zero,) * k + self.coeffs)
-
     def evaluate(self, x):
         acc = self.ring.zero
         for c in reversed(self.coeffs):
@@ -246,10 +240,6 @@ class Poly:
 def qpoly(coeffs: Iterable[int | Fraction]) -> Poly:
     """Polynomial over the rationals from constant-first coefficients."""
     return Poly(QQ, coeffs)
-
-
-def x_power(k: int) -> Poly:
-    return Poly(QQ, (0,) * k + (1,))
 
 
 def gcd_monic(a: Poly, b: Poly) -> Poly:
@@ -282,14 +272,6 @@ def phi_expansion(g: Poly, phi: Poly) -> list[Poly]:
         rest, a = divmod(rest, phi)
         out.append(a)
     return out
-
-
-def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:
-    """Inverse of phi_expansion, used by round-trip checks."""
-    acc = Poly(phi.ring, [])
-    for a in reversed(coeffs):
-        acc = acc * phi + a
-    return acc
 
 
 # Text format: integer literals, one variable, +, -, *, ^ and parentheses.
@@ -431,6 +413,13 @@ def format_poly(g: Poly, var: str = "x") -> str:
     Integer polynomials round-trip through parse_poly; non-integer rational
     coefficients render as num/den, which the integer grammar does not accept.
     """
+    return format_terms(g, str, var)
+
+
+def format_terms(g: Poly, render, var: str) -> str:
+    """Render a polynomial highest power first, each coefficient as
+    render(c). A coefficient rendered 1 or -1 prints as the bare power, a
+    leading - joins as ' - ', and a rendering with a space is parenthesized."""
     if g.is_zero():
         return "0"
     parts: list[str] = []
@@ -438,15 +427,21 @@ def format_poly(g: Poly, var: str = "x") -> str:
         c = g.coeff(k)
         if not c:
             continue
-        mag = abs(c)
-        num = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        if k == 0:
-            body = num
-        else:
+        body = render(c)
+        if " " in body:
+            body = f"({body})"
+        if k > 0:
             head = var if k == 1 else f"{var}^{k}"
-            body = head if mag == 1 else f"{num}*{head}"
+            if body == "1":
+                body = head
+            elif body == "-1":
+                body = f"-{head}"
+            else:
+                body = f"{body}*{head}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(f"- {body[1:]}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}")
     return " ".join(parts)

@@ -29,6 +29,7 @@ from .serialize import (
     format_residual,
     format_trace,
     format_type,
+    fraction_to_json,
     qpoly_from_json,
     qpoly_to_json,
     residual_to_json,
@@ -163,7 +164,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         mu = "INF" if zero else Fraction(v, chain.e_cum[i])
         row: dict = {
             "level": i,
-            "mu": "INF" if zero else {"num": mu.numerator, "den": mu.denominator},
+            "mu": "INF" if zero else fraction_to_json(mu),
             "v": "INF" if zero else v,
         }
         lines.append(f"level {i}: mu = {mu}, v = {row['v']}")

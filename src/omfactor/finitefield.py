@@ -104,13 +104,17 @@ class FqElt:
         return FqElt(self.field, self.field._kernel._mul(self.rep, other.rep))
 
     def inverse(self) -> "FqElt":
+        """a^(q-2), checked: over a modulus that is not irreducible, a zero
+        divisor has no inverse and the check fails."""
         if not self:
             raise PreconditionError("inverse of zero")
         k = self.field._kernel
         if k.base is None:
             return FqElt(self.field, pow(self.rep, -1, k.p))
-        inv = k.from_poly(_poly_inverse(FqElt(k, self.rep).poly(), k.modulus))
-        return FqElt(self.field, inv.rep)
+        inv = self ** (self.field.q - 2)
+        if inv * self != self.field._one:
+            raise InternalError("modulus not irreducible in inverse computation")
+        return inv
 
     def __truediv__(self, other: "FqElt") -> "FqElt":
         self._same(other)
@@ -118,28 +122,20 @@ class FqElt:
 
     def __pow__(self, n: int) -> "FqElt":
         base = self.inverse() if n < 0 else self
+        n = abs(n)
         k = self.field._kernel
         if k.base is None:
-            return FqElt(self.field, pow(base.rep, abs(n), k.p))
-        out = k.from_poly(pow_mod(FqElt(k, base.rep).poly(), abs(n), k.modulus))
-        return FqElt(self.field, out.rep)
+            return FqElt(self.field, pow(base.rep, n, k.p))
+        out, b = self.field._one.rep, base.rep
+        while n:
+            if n & 1:
+                out = k._mul(out, b)
+            b = k._mul(b, b)
+            n >>= 1
+        return FqElt(self.field, out)
 
     def __repr__(self) -> str:
         return f"FqElt({self.field.label()}, {self.rep!r})"
-
-
-def _poly_inverse(a: Poly, modulus: Poly) -> Poly:
-    """Inverse of a modulo an irreducible modulus over a coefficient field."""
-    ring = modulus.ring
-    r0, r1 = modulus, a % modulus
-    t0, t1 = Poly(ring, []), Poly(ring, [ring.one])
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise InternalError("modulus not irreducible in inverse computation")
-    return (t0.scale(ring.one / r0.coeff(0))) % modulus
 
 
 class Fq:
@@ -356,11 +352,6 @@ class Fq:
             yield self.from_index(k)
 
 
-def ypoly(field: Fq, coeffs) -> Poly:
-    """Polynomial over a tower field from constant-first coefficients."""
-    return Poly(field, coeffs)
-
-
 def _poly_key_str(g: Poly) -> str:
     return ", ".join(str(c.flat_key()) for c in g.coeffs)
 
@@ -531,26 +522,6 @@ def tower_map(x: FqElt, dst: Fq, images: list[FqElt]) -> FqElt:
     for c in reversed(x.coords()):
         acc = acc * img + tower_map(c, dst, images)
     return acc
-
-
-def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
-    """Collapse all degree-one levels of a tower.
-
-    Returns the flat tower (every modulus of degree >= 2) and the images of
-    the original generators inside it, suitable for tower_map.
-    """
-    flat = Fq.prime(field.p)
-    images: list[FqElt] = []
-    for psi in field.tower_moduli():
-        mapped = map_poly(psi, flat, images)
-        if mapped.degree == 1:
-            images.append(-mapped.coeff(0))
-        else:
-            bigger = Fq(field.p, flat, mapped)
-            images = [bigger.lift_from(img) for img in images]
-            images.append(bigger.gen())
-            flat = bigger
-    return flat, images
 
 
 def map_poly(g: Poly, dst: Fq, images: list[FqElt]) -> Poly:

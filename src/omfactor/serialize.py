@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arith import Poly, format_poly, qpoly
+from .arith import Poly, format_poly, format_terms, qpoly
 from .errors import ConfigError, ParseError, PreconditionError
 from .finitefield import Fq, FqElt
 from .montes import (
@@ -198,12 +198,12 @@ def type_from_json(doc) -> Type:
     for i, entry in enumerate(_need(doc, "levels", list), start=1):
         if "psi" not in entry:
             raise ParseError(f"level {i} is missing its psi field")
-        psi = fq_poly_from_json(chain.field(i - 1), entry["psi"])
+        psi = fq_poly_from_json(chain.fields[i - 1], entry["psi"])
         if psi != chain.level(i).psi_prev:
             raise ParseError(f"level {i} psi does not match the chain")
     if "psi_top" not in doc:
         raise ParseError("type document is missing psi_top")
-    psi_top = fq_poly_from_json(chain.field(chain.r), doc["psi_top"])
+    psi_top = fq_poly_from_json(chain.fields[chain.r], doc["psi_top"])
     return Type(chain, psi_top)
 
 
@@ -245,39 +245,9 @@ def format_fq_elt(a: FqElt) -> str:
     return format_fq_poly(a.poly(), f"z{a.field.level - 1}")
 
 
-def _is_plain(text: str) -> bool:
-    return " " not in text
-
-
 def format_fq_poly(g: Poly, var: str = "y") -> str:
     """Residue polynomial as text, highest power first, balanced coordinates."""
-    if g.is_zero():
-        return "0"
-    parts: list[str] = []
-    for k in range(g.degree, -1, -1):
-        c = g.coeff(k)
-        if not c:
-            continue
-        ctext = format_fq_elt(c)
-        if k == 0:
-            body = ctext if _is_plain(ctext) else f"({ctext})"
-        else:
-            head = var if k == 1 else f"{var}^{k}"
-            if ctext == "1":
-                body = head
-            elif ctext == "-1":
-                body = f"-{head}"
-            elif _is_plain(ctext):
-                body = f"{ctext}*{head}"
-            else:
-                body = f"({ctext})*{head}"
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(f"- {body[1:]}")
-        else:
-            parts.append(f"+ {body}")
-    return " ".join(parts)
+    return format_terms(g, format_fq_elt, var)
 
 
 def format_chain(chain: MacLaneChain) -> str:

@@ -76,15 +76,6 @@ def is_stationary_level(t: Type, i: int) -> bool:
     return t.chain.level(i).e == 1 and f_level(t, i) == 1
 
 
-def stationary_levels(t: Type) -> list[int]:
-    return [i for i in range(1, t.chain.r + 1) if is_stationary_level(t, i)]
-
-
-def is_optimal(t: Type) -> bool:
-    """Key degrees strictly increase below the top level."""
-    return not any(is_stationary_level(t, i) for i in range(1, t.chain.r))
-
-
 def representative(t: Type) -> Poly:
     """Monic integer polynomial of degree e_r m_r f_top with residual psi_top.
 
@@ -146,15 +137,9 @@ def _collapse(t: Type, dropped: set[int]) -> Type:
     return Type(new_chain, map_poly(t.psi_top, dst, images))
 
 
-def optimize_step(t: Type) -> Type:
-    """Collapse the highest stationary level below the top, if any."""
-    st = [i for i in range(1, t.chain.r) if is_stationary_level(t, i)]
-    return _collapse(t, {st[-1]}) if st else t
-
-
 def optimize(t: Type) -> Type:
     """Collapse every stationary level below the top in one rebuild: the
-    optimal type that iterating optimize_step reaches."""
+    optimal type that collapsing them one at a time, highest first, reaches."""
     st = {i for i in range(1, t.chain.r) if is_stationary_level(t, i)}
     return _collapse(t, st) if st else t
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import INF, Poly, Val, is_prime
-from .errors import ConfigError, InternalError, PreconditionError
+from .arith import INF, Poly, Val
+from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt, is_irreducible
 from .residual import ResidualResult, expansion_entries, ri
 
@@ -53,9 +53,6 @@ class MacLaneChain:
         if not 1 <= i <= self.r:
             raise PreconditionError(f"level index {i} out of range")
         return self.levels[i - 1]
-
-    def field(self, i: int) -> Fq:
-        return self.fields[i]
 
     def z(self, i: int) -> FqElt:
         """Residue-tower generator z_i, the class of y in field i+1."""
@@ -103,8 +100,6 @@ def _check_key_poly_shape(phi: Poly) -> None:
 
 
 def empty_chain(p: int) -> MacLaneChain:
-    if not is_prime(p):
-        raise ConfigError(f"{p} is not prime")
     return MacLaneChain(p, (), (Fq.prime(p),), (1,))
 
 
@@ -137,19 +132,6 @@ def expansion_points(chain: MacLaneChain, phi: Poly, g: Poly) -> list[tuple[int,
     r = chain.r
     entries = expansion_entries(chain, r, phi, v_norm(chain, r, phi), g)
     return [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
-
-
-def key_divides(chain: MacLaneChain, phi: Poly, g: Poly) -> bool:
-    """Whether phi divides g in the graded algebra of the top valuation.
-
-    Reads the phi-expansion of g: phi divides exactly when the minimal value
-    of mu(a_s phi^s) is attained only at positions s >= 1.
-    """
-    if g.is_zero():
-        return True
-    pts = expansion_points(chain, phi, g)
-    lo = min(u for _, u in pts)
-    return pts[0] != (0, lo)
 
 
 def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:

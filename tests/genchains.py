@@ -24,7 +24,12 @@ from omfactor import (
     representative,
     ri,
 )
-from omfactor.finitefield import Fq, FqElt, is_irreducible, ypoly
+from omfactor.finitefield import Fq, FqElt, is_irreducible
+
+
+def ypoly(field: Fq, coeffs) -> Poly:
+    """Polynomial over a tower field from constant-first coefficients."""
+    return Poly(field, coeffs)
 
 
 def fixture_poly(p: int) -> Poly:

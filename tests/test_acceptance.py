@@ -13,13 +13,7 @@ from fractions import Fraction
 
 import oracles
 from omfactor.arith import Poly, content_vp, qpoly
-from omfactor.finitefield import (
-    flatten_field,
-    is_irreducible,
-    map_poly,
-    multiplicity_of,
-    ypoly,
-)
+from omfactor.finitefield import is_irreducible, map_poly, multiplicity_of
 from omfactor.montes import (
     NodePolygon,
     NodeResidual,
@@ -44,7 +38,6 @@ from omfactor.valuation import (
     build_chain,
     collapse_step,
     expansion_points,
-    key_divides,
     mu_eval,
 )
 
@@ -57,7 +50,9 @@ from genchains import (
     random_type,
     shift_pair,
     stationary_pair,
+    ypoly,
 )
+from reference import flatten_field, key_divides
 
 SINGLE_RUN_LIMIT = 1.0  # seconds per factorization of the quartic fixture
 BATCH_RUN_LIMIT = 30.0  # seconds for the 100-sample unramified suite

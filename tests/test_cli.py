@@ -210,6 +210,17 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1
+    bad_array = tmp_path / "bad_array.txt"
+    bad_array.write_text("[1, 0,")
+    worded = [
+        (["factor", "--prime", "3", "--file", str(tmp_path / "missing.txt")], "cannot read"),
+        (["factor", "--prime", "3", "--file", str(bad_array)], "invalid JSON"),
+        (["eval", "--file", write_chain(tmp_path)], "eval requires --poly"),
+    ]
+    for argv, words in worded:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and words in err, argv
 
 
 def test_exit_code_three_on_precondition_failures(capsys) -> None:

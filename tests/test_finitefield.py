@@ -12,13 +12,13 @@ from omfactor.errors import InternalError, PreconditionError
 from omfactor.finitefield import (
     Poly,
     balanced_int,
-    flatten_field,
     map_poly,
     multiplicity_of,
     pow_mod,
     tower_map,
-    ypoly,
 )
+from genchains import ypoly
+from reference import flatten_field
 from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
 
@@ -83,6 +83,11 @@ def test_extension_field_laws() -> None:
         z = field.gen()
         lifted = Poly(field, [field.lift_from(c) for c in field.modulus.coeffs])
         assert lifted.evaluate(z) == field.zero
+    # Built without extend, over the reducible y^2 - 1: y - 1 is a zero divisor.
+    f3 = Fq.prime(3)
+    ring = Fq(3, f3, ypoly(f3, [-1, 0, 1]))
+    with pytest.raises(InternalError, match="modulus not irreducible in inverse computation"):
+        (ring.gen() - ring.one).inverse()
 
 
 def test_two_story_tower() -> None:
@@ -101,6 +106,17 @@ def test_two_story_tower() -> None:
     a = f81.from_index(17)
     b = f81.from_index(53)
     assert (a + b) * (a - b) == a * a - b * b
+    f3, f5 = f9.base, Fq.prime(5)
+    with pytest.raises(PreconditionError, match="not a polynomial over this field"):
+        f3.extend(ypoly(f5, [1, 0, 1]))
+    for psi in [ypoly(f3, [1, 0, 2]), ypoly(f3, [1])]:
+        with pytest.raises(PreconditionError, match="monic of degree >= 1"):
+            f3.extend(psi)
+    with pytest.raises(PreconditionError, match="only allowed on the first level"):
+        f9.extend(ypoly(f9, [0, 1]))
+    with pytest.raises(PreconditionError) as err:
+        f3.extend(ypoly(f3, [-1, 0, 1]))
+    assert str(err.value) == "modulus is reducible: ((-1,), (1,)) * ((1,), (1,))"
 
 
 def test_embed_lift_roundtrip() -> None:

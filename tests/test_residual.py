@@ -16,6 +16,7 @@ from genchains import (
     shift_pair,
     stationary_pair,
 )
+from reference import flatten_field
 from omfactor import (
     Poly,
     PreconditionError,
@@ -29,7 +30,7 @@ from omfactor import (
     ri,
     transport_residual,
 )
-from omfactor.finitefield import flatten_field, map_poly
+from omfactor.finitefield import map_poly
 from omfactor.valuation import expansion_points
 
 

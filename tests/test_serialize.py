@@ -130,6 +130,14 @@ def test_chain_tamper_rejected() -> None:
     del bad["p"]
     with pytest.raises(ParseError):
         chain_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    bad["p"] = "5"
+    with pytest.raises(ParseError, match="field 'p' has the wrong JSON type"):
+        chain_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    bad["levels"][0]["nu"]["den"] = 0
+    with pytest.raises(ParseError, match="denominator must be positive"):
+        chain_from_json(bad)
 
 
 def test_type_tamper_rejected() -> None:
@@ -141,6 +149,22 @@ def test_type_tamper_rejected() -> None:
     bad = json.loads(canonical_json(doc))
     bad["psi_top"] = [["0"], ["1"]]
     with pytest.raises(ParseError):
+        type_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    del bad["levels"][2]["psi"]
+    with pytest.raises(ParseError, match="level 3 is missing its psi field"):
+        type_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    del bad["psi_top"]
+    with pytest.raises(ParseError, match="missing psi_top"):
+        type_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    bad["psi_top"] = "y^2 + 1"
+    with pytest.raises(ParseError, match="must be a JSON array"):
+        type_from_json(bad)
+    bad = json.loads(canonical_json(doc))
+    bad["psi_top"][0] = [[[["1"]]], [[["0"]]]]
+    with pytest.raises(ParseError, match="coordinate array has the wrong length"):
         type_from_json(bad)
 
 

@@ -11,10 +11,12 @@ from genchains import (
     fixture_chain3,
     fixture_poly,
     fixture_t4,
+    random_irreducible,
     random_qpoly,
     random_type,
     shift_pair,
     unshifted_top_pair,
+    ypoly,
 )
 from omfactor import (
     Poly,
@@ -32,15 +34,9 @@ from omfactor import (
     representative,
     ri,
 )
-from omfactor.serialize import canonical_json, type_to_json
-from omfactor.typecalc import (
-    f_level,
-    is_optimal,
-    is_stationary_level,
-    optimize_step,
-    stationary_levels,
-)
-from omfactor.finitefield import ypoly
+from omfactor.serialize import canonical_json, format_type, type_to_json
+from omfactor.typecalc import f_level, is_stationary_level
+from reference import is_optimal, optimize_step, stationary_levels
 
 
 def test_type_validation() -> None:
@@ -264,3 +260,72 @@ def test_unshifted_top_residual_fails_degenerate() -> None:
         w = equivalent(ta, tb)
         assert (w.equivalent, w.failed, w.degenerate) == (False, "psi_top", True)
         assert len(w.etas) == optimize(ta).order
+
+
+def _same_primes(ta: Type, tb: Type) -> bool:
+    """Two-sided oracle for equivalence: equal degree, and each type has
+    order 1 at the other's representative."""
+    return (ta.degree() == tb.degree()
+            and ord_type(ta, representative(tb)) == 1
+            and ord_type(tb, representative(ta)) == 1)
+
+
+def test_equivalent_matches_two_sided_ord_oracle() -> None:
+    pairs = []
+    for seed in range(18):
+        p = [2, 3, 5][seed % 3]
+        nested = [random_type(random.Random(seed), p=p, depth=d) for d in (1, 2, 3)]
+        pairs += [(a, b) for i, a in enumerate(nested) for b in nested[i:]]
+        pairs += [(t, random_type(random.Random(seed + 1), p=p, depth=t.order))
+                  for t in nested]
+    rng = random.Random(197)
+    for _ in range(20):
+        chain, star, _, eta = shift_pair(rng)
+        r = chain.r
+        field = chain.fields[r]
+        psi = random_irreducible(rng, field, rng.choice([1, 2]), proper=True)
+        for shift in (-eta, eta):
+            moved = psi.compose(Poly(field, [shift, field.one]))
+            try:
+                tb = Type(star, Poly(star.fields[r], list(moved.coeffs)))
+            except PreconditionError:  # the shift turned psi into y
+                continue
+            pairs.append((Type(chain, psi), tb))
+    verdicts = [bool(equivalent(a, b)) for a, b in pairs]
+    assert verdicts == [_same_primes(a, b) for a, b in pairs]
+    assert (len(pairs), sum(verdicts)) == (198, 74)
+
+
+def test_run_certificates_pairwise_inequivalent() -> None:
+    rng = random.Random(1)
+    pairs = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 10)
+        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
+        try:
+            certs = factorize(qpoly(coeffs), p)
+        except PreconditionError:
+            continue
+        for i, a in enumerate(certs):
+            for b in certs[i + 1:]:
+                assert not equivalent(a.final_type, b.final_type)
+                pairs += 1
+    assert pairs > 300
+
+
+def test_refactored_approximation_can_close_on_another_prime() -> None:
+    """x^3 - 1 at p = 3: the linear factor's type and the type found by
+    factoring its approximation share the representative x - 1, but single
+    out different primes, so equivalent rightly fails at order."""
+    f = parse_poly("x^3 - 1")
+    linear = next(c for c in factorize(f, 3) if c.degree == 1)
+    alone = factorize(linear.approximation, 3)[0]
+    ta, tb = linear.final_type, alone.final_type
+    assert format_type(ta) == "(y - 1; (x + 2, 1, y - 1))"
+    assert format_type(tb) == "(y - 1)"
+    assert representative(ta) == representative(tb) == parse_poly("x - 1")
+    other = parse_poly("x - 7")
+    assert (ord_type(ta, other), ord_type(tb, other)) == (0, 1)
+    assert equivalent(ta, tb).failed == "order"
+    assert _same_primes(ta, tb)

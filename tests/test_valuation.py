@@ -36,7 +36,8 @@ from omfactor import (
     v_norm,
 )
 from omfactor.finitefield import is_irreducible
-from omfactor.valuation import expansion_points, key_divides
+from omfactor.valuation import expansion_points
+from reference import key_divides
 
 
 def test_empty_chain_requires_prime() -> None:
