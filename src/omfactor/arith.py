@@ -2,8 +2,10 @@
 over an arbitrary coefficient ring, phi-adic expansion, and a small text
 format for integer polynomials.
 
-Rational values are `fractions.Fraction` throughout; the valuation of 0 is
-the float infinity `INF`, which is the only non-rational value ever produced.
+A rational coefficient is stored in one form, set by `RationalRing.coerce`:
+an `int` when it is integral, a `fractions.Fraction` only when its
+denominator is > 1. The valuation of 0 is the float infinity `INF`, the only
+non-rational value ever produced; no coefficient is ever a float.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def vp(q: int | Fraction, p: int) -> Val:
+def vp(q: int | Fraction, p: int) -> int | float:
     """p-adic valuation of a rational number; INF for 0."""
     if not is_prime(p):
         raise ConfigError(f"vp: {p} is not prime")
-    q = Fraction(q)
     if q == 0:
         return INF
 
@@ -65,17 +66,22 @@ def vp(q: int | Fraction, p: int) -> Val:
             k += 1
         return k
 
-    return Fraction(ord_int(q.numerator) - ord_int(q.denominator))
+    return ord_int(q.numerator) - ord_int(q.denominator)
 
 
 class RationalRing:
-    """Coefficient-ring adapter for Fraction polynomials."""
+    """Coefficient-ring adapter for rational polynomials. `one` is a Fraction
+    so that `one / c` divides exactly."""
 
-    zero = Fraction(0)
+    zero = 0
     one = Fraction(1)
+    exact = int
 
-    def coerce(self, v: int | Fraction) -> Fraction:
-        return v if isinstance(v, Fraction) else Fraction(v)
+    def coerce(self, v: int | Fraction) -> int | Fraction:
+        """The canonical form of a rational: int when integral, else Fraction."""
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{v!r} is not an exact rational")
+        return v.numerator if v.denominator == 1 else v
 
     def __repr__(self) -> str:
         return "QQ"
@@ -93,8 +99,9 @@ QQ = RationalRing()
 class Poly:
     """Immutable dense polynomial over a ring adapter.
 
-    The ring adapter provides `zero`, `one` and `coerce`; elements implement
-    the usual arithmetic dunders. Coefficients are stored from the constant
+    The ring adapter provides `zero`, `one` and `coerce`, and `exact`, the
+    element type that is stored without coercion; elements implement the
+    usual arithmetic dunders. Coefficients are stored from the constant
     term upward with trailing zeros stripped; the zero polynomial has an
     empty coefficient tuple and degree -1.
     """
@@ -102,7 +109,8 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs: Iterable) -> None:
-        cs = [ring.coerce(c) if isinstance(c, (int, Fraction)) else c for c in coeffs]
+        exact, coerce = ring.exact, ring.coerce
+        cs = [c if type(c) is exact else coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "ring", ring)
@@ -251,7 +259,7 @@ def gcd_monic(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def content_vp(g: Poly, p: int) -> Val:
+def content_vp(g: Poly, p: int) -> int | float:
     """Minimum p-adic valuation over the coefficients of a rational polynomial."""
     if g.is_zero():
         return INF

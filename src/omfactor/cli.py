@@ -244,9 +244,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built on the first main call and reused: parse_args fills a fresh
+# namespace on every call, so no value carries over between calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, ConfigError) as exc:

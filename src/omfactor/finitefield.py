@@ -149,6 +149,7 @@ class Fq:
     )
 
     _prime_cache: dict[int, "Fq"] = {}
+    exact = FqElt
 
     def __init__(self, p: int, base: "Fq | None", modulus: Poly | None) -> None:
         self.p = p
@@ -177,9 +178,9 @@ class Fq:
 
     @classmethod
     def prime(cls, p: int) -> "Fq":
-        if not is_prime(p):
-            raise ConfigError(f"{p} is not prime")
         if p not in cls._prime_cache:
+            if not is_prime(p):
+                raise ConfigError(f"{p} is not prime")
             cls._prime_cache[p] = cls(p, None, None)
         return cls._prime_cache[p]
 

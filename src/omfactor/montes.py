@@ -179,7 +179,7 @@ def _perturbed_representative(
     lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
     nu_star = Fraction(math.floor(lam_max) + 1)
     if r == 0:
-        bump = qpoly([Fraction(chain.p) ** int(nu_star)])
+        bump = qpoly([chain.p ** int(nu_star)])
     else:
         W = chain.next_key_value(t.f_top) + int(nu_star) * chain.e_cum[r]
         bump = graded_lift(chain, r, W, chain.fields[r].one)

@@ -18,7 +18,6 @@ integer polynomial of degree < m_i whose level-i image is exactly beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .arith import Poly, content_vp, phi_expansion, qpoly
@@ -40,11 +39,13 @@ def r0(p: int, g: Poly) -> ResidualResult:
     """Level-0 data: content valuation u and (g / p^u) mod p."""
     if g.is_zero():
         raise PreconditionError("residual of the zero polynomial")
-    u = int(content_vp(g, p))
-    fp = Fq.prime(p)
-    scale = Fraction(1, p) ** u
-    coeffs = [fp.coerce(c * scale) for c in g.coeffs]
-    return ResidualResult(0, u, Poly(fp, coeffs))
+    u = content_vp(g, p)
+    if u >= 0:
+        pu = p ** u  # divides every coefficient, so // is exact on ints
+        scaled = [c // pu if type(c) is int else c / pu for c in g.coeffs]
+    else:
+        scaled = [c * p ** -u for c in g.coeffs]
+    return ResidualResult(0, u, Poly(Fq.prime(p), scaled))
 
 
 def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
@@ -100,7 +101,7 @@ def graded_lift(chain: MacLaneChain, i: int, W: int, beta: FqElt) -> Poly:
     if W < chain.V(i):
         raise PreconditionError(f"target value {W} below the key value bound {chain.V(i)}")
     if i == 1:
-        pw = Fraction(chain.p) ** W
+        pw = chain.p ** W
         return qpoly([b.lift_int() * pw for b in beta.coords()])
     e_p, h_p = chain.e(i - 1), chain.h(i - 1)
     l_p, lp_p = chain.l(i - 1), chain.lp(i - 1)

@@ -144,6 +144,22 @@ def test_poly_scale_derivative() -> None:
     assert f.derivative() == qpoly([0, 10])
 
 
+def test_coefficients_int_unless_a_real_denominator() -> None:
+    assert qpoly([Fraction(3)]) == qpoly([3])
+    assert hash(qpoly([Fraction(3)])) == hash(qpoly([3]))
+    assert [type(c) for c in qpoly([Fraction(4, 2), Fraction(1, 2), True])] == [int, Fraction, int]
+    assert qpoly([1, 2]).monic().coeffs == (Fraction(1, 2), 1)
+    q, r = divmod(qpoly([1, 0, 1]), qpoly([1, 2]))
+    assert (q.coeffs, r.coeffs) == ((Fraction(-1, 4), Fraction(1, 2)), (Fraction(5, 4),))
+    assert [type(c) for c in q.coeffs + r.coeffs] == [Fraction] * 3
+    q, r = divmod(qpoly([4, 0, 6]), qpoly([1, 2]))
+    assert (q.coeffs, r.coeffs) == ((Fraction(-3, 2), 3), (Fraction(11, 2),))
+    assert type(q.coeffs[1]) is int
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    with pytest.raises(TypeError):
+        qpoly([0.5])
+
+
 def test_gcd_monic() -> None:
     f = qpoly([-1, 0, 1])
     g = qpoly([1, 1])

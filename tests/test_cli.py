@@ -275,6 +275,29 @@ def test_eval_levels_text(capsys, tmp_path) -> None:
     assert err == "error: residual of the zero polynomial\n"
 
 
+def test_parser_built_once_without_leaks(capsys, tmp_path, monkeypatch) -> None:
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    chain_path = write_chain(tmp_path)
+    code, out, _ = run_cli(
+        capsys, ["eval", "--file", chain_path, "--poly", "9", "--level", "0", "--level", "1"]
+    )
+    assert (code, out) == (0, "level 0: mu = 2, v = 2\nlevel 1: mu = 2, v = 4\n")
+    code, out, _ = run_cli(capsys, ["eval", "--file", chain_path, "--poly", "9", "--level", "2"])
+    assert (code, out) == (0, "level 2: mu = 2, v = 4\n")
+    code, out, _ = run_cli(capsys, ["eval", "--file", chain_path, "--poly", "9", "--residual"])
+    assert code == 0 and out.count("residual") == 5
+    assert run_cli(capsys, ["factor", "--prime", "3", "--poly", "x - 1"])[0] == 0
+    assert builds == [1]
+
+
 def test_eval_rejects_chain_with_reducible_key(capsys, tmp_path) -> None:
     path = tmp_path / "chain.json"
     doc = chain_to_json(fixture_chain3())

@@ -138,6 +138,30 @@ def test_from_index_bijection() -> None:
         field.from_index(field.q)
 
 
+def test_prime_field_cache_checked_before_primality(monkeypatch) -> None:
+    from omfactor import finitefield
+    from omfactor.errors import ConfigError
+
+    asked = []
+    real = finitefield.is_prime
+
+    def counting(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(finitefield, "is_prime", counting)
+    monkeypatch.setattr(Fq, "_prime_cache", {})
+    f7 = Fq.prime(7)
+    assert asked == [7]
+    assert Fq.prime(7) is f7 and Fq.prime(2147483647) is Fq.prime(2147483647)
+    assert asked == [7, 2147483647]
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="4 is not prime"):
+            Fq.prime(4)
+    assert asked == [7, 2147483647, 4, 4]
+    assert sorted(Fq._prime_cache) == [7, 2147483647]
+
+
 def test_coerce_rejects_other_field() -> None:
     f9 = small_tower(3)
     f4 = small_tower(2)

@@ -11,7 +11,10 @@ quartic. Two more cases, written by the code that predates the single
 residual walk (one expansion of f per node key), pin the exact-divisor
 path: x^3 - 9x at p = 3 has the exact divisor x at level 1, on a polygon
 with two sides, and x^3 - 6x^2 - 32x + 32 at p = 2 has the exact divisor
-x + 4 at level 2, where the perturbed key comes from a graded lift.
+x + 4 at level 2, where the perturbed key comes from a graded lift. The
+last two cases, written by the code that stored every rational coefficient
+as a Fraction, pin the wide integer paths: a degree-48 Eisenstein input at
+p = 2 and a product of ten linear factors at p = 11.
 """
 
 from __future__ import annotations
@@ -26,6 +29,21 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
 TOWER_P5 = "((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13"
 P5_TYPE = str(GOLDEN / "p5_type.json")
+# The first Eisenstein input and the first linear product of the
+# wide_shallow benchmark workload, seed 1.
+EISENSTEIN48_P2 = (
+    "x^48 - 2*x^47 - 4*x^46 + 4*x^45 + 2*x^44 - 4*x^43 + 2*x^41 - 2*x^40 - "
+    "2*x^39 - 2*x^37 + 4*x^36 + 2*x^35 + 2*x^34 - 2*x^33 + 4*x^32 - 4*x^31 "
+    "+ 2*x^30 - 2*x^29 + 2*x^28 - 4*x^27 + 4*x^26 - 4*x^25 - 4*x^24 - "
+    "4*x^23 - 4*x^21 + 4*x^20 - 2*x^19 + 2*x^17 - 4*x^16 + 4*x^15 + 2*x^14 "
+    "+ 2*x^13 - 4*x^12 + 2*x^11 - 4*x^10 - 2*x^9 + 2*x^8 + 2*x^7 + 2*x^6 + "
+    "2*x^5 - 4*x^4 - 4*x^2 + 4*x + 2"
+)
+LINEAR10_P11 = (
+    "x^10 - 51*x^9 - 149*x^8 + 30809*x^7 + 38569*x^6 - 7309609*x^5 - "
+    "40252791*x^4 + 488763731*x^3 + 5499359490*x^2 + 18772858800*x + "
+    "21544380000"
+)
 
 CASES = {
     "deep_p2_factor_trace.txt": ["factor", "--prime", "2", "--poly", DEEP_P2, "--trace"],
@@ -39,6 +57,12 @@ CASES = {
     "exact_p3_factor_trace.txt": ["factor", "--prime", "3", "--poly", "x^3 - 9*x", "--trace"],
     "exact_level2_p2_factor_trace.txt": [
         "factor", "--prime", "2", "--poly", "x^3 - 6*x^2 - 32*x + 32", "--trace",
+    ],
+    "eisenstein48_p2_factor_trace.txt": [
+        "factor", "--prime", "2", "--poly", EISENSTEIN48_P2, "--trace",
+    ],
+    "linear10_p11_factor_json_trace.json": [
+        "factor", "--prime", "11", "--poly", LINEAR10_P11, "--json", "--trace",
     ],
 }
 

@@ -13,6 +13,7 @@ import oracles
 from genchains import fixture_poly, random_qpoly
 from omfactor import (
     ConfigError,
+    Poly,
     PreconditionError,
     certify,
     factorize,
@@ -294,3 +295,57 @@ def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> Non
     keys = [e.phi.coeffs for e in trace if isinstance(e, (NodePolygon, ExactDivisor))]
     assert keys and len(set(keys)) == len(keys)
     assert seen == Counter(keys)
+
+
+# The README quartic at p = 3 as f(2x)/16: its coefficients have the p-unit
+# denominators 2 and 8.
+P_UNIT_QUARTIC = qpoly([Fraction(3393, 8), 0, Fraction(15, 2), 0, 1])
+
+
+def test_run_keeps_one_coefficient_representation(monkeypatch) -> None:
+    """Every rational polynomial a run creates stores an int, or a Fraction
+    with denominator > 1, and never a float."""
+    bad: list = []
+    init = Poly.__init__
+
+    def checked(self, ring, coeffs):
+        init(self, ring, coeffs)
+        if ring == QQ and not all(
+            type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in self.coeffs
+        ):
+            bad.append(self)
+
+    monkeypatch.setattr(Poly, "__init__", checked)
+    rng = random.Random(1)
+    inputs = [(P_UNIT_QUARTIC, 3), (parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"), 2)]
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 10)
+        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
+        inputs.append((qpoly(coeffs), p))
+    runs = 0
+    for f, p in inputs:
+        try:
+            res = run(f, p)
+        except PreconditionError:
+            continue
+        certify(f, p, res.certificates, res.floor)
+        runs += 1
+    assert runs > 50 and bad == []
+
+
+def test_p_unit_denominators_keep_their_output() -> None:
+    """Pinned from the code that stored every coefficient as a Fraction."""
+    from omfactor.serialize import format_cert
+
+    res = run(P_UNIT_QUARTIC, 3)
+    text = "\n".join(format_cert(c, "  ") for c in res.certificates)
+    assert text == (
+        "  degree 4, e = 2, f = 2\n"
+        "  okutsu depth 2, frame [x, x^2 + 24]\n"
+        "  slopes [1/2, 2, 1]\n"
+        "  approximation x^4 + 129*x^2 - 4041\n"
+        "  type (y; (x, 1/2, y - 1); (x^2 + 24, 3, y^2 + y - 1))"
+    )
+    assert res.floor == 9
+    assert not certify(P_UNIT_QUARTIC, 3, res.certificates, res.floor).ok

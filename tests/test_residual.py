@@ -42,6 +42,14 @@ def test_r0_pins() -> None:
     res = r0(3, qpoly([18]))
     assert (res.s, res.u) == (0, 2)
     assert [c.lift_int() for c in res.poly.coeffs] == [-1]
+    # Rational coefficients, with u of either sign: g / 3^u is exact.
+    for g, u, lifts in [
+        (qpoly([Fraction(9, 2), 3]), 1, [0, 1]),
+        (qpoly([Fraction(1, 18), Fraction(1, 3)]), -2, [-1]),
+        (qpoly([Fraction(2, 3), Fraction(1, 9)]), -2, [0, 1]),
+    ]:
+        res = r0(3, g)
+        assert (res.u, [c.lift_int() for c in res.poly.coeffs]) == (u, lifts)
 
 
 def test_r0_rejects_zero() -> None:
