@@ -181,17 +181,14 @@ class Poly:
     def scale(self, c) -> "Poly":
         return Poly(self.ring, [c * a for a in self.coeffs])
 
-    def __pow__(self, n: int) -> "Poly":
+    def __pow__(self, n: int, modulus: "Poly | None" = None) -> "Poly":
+        """self^n; pow(self, n, m) reduces every product mod m."""
         if n < 0:
             raise PreconditionError("negative polynomial power")
-        out = Poly(self.ring, [self.ring.one])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = Poly(self.ring, [self.ring.one])
+        if modulus is None:
+            return power(self, n, one, lambda a, b: a * b)
+        return power(self % modulus, n, one, lambda a, b: a * b % modulus)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -243,6 +240,18 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.ring!r}, {list(self.coeffs)!r})"
+
+
+def power(x, n: int, one, mul):
+    """x^n for n >= 0 by square-and-multiply, with product mul and unit one."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 def qpoly(coeffs: Iterable[int | Fraction]) -> Poly:

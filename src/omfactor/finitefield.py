@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .arith import Poly, gcd_monic, is_prime
+from .arith import Poly, gcd_monic, is_prime, power
 from .errors import ConfigError, InternalError, PreconditionError
 
 
@@ -126,13 +126,7 @@ class FqElt:
         k = self.field._kernel
         if k.base is None:
             return FqElt(self.field, pow(base.rep, n, k.p))
-        out, b = self.field._one.rep, base.rep
-        while n:
-            if n & 1:
-                out = k._mul(out, b)
-            b = k._mul(b, b)
-            n >>= 1
-        return FqElt(self.field, out)
+        return FqElt(self.field, power(base.rep, n, self.field._one.rep, k._mul))
 
     def __repr__(self) -> str:
         return f"FqElt({self.field.label()}, {self.rep!r})"
@@ -357,17 +351,6 @@ def _poly_key_str(g: Poly) -> str:
     return ", ".join(str(c.flat_key()) for c in g.coeffs)
 
 
-def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    out = Poly(mod.ring, [mod.ring.one])
-    base = base % mod
-    while e:
-        if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return out
-
-
 def _pth_root(g: Poly) -> Poly:
     """p-th root of a polynomial whose derivative vanishes."""
     field: Fq = g.ring
@@ -436,7 +419,7 @@ def _split_equal_degree(h: Poly, d: int) -> list[Poly]:
                 t = (t + acc) % h
                 acc = (acc * acc) % h
         else:
-            t = pow_mod(r, (q ** d - 1) // 2, h) - Poly(field, [field.one])
+            t = pow(r, (q ** d - 1) // 2, h) - Poly(field, [field.one])
         g = gcd_monic(h, t)
         if 0 < g.degree < h.degree:
             return _split_equal_degree(g, d) + _split_equal_degree(h // g, d)
@@ -446,7 +429,7 @@ def _factor_squarefree(w: Poly) -> list[Poly]:
     """Irreducible factors of a squarefree monic polynomial."""
     field: Fq = w.ring
     out: list[Poly] = []
-    h = pow_mod(Poly(field, [field.zero, field.one]), field.q, w)
+    h = pow(Poly(field, [field.zero, field.one]), field.q, w)
     d = 1
     while w.degree >= 2 * d:
         g = gcd_monic(w, h - Poly(field, [field.zero, field.one]))
@@ -456,7 +439,7 @@ def _factor_squarefree(w: Poly) -> list[Poly]:
             h = h % w
         d += 1
         if w.degree >= 2 * d:
-            h = pow_mod(h, field.q, w)
+            h = pow(h, field.q, w)
     if w.degree > 0:
         out.append(w)
     return out

@@ -5,8 +5,9 @@ Each open node carries a type t and its branch order omega = ord_t(f) >= 2.
 The node takes a representative phi, builds the Newton polygon of f's
 phi-expansion under the node's valuation, and branches over the principal
 sides (negative slope) and the irreducible factors of each side's residual
-polynomial. A branch with order 1 closes into a certificate built from the
-optimized closing type.
+polynomial. phi is walked once per side, by that side's augment, whose
+residual on the new level is checked against psi_top. A branch with order
+1 closes into a certificate built from the optimized closing type.
 
 If phi divides f exactly, phi is itself a p-adic prime factor; the driver
 swaps in an equivalent representative perturbed beyond every other branch
@@ -25,7 +26,7 @@ from .errors import InternalError, PreconditionError
 from .finitefield import Fq, fq_factor
 from .polygon import NewtonPolygon, lower_hull
 from .residual import expansion_entries, graded_lift, line_residual, r0
-from .typecalc import Type, okutsu_data, optimize, ord_type, representative
+from .typecalc import Type, _lift_representative, okutsu_data, optimize, ord_type, representative
 from .valuation import augment, empty_chain
 
 _MAX_NODES = 10000
@@ -192,7 +193,7 @@ def _branch(
     state.tick()
     chain = t.chain
     r = chain.r
-    phi = representative(t)
+    phi = _lift_representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
     entries, pts = _node_expansion(t, phi, f)
@@ -213,10 +214,13 @@ def _branch(
     for side in sorted(principal, key=lambda s: -s.slope):
         lam = -side.slope
         chain2 = augment(chain, phi, lam)
+        top = chain2.level(r + 1)
+        # The key check's walk of phi checks the representative (s = 0 by degree).
+        if top.psi_prev != t.psi_top:
+            raise InternalError("representative residual differs from psi_top")
         res = line_residual(chain2, r + 1, entries)
         _emit(trace, NodeResidual(r + 1, lam, res.s, res.u, res.poly))
-        e2 = chain2.level(r + 1).e
-        if side.length != e2 * res.poly.degree + res.s - side.left[0]:
+        if side.length != top.e * res.poly.degree + res.s - side.left[0]:
             raise InternalError("side length disagrees with the residual degree")
         for psi2, w2 in fq_factor(res.poly):
             t2 = Type(chain2, psi2)

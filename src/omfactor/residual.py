@@ -56,7 +56,7 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
         raise PreconditionError(f"residual level {i} out of range")
     if i == 0:
         return r0(chain.p, g)
-    lev = chain.level(i)
+    lev = chain.levels[i - 1]
     return line_residual(chain, i, expansion_entries(chain, i - 1, lev.phi, lev.V, g))
 
 

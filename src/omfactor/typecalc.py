@@ -4,7 +4,8 @@ equivalence decision, and the residual transport law.
 A type pairs a chain with a monic irreducible polynomial psi_top over the
 top residue field (psi_top != y above order 0). It selects one branch of
 the factorization tree: ord_type counts how often psi_top divides the top
-residual polynomial.
+residual polynomial. representative() walks its lifted polynomial once,
+to check that the residual is psi_top.
 
 Two types are equivalent when they induce the same valuation and select the
 same branch. The decision procedure optimizes both sides, matches slopes
@@ -79,10 +80,19 @@ def is_stationary_level(t: Type, i: int) -> bool:
 def representative(t: Type) -> Poly:
     """Monic integer polynomial of degree e_r m_r f_top with residual psi_top.
 
-    Built from the top key and graded lifts of the psi_top coefficients;
-    the defining property ri(chain, r, phi) = (0, *, psi_top) is verified
+    The defining property ri(chain, r, phi) = (0, *, psi_top) is verified
     before returning.
     """
+    phi = _lift_representative(t)
+    if t.chain.r:
+        res = ri(t.chain, t.chain.r, phi)
+        if res.s != 0 or res.poly != t.psi_top:
+            raise InternalError("representative residual differs from psi_top")
+    return phi
+
+
+def _lift_representative(t: Type) -> Poly:
+    """representative(t) from the top key and graded lifts, with no walk."""
     chain, psi = t.chain, t.psi_top
     r = chain.r
     if r == 0:
@@ -90,15 +100,10 @@ def representative(t: Type) -> Poly:
     lev = chain.level(r)
     step = chain.key_value(r)
     phi = lev.phi ** (lev.e * psi.degree)
-    for j in range(psi.degree):
-        beta = psi.coeff(j)
-        if beta == chain.fields[r].zero:
-            continue
-        lift = graded_lift(chain, r, (psi.degree - j) * step, beta)
-        phi = phi + lift * lev.phi ** (lev.e * j)
-    res = ri(chain, r, phi)
-    if res.s != 0 or res.poly != psi:
-        raise InternalError("representative residual differs from psi_top")
+    for j, beta in enumerate(psi.coeffs[:-1]):
+        if beta:
+            lift = graded_lift(chain, r, (psi.degree - j) * step, beta)
+            phi = phi + lift * lev.phi ** (lev.e * j)
     return phi
 
 

@@ -10,6 +10,8 @@ the prefix, which generates level i of the residue tower.
 Values are exact: mu_eval returns a Fraction (INF only for the zero
 polynomial) and v_norm returns the integer e(mu_i) * mu_i(g). Both are read
 from the residual walk, as v_i(g) = e_i u_i + h_i s_i of ri(chain, i, g).
+augment walks the new key once, in its key check; psi_prev and V are read
+from that walk, and V is checked against the recurrence next_key_value.
 """
 
 from __future__ import annotations
@@ -59,22 +61,22 @@ class MacLaneChain:
         return self.fields[i + 1].gen()
 
     def e(self, i: int) -> int:
-        return 1 if i == 0 else self.level(i).e
+        return 1 if i == 0 else self.levels[i - 1].e
 
     def h(self, i: int) -> int:
-        return 0 if i == 0 else self.level(i).h
+        return 0 if i == 0 else self.levels[i - 1].h
 
     def l(self, i: int) -> int:
-        return 0 if i == 0 else self.level(i).l
+        return 0 if i == 0 else self.levels[i - 1].l
 
     def lp(self, i: int) -> int:
-        return 1 if i == 0 else self.level(i).lp
+        return 1 if i == 0 else self.levels[i - 1].lp
 
     def V(self, i: int) -> int:
-        return 0 if i == 0 else self.level(i).V
+        return 0 if i == 0 else self.levels[i - 1].V
 
     def m(self, i: int) -> int:
-        return 1 if i == 0 else self.level(i).m
+        return 1 if i == 0 else self.levels[i - 1].m
 
     def key_value(self, i: int) -> int:
         """Normalized value v_i(phi_i) = e_i V_i + h_i; 0 at level 0."""
@@ -178,8 +180,6 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     if not ok:
         raise PreconditionError(f"key check failed: {msg}")
     r = chain.r
-    if phi.degree % chain.m(r) != 0:
-        raise PreconditionError("key degree is not a multiple of the current key degree")
     if res is None:
         raise PreconditionError("improper step: the new key divides the current key")
     psi_prev = res.poly
@@ -195,8 +195,6 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     d = psi_prev.degree
     if V_new != chain.next_key_value(d):
         raise InternalError("key value disagrees with the level recurrence")
-    if phi.degree != chain.e(r) * d * chain.m(r):
-        raise InternalError("key degree disagrees with the level recurrence")
 
     level = Level(
         phi=phi,

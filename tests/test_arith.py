@@ -132,6 +132,11 @@ def test_poly_mul_matches_oracle() -> None:
 def test_poly_pow_and_compose() -> None:
     x = qpoly([0, 1])
     assert (x + qpoly([1])) ** 3 == qpoly([1, 3, 3, 1])
+    m = qpoly([Fraction(1, 2), -3, 0, 1])
+    for g in (qpoly([2, Fraction(-1, 3), 1, 5, 0, 7]), x + qpoly([1]), qpoly([4])):
+        for n in range(10):
+            assert pow(g, n, m) == (g ** n) % m
+        assert pow(g, 0, m) == qpoly([1])
     f = qpoly([1, 0, 1])
     g = qpoly([-2, 1])
     assert f.compose(g) == qpoly([5, -4, 1])

@@ -25,6 +25,8 @@ from omfactor import montes
 from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
 from omfactor.finitefield import Fq
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
+from omfactor.polygon import lower_hull
+from omfactor.residual import ri
 
 
 def test_quartic_fixture_p3() -> None:
@@ -295,6 +297,45 @@ def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> Non
     keys = [e.phi.coeffs for e in trace if isinstance(e, (NodePolygon, ExactDivisor))]
     assert keys and len(set(keys)) == len(keys)
     assert seen == Counter(keys)
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [
+        ("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41", 2),
+        ("x^3 - 9*x", 3),
+        ("x^3 - 6*x^2 - 32*x + 32", 2),
+    ],
+)
+def test_node_key_walked_once_per_side(monkeypatch, poly: str, p: int) -> None:
+    """Each node's key is walked on the node's chain at its top level once
+    per principal side, by that side's augment, and never once more: the
+    key check's walk is also the representative check."""
+    chains: list = []
+    walks: list = []
+    branch = montes._branch
+
+    def recording_branch(t, *args):
+        chains.append(t.chain)
+        return branch(t, *args)
+
+    def counting(chain, i, g):
+        walks.append((chain, i, g))
+        return ri(chain, i, g)
+
+    monkeypatch.setattr(montes, "_branch", recording_branch)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("omfactor") and getattr(mod, "ri", None) is ri:
+            monkeypatch.setattr(mod, "ri", counting)
+    trace: list = []
+    run(parse_poly(poly), p, trace)
+    nodes = [e for e in trace if isinstance(e, NodePolygon)]
+    assert nodes and len(nodes) == len(chains)
+    for chain, node in zip(chains, nodes):
+        assert node.level == chain.r + 1
+        sides = len(lower_hull(list(node.points)).principal_sides())
+        n = sum(1 for c, i, g in walks if c is chain and i == chain.r and g == node.phi)
+        assert n == sides
 
 
 # The README quartic at p = 3 as f(2x)/16: its coefficients have the p-unit
