@@ -84,8 +84,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     f = _load_input_poly(args)
     if args.precision_floor is not None and args.precision_floor < 1:
         raise ConfigError("--precision-floor must be at least 1")
-    trace: list | None = [] if args.trace else None
-    result = _run(f, args.prime, trace)
+    result = _run(f, args.prime)
     certs = result.certificates
     floor = result.floor if args.precision_floor is None else args.precision_floor
     if args.json:
@@ -95,12 +94,12 @@ def cmd_factor(args: argparse.Namespace) -> int:
             "certificates": [cert_to_json(c) for c in certs],
             "precision_floor": floor,
         }
-        if trace is not None:
-            doc["trace"] = format_trace(trace).split("\n")
+        if args.trace:
+            doc["trace"] = format_trace(result.events).split("\n")
         _print(canonical_json(doc))
         return 0
-    if trace is not None:
-        _print(format_trace(trace))
+    if args.trace:
+        _print(format_trace(result.events))
     for k, cert in enumerate(certs, start=1):
         _print(f"certificate {k}:")
         _print(format_cert(cert, "  "))

@@ -7,7 +7,9 @@ phi-expansion under the node's valuation, and branches over the principal
 sides (negative slope) and the irreducible factors of each side's residual
 polynomial. phi is walked once per side, by that side's augment, whose
 residual on the new level is checked against psi_top. A branch with order
-1 closes into a certificate built from the optimized closing type.
+1 closes into a certificate built from the optimized closing type. The
+walk fills one RunResult: its certificates, trace events, node count and
+precision floor.
 
 If phi divides f exactly, phi is itself a p-adic prime factor; the driver
 swaps in an equivalent representative perturbed beyond every other branch
@@ -18,7 +20,7 @@ the exact divisor as that side's approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import INF, Poly, content_vp, gcd_monic, qpoly
@@ -90,10 +92,22 @@ class NodeClose:
     certificate: FactorCertificate
 
 
-class _RunState:
-    def __init__(self) -> None:
-        self.closing_bound: int | None = None
-        self.nodes = 0
+@dataclass
+class RunResult:
+    """The record of one walk of the tree, filled while the walk runs: the
+    certificates in walk order, the trace events, the node count and the
+    closing bound, the largest integer ordinate seen on a closing node's
+    polygon."""
+
+    certificates: list[FactorCertificate] = field(default_factory=list)
+    events: list[object] = field(default_factory=list)
+    nodes: int = 0
+    closing_bound: int | None = None
+
+    @property
+    def floor(self) -> int:
+        """Precision floor: one more than the closing bound (1 if none)."""
+        return 1 if self.closing_bound is None else 1 + self.closing_bound
 
     def tick(self) -> None:
         self.nodes += 1
@@ -104,11 +118,6 @@ class _RunState:
         top = max(math.ceil(u) for _, u in hull.vertices)
         if self.closing_bound is None or top > self.closing_bound:
             self.closing_bound = top
-
-
-def _emit(trace: list | None, event: object) -> None:
-    if trace is not None:
-        trace.append(event)
 
 
 def _is_squarefree(f: Poly) -> bool:
@@ -137,7 +146,7 @@ def _validate_input(f: Poly, p: int) -> None:
         raise PreconditionError("input must be squarefree")
 
 
-def _close(t: Type, state: _RunState, trace: list | None) -> FactorCertificate:
+def _close(t: Type, run: RunResult) -> FactorCertificate:
     raw_slopes = tuple(lev.nu for lev in t.chain.levels)
     t_o = optimize(t)
     depth, frame = okutsu_data(t_o)
@@ -156,7 +165,7 @@ def _close(t: Type, state: _RunState, trace: list | None) -> FactorCertificate:
         approximation=approx,
         final_type=t_o,
     )
-    _emit(trace, NodeClose(cert))
+    run.events.append(NodeClose(cert))
     return cert
 
 
@@ -169,12 +178,11 @@ def _node_expansion(t: Type, phi: Poly, f: Poly) -> tuple[list, list]:
 
 
 def _perturbed_representative(
-    t: Type, phi: Poly, pts: list[tuple[int, Fraction]], trace: list | None
+    t: Type, phi: Poly, pts: list[tuple[int, Fraction]]
 ) -> tuple[Poly, Fraction]:
     """Replace an exact-divisor representative phi of t by an equivalent key,
     deep enough that the divisor gets its own polygon side. Takes the points
     of f by phi; returns the new key and the slope reserved for the divisor."""
-    _emit(trace, ExactDivisor(phi))
     chain, r = t.chain, t.chain.r
     hull = lower_hull(pts)
     lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
@@ -187,10 +195,8 @@ def _perturbed_representative(
     return phi + bump, nu_star
 
 
-def _branch(
-    t: Type, f: Poly, omega: int, state: _RunState, trace: list | None
-) -> list[FactorCertificate]:
-    state.tick()
+def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
+    run.tick()
     chain = t.chain
     r = chain.r
     phi = _lift_representative(t)
@@ -198,18 +204,18 @@ def _branch(
     exact_slope: Fraction | None = None
     entries, pts = _node_expansion(t, phi, f)
     if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
+        run.events.append(ExactDivisor(phi))
         exact = phi
-        phi, exact_slope = _perturbed_representative(t, phi, pts, trace)
+        phi, exact_slope = _perturbed_representative(t, phi, pts)
         entries, pts = _node_expansion(t, phi, f)
         if pts[0][0] != 0:
             raise InternalError("perturbed representative still divides the input")
     hull = lower_hull(pts)
     principal = hull.principal_sides()
     length = sum(side.length for side in principal)
-    _emit(trace, NodePolygon(r + 1, phi, tuple(pts), hull.vertices, length))
+    run.events.append(NodePolygon(r + 1, phi, tuple(pts), hull.vertices, length))
     if length != omega:
         raise InternalError("principal polygon length disagrees with the branch order")
-    certs: list[FactorCertificate] = []
     closed_here = False
     for side in sorted(principal, key=lambda s: -s.slope):
         lam = -side.slope
@@ -219,54 +225,41 @@ def _branch(
         if top.psi_prev != t.psi_top:
             raise InternalError("representative residual differs from psi_top")
         res = line_residual(chain2, r + 1, entries)
-        _emit(trace, NodeResidual(r + 1, lam, res.s, res.u, res.poly))
+        run.events.append(NodeResidual(r + 1, lam, res.s, res.u, res.poly))
         if side.length != top.e * res.poly.degree + res.s - side.left[0]:
             raise InternalError("side length disagrees with the residual degree")
         for psi2, w2 in fq_factor(res.poly):
             t2 = Type(chain2, psi2)
             if w2 == 1:
-                cert = _close(t2, state, trace)
+                cert = _close(t2, run)
                 if exact is not None and lam == exact_slope:
                     if cert.degree != exact.degree:
                         raise InternalError("exact divisor does not match its closing branch")
                     cert = replace(cert, approximation=exact)
-                certs.append(cert)
+                run.certificates.append(cert)
                 closed_here = True
             else:
-                certs.extend(_branch(t2, f, w2, state, trace))
+                _branch(t2, f, w2, run)
     if closed_here:
-        state.record_closing(hull)
-    return certs
+        run.record_closing(hull)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One walk of the tree: the certificates and the precision floor, one
-    more than the largest integer ordinate seen on a closing node's polygon
-    (1 if none)."""
-
-    certificates: list[FactorCertificate]
-    floor: int
-
-
-def _run(f: Poly, p: int, trace: list | None = None) -> RunResult:
+def _run(f: Poly, p: int) -> RunResult:
+    base = empty_chain(p)  # checks p before the input's p-adic content
     _validate_input(f, p)
-    base = empty_chain(p)
+    run = RunResult()
     red = r0(p, f)
-    _emit(trace, RootResidual(red.poly))
-    certs: list[FactorCertificate] = []
-    state = _RunState()
+    run.events.append(RootResidual(red.poly))
     for psi0, w in fq_factor(red.poly):
         t = Type(base, psi0)
-        _emit(trace, BranchStart(psi0, w))
+        run.events.append(BranchStart(psi0, w))
         if w == 1:
-            certs.append(_close(t, state, trace))
+            run.certificates.append(_close(t, run))
         else:
-            certs.extend(_branch(t, f, w, state, trace))
-    if sum(c.degree for c in certs) != f.degree:
+            _branch(t, f, w, run)
+    if sum(c.degree for c in run.certificates) != f.degree:
         raise InternalError("certificate degrees do not sum to the input degree")
-    floor = 1 if state.closing_bound is None else 1 + state.closing_bound
-    return RunResult(certs, floor)
+    return run
 
 
 # Public name of the walk; `_run` stays the name that callers inside the
@@ -274,9 +267,9 @@ def _run(f: Poly, p: int, trace: list | None = None) -> RunResult:
 run = _run
 
 
-def factorize(f: Poly, p: int, trace: list | None = None) -> list[FactorCertificate]:
+def factorize(f: Poly, p: int) -> list[FactorCertificate]:
     """One certificate per p-adic prime factor of a monic squarefree f."""
-    return _run(f, p, trace).certificates
+    return _run(f, p).certificates
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,10 @@ def type_from_json(doc) -> Type:
     if "psi_top" not in doc:
         raise ParseError("type document is missing psi_top")
     psi_top = fq_poly_from_json(chain.fields[chain.r], doc["psi_top"])
-    return Type(chain, psi_top)
+    try:
+        return Type(chain, psi_top)
+    except PreconditionError as exc:
+        raise ParseError(f"serialized type is not a valid type: {exc}") from exc
 
 
 def residual_from_json(field: Fq, doc) -> ResidualResult:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import FqElt, is_irreducible, map_poly, multiplicity_of
+from .finitefield import FqElt, map_poly, multiplicity_of
 from .residual import graded_lift, ri
 from .valuation import MacLaneChain, merge_levels
 
@@ -31,15 +31,9 @@ class Type:
     psi_top: Poly
 
     def __post_init__(self) -> None:
-        field = self.chain.fields[self.chain.r]
-        if self.psi_top.ring != field:
-            raise PreconditionError("psi_top must live over the top residue field")
-        if self.psi_top.degree < 1 or not self.psi_top.is_monic():
-            raise PreconditionError("psi_top must be monic of degree >= 1")
-        if self.chain.r >= 1 and self.psi_top.degree == 1 and not self.psi_top.coeff(0):
-            raise PreconditionError("psi_top must differ from y above order 0")
-        if not is_irreducible(self.psi_top):
-            raise PreconditionError("psi_top must be irreducible")
+        # A type of order r defines the next residue field F_r[y]/(psi_top):
+        # extend checks the modulus, and augment reuses the interned field.
+        self.chain.fields[self.chain.r].extend(self.psi_top)
 
     @property
     def order(self) -> int:

@@ -67,8 +67,8 @@ def _flat_equal(a: Poly, b: Poly) -> bool:
 def test_quartic_single_certificate_with_exact_trace() -> None:
     f = fixture_poly(3)
     start = time.perf_counter()
-    trace: list = []
-    certs = factorize(f, 3, trace)
+    result = run(f, 3)
+    certs, trace = result.certificates, result.events
     elapsed = time.perf_counter() - start
     assert elapsed < SINGLE_RUN_LIMIT
 
@@ -403,8 +403,7 @@ def _artifact() -> str:
     doc: dict = {}
     for p in (3, 5, 7, 11, 13, 17):
         f = fixture_poly(p)
-        trace: list | None = [] if p == 3 else None
-        result = run(f, p, trace)
+        result = run(f, p)
         certs, floor = result.certificates, result.floor
         entry = {
             "p": p,
@@ -413,8 +412,8 @@ def _artifact() -> str:
             "precision_floor": floor,
             "certified": certify(f, p, certs, floor).ok,
         }
-        if trace is not None:
-            entry["trace"] = format_trace(trace).split("\n")
+        if p == 3:
+            entry["trace"] = format_trace(result.events).split("\n")
         doc[f"factor_{p}"] = entry
     certs5 = factorize(fixture_poly(5), 5)
     witness = equivalent(certs5[0].final_type, certs5[1].final_type)

@@ -223,6 +223,23 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         assert err.startswith("error: ") and words in err, argv
 
 
+def test_non_prime_reported_by_the_prime_check(capsys) -> None:
+    for prime in ("4", "1"):
+        code, out, err = run_cli(capsys, ["factor", "--prime", prime, "--poly", "x^2 + 1"])
+        assert (code, out, err) == (2, "", f"error: {prime} is not prime\n")
+
+
+def test_type_document_with_reducible_psi_top_exits_two(capsys, tmp_path) -> None:
+    path = tmp_path / "type.json"
+    path.write_text(json.dumps({"p": 5, "levels": [], "psi_top": ["1", "0", "1"]}))
+    code, out, err = run_cli(capsys, ["optimize", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: serialized type is not a valid type: "
+        "modulus is reducible: ((-2,), (1,)) * ((2,), (1,))\n"
+    )
+
+
 def test_exit_code_three_on_precondition_failures(capsys) -> None:
     for poly in ["x^2", "2*x^2 + 1", "5"]:
         code, _, err = run_cli(capsys, ["factor", "--prime", "3", "--poly", poly])

@@ -6,6 +6,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,9 @@ from omfactor.finitefield import Fq
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
 from omfactor.polygon import lower_hull
 from omfactor.residual import ri
+from omfactor.serialize import format_trace
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def test_quartic_fixture_p3() -> None:
@@ -257,8 +261,7 @@ def test_trace_event_stream_shape() -> None:
     from omfactor.montes import BranchStart, NodeClose, NodePolygon, NodeResidual, RootResidual
 
     f = fixture_poly(3)
-    trace: list = []
-    factorize(f, 3, trace=trace)
+    trace = run(f, 3).events
     kinds = [type(e).__name__ for e in trace]
     assert kinds[0] == "RootResidual"
     assert "BranchStart" in kinds
@@ -271,6 +274,24 @@ def test_trace_event_stream_shape() -> None:
     assert any(isinstance(e, BranchStart) and e.omega == 4 for e in trace)
     closes = [e for e in trace if isinstance(e, NodeClose)]
     assert closes[0].certificate.degree == 4
+
+
+def test_run_record_renders_the_golden_trace() -> None:
+    """The events of a plain run are the trace the CLI prints with --trace."""
+    f = parse_poly("((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13")
+    golden = (GOLDEN / "tower_p5_factor_trace.txt").read_text()
+    trace_text = golden[: golden.index("certificate 1:\n")]
+    assert format_trace(run(f, 5).events) + "\n" == trace_text
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41", 2), ("x^3 - 9*x", 3)],
+)
+def test_run_record_counts_one_node_per_polygon(poly: str, p: int) -> None:
+    result = run(parse_poly(poly), p)
+    assert result.nodes >= 1
+    assert result.nodes == sum(isinstance(e, NodePolygon) for e in result.events)
 
 
 @pytest.mark.parametrize(
@@ -292,8 +313,7 @@ def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> Non
     for name, mod in list(sys.modules.items()):
         if name.startswith("omfactor") and getattr(mod, "phi_expansion", None) is phi_expansion:
             monkeypatch.setattr(mod, "phi_expansion", counting)
-    trace: list = []
-    run(f, p, trace)
+    trace = run(f, p).events
     keys = [e.phi.coeffs for e in trace if isinstance(e, (NodePolygon, ExactDivisor))]
     assert keys and len(set(keys)) == len(keys)
     assert seen == Counter(keys)
@@ -327,8 +347,7 @@ def test_node_key_walked_once_per_side(monkeypatch, poly: str, p: int) -> None:
     for name, mod in list(sys.modules.items()):
         if name.startswith("omfactor") and getattr(mod, "ri", None) is ri:
             monkeypatch.setattr(mod, "ri", counting)
-    trace: list = []
-    run(parse_poly(poly), p, trace)
+    trace = run(parse_poly(poly), p).events
     nodes = [e for e in trace if isinstance(e, NodePolygon)]
     assert nodes and len(nodes) == len(chains)
     for chain, node in zip(chains, nodes):

@@ -166,6 +166,11 @@ def test_type_tamper_rejected() -> None:
     bad["psi_top"][0] = [[[["1"]]], [[["0"]]]]
     with pytest.raises(ParseError, match="coordinate array has the wrong length"):
         type_from_json(bad)
+    # psi_top over F_5: y^2 + 1 = (y - 2)(y + 2) is reducible, 2*y + 1 is not monic.
+    for psi_top in (["1", "0", "1"], ["1", "2"]):
+        bad = {"p": 5, "levels": [], "psi_top": psi_top}
+        with pytest.raises(ParseError, match="serialized type is not a valid type: modulus"):
+            type_from_json(bad)
 
 
 def test_cert_tamper_rejected() -> None:
