@@ -421,7 +421,10 @@ def parse_poly(text: str, var: str = "x") -> Poly:
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty polynomial")
-    return _Parser(toks, var).parse()
+    try:
+        return _Parser(toks, var).parse()
+    except RecursionError:
+        raise ParseError("polynomial is nested too deeply") from None
 
 
 def format_poly(g: Poly, var: str = "x") -> str:

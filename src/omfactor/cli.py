@@ -47,11 +47,15 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _load_json(path: str):
+def _parse_json(text: str, path: str):
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _load_json(path: str):
+    return _parse_json(_read_text(path), path)
 
 
 def _load_input_poly(args: argparse.Namespace) -> Poly:
@@ -65,10 +69,7 @@ def _load_input_poly(args: argparse.Namespace) -> Poly:
         return parse_poly(args.poly)
     text = _read_text(args.file).strip()
     if text.startswith("["):
-        try:
-            return qpoly_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.file}: invalid JSON: {exc}") from None
+        return qpoly_from_json(_parse_json(text, args.file))
     return parse_poly(text)
 
 

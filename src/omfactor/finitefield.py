@@ -449,6 +449,8 @@ def factor_sort_key(g: Poly):
     return (g.degree, tuple(c.flat_key() for c in g.coeffs))
 
 
+# Memo of fq_factor results; past the cap the oldest entry is evicted.
+_FACTOR_CACHE_MAX = 4096
 _factor_cache: dict[Poly, list[tuple[Poly, int]]] = {}
 
 
@@ -470,6 +472,8 @@ def fq_factor(g: Poly) -> list[tuple[Poly, int]]:
         for h in _factor_squarefree(part):
             found.append((h, mult))
     found.sort(key=lambda pair: factor_sort_key(pair[0]))
+    if len(_factor_cache) >= _FACTOR_CACHE_MAX:
+        del _factor_cache[next(iter(_factor_cache))]
     _factor_cache[g] = found
     return list(found)
 

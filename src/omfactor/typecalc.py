@@ -5,7 +5,8 @@ A type pairs a chain with a monic irreducible polynomial psi_top over the
 top residue field (psi_top != y above order 0). It selects one branch of
 the factorization tree: ord_type counts how often psi_top divides the top
 residual polynomial. representative() walks its lifted polynomial once,
-to check that the residual is psi_top.
+to check that the residual is psi_top; optimize() reads the collapsed
+type's psi_top from the same walk over the merged chain.
 
 Two types are equivalent when they induce the same valuation and select the
 same branch. The decision procedure optimizes both sides, matches slopes
@@ -101,39 +102,16 @@ def _lift_representative(t: Type) -> Poly:
     return phi
 
 
-def _transport_images(old_top, new_chain: MacLaneChain, dropped: set[int]) -> list[FqElt]:
-    """Images of the old tower generators in the collapsed chain's top field.
-
-    Each dropped modulus must become linear once its coefficients are
-    mapped; its generator goes to the root. Every other generator maps to
-    the matching generator of the new tower, checked to be a root of the
-    mapped modulus.
-    """
-    dst = new_chain.fields[new_chain.r]
-    images: list[FqElt] = []
-    kept = 0
-    for j, psi in enumerate(old_top.tower_moduli()):
-        mapped = map_poly(psi, dst, images)
-        if j in dropped:
-            if mapped.degree != 1:
-                raise InternalError("dropped level is not linear over the new tower")
-            images.append(-mapped.coeff(0))
-            continue
-        kept += 1
-        cand = dst.lift_from(new_chain.fields[kept].gen())
-        if mapped.evaluate(cand) != dst.zero:
-            raise InternalError("tower transport failed at a kept level")
-        images.append(cand)
-    return images
-
-
 def _collapse(t: Type, dropped: set[int]) -> Type:
     """Merge the stationary levels in `dropped` into the levels above them,
-    rebuilding the chain once and transporting psi_top once."""
+    rebuilding the chain once. Collapsing leaves the valuation unchanged, so
+    t's representative is a key over the merged chain and its top residual
+    there is the collapsed psi_top: one walk, no tower map."""
     new_chain = merge_levels(t.chain, dropped)
-    images = _transport_images(t.chain.fields[t.chain.r], new_chain, dropped)
-    dst = new_chain.fields[new_chain.r]
-    return Type(new_chain, map_poly(t.psi_top, dst, images))
+    res = ri(new_chain, new_chain.r, _lift_representative(t))
+    if res.s != 0 or res.poly.degree != t.psi_top.degree:
+        raise InternalError("representative is not a key over the collapsed chain")
+    return Type(new_chain, res.poly)
 
 
 def optimize(t: Type) -> Type:

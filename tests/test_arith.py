@@ -225,10 +225,12 @@ def test_parse_expression_grammar() -> None:
     assert parse_poly("y^2 + 1", var="y") == qpoly([1, 0, 1])
     assert parse_poly("x^1000 + 1") == qpoly([1] + [0] * 999 + [1])
     assert parse_poly("2^41") == qpoly([2**41])
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == qpoly([0, 1])
 
 
 def test_parse_rejects_garbage() -> None:
-    for text in ["x + y", "x**2", "1/2", "x^", "(x", "x!", "", "x^\u00b2+1", "\u0663*x"]:
+    for text in ["x + y", "x**2", "1/2", "x^", "(x", "x!", "", "x^\u00b2+1", "\u0663*x",
+                 "(" * 400 + "x" + ")" * 400]:
         with pytest.raises(ParseError):
             parse_poly(text)
 

@@ -187,6 +187,8 @@ def test_order0_type_renders_psi0(capsys, tmp_path) -> None:
 def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100000 + "]" * 100000)
     cases = [
         ["factor", "--prime", "4", "--poly", "x"],
         ["factor", "--prime", "3", "--poly", "x +"],
@@ -201,6 +203,9 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         ["factor", "--prime", "3", "--poly", "2^99999999999"],
         ["factor", "--prime", "3", "--poly", "((2^1000)^1000)^1000"],
         ["factor", "--prime", "3", "--poly", "x^600*x^600"],
+        ["factor", "--prime", "3", "--poly", "(" * 400 + "x" + ")" * 400],
+        ["factor", "--prime", "3", "--file", str(deep_json)],
+        ["optimize", "--file", str(deep_json)],
         ["eval", "--poly", "x"],
         ["eval", "--file", str(bad_json), "--poly", "x"],
         ["optimize"],

@@ -161,6 +161,23 @@ def test_prime_field_cache_checked_before_primality(monkeypatch) -> None:
     assert sorted(Fq._prime_cache) == [7, 2147483647]
 
 
+def test_factor_cache_bounded(monkeypatch) -> None:
+    from omfactor import finitefield
+
+    f31 = Fq.prime(31)
+    polys = [ypoly(f31, [a, 1]) for a in range(20)]
+    monkeypatch.setattr(finitefield, "_factor_cache", {})
+    expected = [fq_factor(g) for g in polys]
+    assert len(finitefield._factor_cache) == 20
+    monkeypatch.setattr(finitefield, "_factor_cache", {})
+    monkeypatch.setattr(finitefield, "_FACTOR_CACHE_MAX", 8)
+    for _ in range(2):
+        assert [fq_factor(g) for g in polys] == expected
+        assert len(finitefield._factor_cache) <= 8
+    # The oldest entries are evicted first.
+    assert list(finitefield._factor_cache) == polys[-8:]
+
+
 def test_coerce_rejects_other_field() -> None:
     f9 = small_tower(3)
     f4 = small_tower(2)

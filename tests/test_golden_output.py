@@ -14,7 +14,10 @@ with two sides, and x^3 - 6x^2 - 32x + 32 at p = 2 has the exact divisor
 x + 4 at level 2, where the perturbed key comes from a graded lift. The
 last two cases, written by the code that stored every rational coefficient
 as a Fraction, pin the wide integer paths: a degree-48 Eisenstein input at
-p = 2 and a product of ten linear factors at p = 11.
+p = 2 and a product of ten linear factors at p = 11. The optimize cases,
+written by the code that carried psi_top into the collapsed chain through a
+hand-built tower map, pin the optimization path: the four-level p = 3 type
+has stationary levels 2 and 3 and collapses to two levels.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
 TOWER_P5 = "((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13"
 P5_TYPE = str(GOLDEN / "p5_type.json")
+T4_TYPE = str(GOLDEN / "t4_type.json")
 # The first Eisenstein input and the first linear product of the
 # wide_shallow benchmark workload, seed 1.
 EISENSTEIN48_P2 = (
@@ -64,6 +68,9 @@ CASES = {
     "linear10_p11_factor_json_trace.json": [
         "factor", "--prime", "11", "--poly", LINEAR10_P11, "--json", "--trace",
     ],
+    "t4_type_optimize.txt": ["optimize", "--file", T4_TYPE],
+    "t4_type_optimize.json": ["optimize", "--file", T4_TYPE, "--json"],
+    "t4_type_equiv.json": ["equiv", T4_TYPE, T4_TYPE, "--json"],
 }
 
 

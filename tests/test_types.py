@@ -15,6 +15,7 @@ from genchains import (
     random_qpoly,
     random_type,
     shift_pair,
+    stationary_pair,
     unshifted_top_pair,
     ypoly,
 )
@@ -25,6 +26,7 @@ from omfactor import (
     build_chain,
     equivalent,
     factorize,
+    finitefield,
     montes,
     okutsu_data,
     optimize,
@@ -33,10 +35,36 @@ from omfactor import (
     qpoly,
     representative,
     ri,
+    typecalc,
 )
+from omfactor.finitefield import map_poly
 from omfactor.serialize import canonical_json, format_type, type_to_json
 from omfactor.typecalc import f_level, is_stationary_level
-from reference import is_optimal, optimize_step, stationary_levels
+from reference import flatten_field, is_optimal, optimize_step, stationary_levels
+
+DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
+
+
+def _deep_raw_type(monkeypatch) -> Type:
+    """The 17-level closing type of the degree-16 p = 2 input, before
+    optimization."""
+    closing: list[Type] = []
+    wrapped = montes.optimize
+    monkeypatch.setattr(montes, "optimize", lambda t: closing.append(t) or wrapped(t))
+    factorize(parse_poly(DEEP_P2), 2)
+    return max(closing, key=lambda t: t.order)
+
+
+def _stationary_types(seed: int, count: int) -> list[Type]:
+    """Types over seeded chains whose level below the top is stationary."""
+    rng = random.Random(seed)
+    types = []
+    for _ in range(count):
+        raw, _ = stationary_pair(rng)
+        top = raw.fields[raw.r]
+        psi = random_irreducible(rng, top, rng.choice([1, 1, 2]), proper=True)
+        types.append(Type(raw, psi))
+    return types
 
 
 def test_type_validation() -> None:
@@ -114,6 +142,37 @@ def test_optimize_preserves_ord() -> None:
     for _ in range(30):
         g = random_qpoly(rng, 8)
         assert ord_type(t4, g) == ord_type(opt, g)
+    for t in _stationary_types(179, 10):
+        opt = optimize(t)
+        assert opt.order < t.order
+        phi = t.chain.level(t.chain.r).phi
+        for _ in range(10):
+            g = random_qpoly(rng, 6) * phi ** rng.randrange(0, 2)
+            assert ord_type(t, g) == ord_type(opt, g)
+
+
+def test_optimize_makes_no_tower_map(monkeypatch) -> None:
+    raw = _deep_raw_type(monkeypatch)
+    calls: list[tuple] = []
+    for mod in (finitefield, typecalc):
+        wrapped = mod.map_poly
+        monkeypatch.setattr(mod, "map_poly",
+                            lambda *a, _w=wrapped: calls.append(a) or _w(*a))
+    for t in (fixture_t4(), raw):
+        assert optimize(t).order < t.order
+    assert calls == []
+
+
+def test_optimized_psi_top_agrees_on_the_flat_tower(monkeypatch) -> None:
+    # The flattened tower is built by tests/reference.py, not by _collapse.
+    types = [fixture_t4(), _deep_raw_type(monkeypatch)] + _stationary_types(181, 20)
+    for t in types:
+        opt = optimize(t)
+        assert opt.order < t.order
+        fa, ia = flatten_field(t.psi_top.ring)
+        fb, ib = flatten_field(opt.psi_top.ring)
+        assert fa == fb
+        assert map_poly(t.psi_top, fa, ia) == map_poly(opt.psi_top, fb, ib)
 
 
 def _optimize_by_steps(t: Type) -> Type:
