@@ -15,7 +15,6 @@ the constant term upward.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .arith import Poly, gcd_monic, is_prime, power
 from .errors import ConfigError, InternalError, PreconditionError
@@ -314,25 +313,6 @@ class Fq:
             raise PreconditionError("a prime field has no tower generator")
         return self._gen
 
-    def lift_from(self, x: FqElt) -> FqElt:
-        """Embed an element of any field along this tower's base chain."""
-        cur: Fq | None = self
-        while cur is not None and cur != x.field:
-            cur = cur.base
-        if cur is None:
-            raise InternalError("element does not belong to this tower")
-        return FqElt(self, self._pad(x.rep))
-
-    def tower_moduli(self) -> list[Poly]:
-        """Moduli from the first extension up to this field."""
-        out: list[Poly] = []
-        cur: Fq = self
-        while cur.base is not None:
-            out.append(cur.modulus)
-            cur = cur.base
-        out.reverse()
-        return out
-
     def from_index(self, k: int) -> FqElt:
         """Deterministic enumeration of elements; 0 maps to zero. The
         coordinates are the base-p digits of k, lowest first."""
@@ -341,10 +321,6 @@ class Fq:
         if self.deg_abs == 1:
             return FqElt(self, k)
         return FqElt(self, tuple(k // self.p ** i % self.p for i in range(self.deg_abs)))
-
-    def elements(self) -> Iterator[FqElt]:
-        for k in range(self.q):
-            yield self.from_index(k)
 
 
 def _poly_key_str(g: Poly) -> str:
@@ -498,21 +474,3 @@ def multiplicity_of(factor: Poly, g: Poly) -> int:
             return m
         m += 1
         g = quo
-
-
-def tower_map(x: FqElt, dst: Fq, images: list[FqElt]) -> FqElt:
-    """Apply the tower homomorphism sending the level-j generator of x's
-    tower to images[j]; all images must be elements of dst."""
-    if x.field.base is None:
-        return dst.coerce(x.rep)
-    img = images[x.field.level - 1]
-    acc = dst.zero
-    for c in reversed(x.coords()):
-        acc = acc * img + tower_map(c, dst, images)
-    return acc
-
-
-def map_poly(g: Poly, dst: Fq, images: list[FqElt]) -> Poly:
-    """Apply tower_map with these generator images to every coefficient of a
-    polynomial over a tower field, giving a polynomial over dst."""
-    return Poly(dst, [tower_map(c, dst, images) for c in g.coeffs])

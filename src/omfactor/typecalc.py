@@ -10,9 +10,10 @@ type's psi_top from the same walk over the merged chain.
 
 Two types are equivalent when they induce the same valuation and select the
 same branch. The decision procedure optimizes both sides, matches slopes
-and key degrees level by level, extracts the residue shift eta_i of each
-key difference, and transports the residual tower of one side into the
-other's through the induced isomorphism.
+and key degrees level by level, and extracts the residue shift eta_i of
+each key difference. Matched levels induce the same valuation, and residual
+operators depend only on it, so one walk of the second representative over
+the first chain then decides the branch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import FqElt, map_poly, multiplicity_of
+from .finitefield import FqElt, multiplicity_of
 from .residual import graded_lift, ri
 from .valuation import MacLaneChain, merge_levels
 
@@ -176,12 +177,11 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
 
     Both sides are optimized first. Levels must match in slope data and key
     degree; key differences must have value >= the key value, producing the
-    residue shifts eta_i; the residual tower of the second type, mapped
-    through the isomorphism that sends each generator z_i to z_i + eta_i,
-    must reproduce the first tower with every modulus recentered by its
-    shift. The witness records the shifts, the first failed condition, and
-    whether a failure came from a shift that relabels the residual branch
-    (psi vanishing at -eta).
+    residue shifts eta_i. The chains then induce the same valuation, so the
+    second representative's top residual over the first chain must be the
+    first psi_top. The witness records the shifts, the first failed
+    condition, and whether a failure came from a shift that relabels the
+    residual branch (psi_top vanishing at -eta_r).
     """
     if ta.chain.p != tb.chain.p:
         raise PreconditionError("types over different primes are not comparable")
@@ -211,19 +211,11 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
             if res.poly.degree != 0:
                 raise InternalError("nonconstant residual of a small difference")
             etas.append(res.poly.coeff(0))
-    # psi@j is the modulus of field j+1 over field j; psi_top comes last.
-    dst = A.fields[r]
-    images: list[FqElt] = []
-    moduli_a = dst.tower_moduli() + [ta_o.psi_top]
-    moduli_b = B.fields[r].tower_moduli() + [tb_o.psi_top]
-    for j in range(r + 1):
-        mapped = map_poly(moduli_b[j], dst, images)
-        shift = dst.zero if j == 0 else dst.lift_from(etas[j - 1])
-        lifted = Poly(dst, [dst.lift_from(c) for c in moduli_a[j].coeffs])
-        target = lifted.compose(Poly(dst, [-shift, dst.one]))
-        if mapped != target:
-            degen = j > 0 and moduli_a[j].evaluate(-etas[j - 1]) == A.fields[j].zero
-            return _fail(f"psi@{j}" if j < r else "psi_top", etas, degen)
-        if j < r:
-            images.append(dst.lift_from(A.fields[j + 1].gen()) + shift)
+    # The levels now induce the same valuation, so B's representative is a
+    # key over A's chain, and its residual there is psi_top exactly when
+    # both types select the same branch.
+    res = ri(A, r, _lift_representative(tb_o))
+    if res.s != 0 or res.poly != ta_o.psi_top:
+        degen = r > 0 and ta_o.psi_top.evaluate(-etas[r - 1]) == A.fields[r].zero
+        return _fail("psi_top", etas, degen)
     return EquivWitness(True, None, tuple(etas), False)

@@ -3,8 +3,9 @@
 Builders for the worked four-level chain over p = 3 and its p = 5 sibling,
 random integer polynomials, random types grown level by level through
 their representatives, chains with an injected stationary level paired
-with their collapsed form, and last-level shift pairs. Every generator
-takes an explicit random.Random so tests stay reproducible.
+with their collapsed form, and key shift pairs at the last level or below
+it. Every generator takes an explicit random.Random so tests stay
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 from omfactor import (
+    PreconditionError,
     MacLaneChain,
     Poly,
     Type,
@@ -24,7 +26,7 @@ from omfactor import (
     representative,
     ri,
 )
-from omfactor.finitefield import Fq, FqElt, is_irreducible
+from omfactor.finitefield import Fq, FqElt, fq_factor, is_irreducible
 
 
 def ypoly(field: Fq, coeffs) -> Poly:
@@ -198,3 +200,32 @@ def unshifted_top_pair(rng: random.Random) -> tuple[Type, Type]:
     ta = Type(chain, Poly(chain.fields[r], [eta, chain.fields[r].one]))
     tb = Type(star, Poly(star.fields[r], [eta, star.fields[r].one]))
     return ta, tb
+
+
+def midshift_pair(rng: random.Random, p: int | None = None) -> tuple[Type, Type]:
+    """Types over chains differing only in the key of a level j < r.
+
+    Level j has e_j = 1, and its key is shifted by a graded lift a with
+    value equal to the key value, so both chains induce the same valuation
+    and the shift's residue eta_j is nonzero. The second psi_top is the
+    factor of the residual of the first representative over the shifted
+    chain, so the two types single out the same prime."""
+    while True:
+        t = random_type(rng, p=p, depth=rng.randrange(2, 4), max_degree=8)
+        chain = t.chain
+        levels = [j for j in range(1, chain.r) if chain.level(j).e == 1]
+        if not levels:
+            continue
+        j = rng.choice(levels)
+        beta = random_fq_elt(rng, chain.fields[j], nonzero=True)
+        a = graded_lift(chain, j, chain.key_value(j), beta)
+        steps = chain.steps()
+        steps[j - 1] = (steps[j - 1][0] + a, steps[j - 1][1])
+        try:
+            star = build_chain(chain.p, steps)
+        except PreconditionError:  # the shifted key met the key above it
+            continue
+        res = ri(star, star.r, representative(t))
+        [(psi, mult)] = fq_factor(res.poly)
+        assert res.s == 0 and mult == 1
+        return t, Type(star, psi)

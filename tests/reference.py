@@ -4,14 +4,20 @@ Unlike oracles.py, these are built on the package's own primitives: each
 recomputes, one step at a time or from its definition, something the
 package computes in one pass (the phi-expansion's inverse, the graded key
 divisibility read off expansion points, the stationary levels and their
-one-at-a-time collapse, the tower with every degree-one level collapsed).
+one-at-a-time collapse, the tower with every degree-one level collapsed,
+and the equivalence decision by transporting the whole residual tower
+through the tower homomorphism the key shifts induce).
 """
 
 from __future__ import annotations
 
-from omfactor.arith import Poly
-from omfactor.finitefield import Fq, FqElt, map_poly
-from omfactor.typecalc import Type, _collapse, is_stationary_level
+from typing import Iterator
+
+from omfactor.arith import INF, Poly
+from omfactor.errors import InternalError, PreconditionError
+from omfactor.finitefield import Fq, FqElt
+from omfactor.residual import ri
+from omfactor.typecalc import EquivWitness, Type, _collapse, is_stationary_level, optimize
 from omfactor.valuation import MacLaneChain, expansion_points
 
 
@@ -51,6 +57,51 @@ def optimize_step(t: Type) -> Type:
     return _collapse(t, {st[-1]}) if st else t
 
 
+def elements(field: Fq) -> Iterator[FqElt]:
+    """Every element of the field, in from_index order."""
+    for k in range(field.q):
+        yield field.from_index(k)
+
+
+def lift_from(field: Fq, x: FqElt) -> FqElt:
+    """Embed an element of any field along this tower's base chain."""
+    cur: Fq | None = field
+    while cur is not None and cur != x.field:
+        cur = cur.base
+    if cur is None:
+        raise InternalError("element does not belong to this tower")
+    return FqElt(field, field._pad(x.rep))
+
+
+def tower_moduli(field: Fq) -> list[Poly]:
+    """Moduli from the first extension up to this field."""
+    out: list[Poly] = []
+    cur: Fq = field
+    while cur.base is not None:
+        out.append(cur.modulus)
+        cur = cur.base
+    out.reverse()
+    return out
+
+
+def tower_map(x: FqElt, dst: Fq, images: list[FqElt]) -> FqElt:
+    """Apply the tower homomorphism sending the level-j generator of x's
+    tower to images[j]; all images must be elements of dst."""
+    if x.field.base is None:
+        return dst.coerce(x.rep)
+    img = images[x.field.level - 1]
+    acc = dst.zero
+    for c in reversed(x.coords()):
+        acc = acc * img + tower_map(c, dst, images)
+    return acc
+
+
+def map_poly(g: Poly, dst: Fq, images: list[FqElt]) -> Poly:
+    """Apply tower_map with these generator images to every coefficient of a
+    polynomial over a tower field, giving a polynomial over dst."""
+    return Poly(dst, [tower_map(c, dst, images) for c in g.coeffs])
+
+
 def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
     """Collapse all degree-one levels of a tower.
 
@@ -59,13 +110,72 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
     """
     flat = Fq.prime(field.p)
     images: list[FqElt] = []
-    for psi in field.tower_moduli():
+    for psi in tower_moduli(field):
         mapped = map_poly(psi, flat, images)
         if mapped.degree == 1:
             images.append(-mapped.coeff(0))
         else:
             bigger = Fq(field.p, flat, mapped)
-            images = [bigger.lift_from(img) for img in images]
+            images = [lift_from(bigger, img) for img in images]
             images.append(bigger.gen())
             flat = bigger
     return flat, images
+
+
+def _fail(reason: str, etas: list[FqElt], degenerate: bool = False) -> EquivWitness:
+    return EquivWitness(False, reason, tuple(etas), degenerate)
+
+
+def equivalent_by_transport(ta: Type, tb: Type) -> EquivWitness:
+    """The equivalence decision with the whole residual tower transported.
+
+    The level loop is the package's; after it, the tower of the second type,
+    mapped through the isomorphism that sends each generator z_i to
+    z_i + eta_i, must reproduce the first tower with every modulus
+    recentered by its shift. psi@j is checked for every level below the top,
+    which the package's one-walk decision does not do.
+    """
+    if ta.chain.p != tb.chain.p:
+        raise PreconditionError("types over different primes are not comparable")
+    ta_o, tb_o = optimize(ta), optimize(tb)
+    A, B = ta_o.chain, tb_o.chain
+    etas: list[FqElt] = []
+    if A.r != B.r:
+        return _fail("order", etas)
+    r = A.r
+    for j in range(1, r + 1):
+        la, lb = A.level(j), B.level(j)
+        if (la.e, la.h) != (lb.e, lb.h):
+            return _fail(f"slope@{j}", etas)
+        if la.m != lb.m:
+            return _fail(f"degree@{j}", etas)
+        diff = lb.phi - la.phi
+        res = None if diff.is_zero() else ri(A, j, diff)
+        vd = INF if res is None else A.residual_value(j, res)
+        kv = A.key_value(j)
+        if vd > kv:
+            etas.append(A.fields[j].zero)
+        elif vd < kv:
+            return _fail(f"key@{j}", etas)
+        else:
+            if la.e != 1:
+                raise InternalError("equal key value with ramified level")
+            if res.poly.degree != 0:
+                raise InternalError("nonconstant residual of a small difference")
+            etas.append(res.poly.coeff(0))
+    # psi@j is the modulus of field j+1 over field j; psi_top comes last.
+    dst = A.fields[r]
+    images: list[FqElt] = []
+    moduli_a = tower_moduli(dst) + [ta_o.psi_top]
+    moduli_b = tower_moduli(B.fields[r]) + [tb_o.psi_top]
+    for j in range(r + 1):
+        mapped = map_poly(moduli_b[j], dst, images)
+        shift = dst.zero if j == 0 else lift_from(dst, etas[j - 1])
+        lifted = Poly(dst, [lift_from(dst, c) for c in moduli_a[j].coeffs])
+        target = lifted.compose(Poly(dst, [-shift, dst.one]))
+        if mapped != target:
+            degen = j > 0 and moduli_a[j].evaluate(-etas[j - 1]) == A.fields[j].zero
+            return _fail(f"psi@{j}" if j < r else "psi_top", etas, degen)
+        if j < r:
+            images.append(lift_from(dst, A.fields[j + 1].gen()) + shift)
+    return EquivWitness(True, None, tuple(etas), False)

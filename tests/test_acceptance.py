@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import oracles
 from omfactor.arith import Poly, content_vp, qpoly
-from omfactor.finitefield import is_irreducible, map_poly, multiplicity_of
+from omfactor.finitefield import is_irreducible, multiplicity_of
 from omfactor.montes import (
     NodePolygon,
     NodeResidual,
@@ -52,7 +52,7 @@ from genchains import (
     stationary_pair,
     ypoly,
 )
-from reference import flatten_field, key_divides
+from reference import flatten_field, key_divides, map_poly
 
 SINGLE_RUN_LIMIT = 1.0  # seconds per factorization of the quartic fixture
 BATCH_RUN_LIMIT = 30.0  # seconds for the 100-sample unramified suite

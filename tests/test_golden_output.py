@@ -17,7 +17,11 @@ as a Fraction, pin the wide integer paths: a degree-48 Eisenstein input at
 p = 2 and a product of ten linear factors at p = 11. The optimize cases,
 written by the code that carried psi_top into the collapsed chain through a
 hand-built tower map, pin the optimization path: the four-level p = 3 type
-has stationary levels 2 and 3 and collapses to two levels.
+has stationary levels 2 and 3 and collapses to two levels. The equiv
+cases, written by the code that transported the whole residual tower
+through the key shifts, pin the decision: an equivalent pair over p = 3
+whose top keys differ by a shift with nonzero residue, and a p = 2 pair
+that keeps psi_top = y + eta across such a shift and fails degenerately.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
 TOWER_P5 = "((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13"
 P5_TYPE = str(GOLDEN / "p5_type.json")
 T4_TYPE = str(GOLDEN / "t4_type.json")
+TOP_SHIFT = [str(GOLDEN / "top_shift_a.json"), str(GOLDEN / "top_shift_b.json")]
+DEGENERATE = [str(GOLDEN / "degenerate_a.json"), str(GOLDEN / "degenerate_b.json")]
 # The first Eisenstein input and the first linear product of the
 # wide_shallow benchmark workload, seed 1.
 EISENSTEIN48_P2 = (
@@ -71,6 +77,10 @@ CASES = {
     "t4_type_optimize.txt": ["optimize", "--file", T4_TYPE],
     "t4_type_optimize.json": ["optimize", "--file", T4_TYPE, "--json"],
     "t4_type_equiv.json": ["equiv", T4_TYPE, T4_TYPE, "--json"],
+    "top_shift_equiv.txt": ["equiv", *TOP_SHIFT],
+    "top_shift_equiv.json": ["equiv", *TOP_SHIFT, "--json"],
+    "degenerate_equiv.txt": ["equiv", *DEGENERATE],
+    "degenerate_equiv.json": ["equiv", *DEGENERATE, "--json"],
 }
 
 

@@ -16,7 +16,7 @@ from genchains import (
     shift_pair,
     stationary_pair,
 )
-from reference import flatten_field
+from reference import flatten_field, map_poly
 from omfactor import (
     Poly,
     PreconditionError,
@@ -30,7 +30,6 @@ from omfactor import (
     ri,
     transport_residual,
 )
-from omfactor.finitefield import map_poly
 from omfactor.valuation import expansion_points
 
 

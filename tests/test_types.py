@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import omfactor
+
 from genchains import (
     fixture_chain3,
     fixture_poly,
     fixture_t4,
+    midshift_pair,
+    random_fq_elt,
     random_irreducible,
     random_qpoly,
     random_type,
@@ -26,7 +32,7 @@ from omfactor import (
     build_chain,
     equivalent,
     factorize,
-    finitefield,
+    graded_lift,
     montes,
     okutsu_data,
     optimize,
@@ -35,12 +41,17 @@ from omfactor import (
     qpoly,
     representative,
     ri,
-    typecalc,
 )
-from omfactor.finitefield import map_poly
 from omfactor.serialize import canonical_json, format_type, type_to_json
 from omfactor.typecalc import f_level, is_stationary_level
-from reference import flatten_field, is_optimal, optimize_step, stationary_levels
+from reference import (
+    equivalent_by_transport,
+    flatten_field,
+    is_optimal,
+    map_poly,
+    optimize_step,
+    stationary_levels,
+)
 
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
 
@@ -151,16 +162,13 @@ def test_optimize_preserves_ord() -> None:
             assert ord_type(t, g) == ord_type(opt, g)
 
 
-def test_optimize_makes_no_tower_map(monkeypatch) -> None:
-    raw = _deep_raw_type(monkeypatch)
-    calls: list[tuple] = []
-    for mod in (finitefield, typecalc):
-        wrapped = mod.map_poly
-        monkeypatch.setattr(mod, "map_poly",
-                            lambda *a, _w=wrapped: calls.append(a) or _w(*a))
-    for t in (fixture_t4(), raw):
-        assert optimize(t).order < t.order
-    assert calls == []
+def test_no_module_defines_a_tower_map() -> None:
+    # optimize and equivalent read residuals from walks; the tower
+    # homomorphism lives in tests/reference.py only.
+    for info in pkgutil.iter_modules(omfactor.__path__):
+        mod = importlib.import_module(f"omfactor.{info.name}")
+        for name in ("tower_map", "map_poly"):
+            assert not hasattr(mod, name), f"omfactor.{info.name}.{name}"
 
 
 def test_optimized_psi_top_agrees_on_the_flat_tower(monkeypatch) -> None:
@@ -321,6 +329,74 @@ def test_unshifted_top_residual_fails_degenerate() -> None:
         assert len(w.etas) == optimize(ta).order
 
 
+def _top_shift_pairs(rng: random.Random, count: int) -> list[tuple[Type, Type]]:
+    """Types over shift pairs: a near shift (value equal to the key value,
+    nonzero eta) with psi_top moved by -eta, +eta or not at all, and a far
+    shift (value above the key value, eta zero) with psi_top kept."""
+    pairs = []
+    for _ in range(count):
+        chain, star, _, eta = shift_pair(rng)
+        r = chain.r
+        field = chain.fields[r]
+        psi = random_irreducible(rng, field, rng.choice([1, 2]), proper=True)
+        ta = Type(chain, psi)
+        for shift in (-eta, eta, field.zero):
+            moved = psi.compose(Poly(field, [shift, field.one]))
+            try:
+                pairs.append((ta, Type(star, Poly(star.fields[r], list(moved.coeffs)))))
+            except PreconditionError:  # the shift turned psi into y
+                pass
+        beta = random_fq_elt(rng, field, nonzero=True)
+        far = graded_lift(chain, r, chain.key_value(r) + 1, beta)
+        far_chain = build_chain(chain.p, chain.steps()[:-1]
+                                + [(chain.level(r).phi + far, chain.level(r).nu)])
+        pairs.append((ta, Type(far_chain, Poly(far_chain.fields[r], list(psi.coeffs)))))
+    return pairs
+
+
+def _sweep_certificate_pairs(trials: int) -> list[tuple[Type, Type]]:
+    """Final types of the certificates of one factorization, pairwise."""
+    rng = random.Random(1)
+    pairs = []
+    for _ in range(trials):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 10)
+        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
+        try:
+            certs = factorize(qpoly(coeffs), p)
+        except PreconditionError:
+            continue
+        pairs += [(a.final_type, b.final_type)
+                  for i, a in enumerate(certs) for b in certs[i + 1:]]
+    return pairs
+
+
+def test_equivalent_matches_the_transport_reference() -> None:
+    """The one-walk decision gives the witness of the tower transport, which
+    checks every psi@j below the top as well, in both argument orders."""
+    rng = random.Random(211)
+    pairs = _sweep_certificate_pairs(40)
+    t4 = fixture_t4()
+    pairs += [(t4, optimize_step(t4)), (t4, optimize(t4))]
+    pairs += [(t, optimize(t)) for t in _stationary_types(191, 10)]
+    pairs += _top_shift_pairs(rng, 12)
+    pairs += [unshifted_top_pair(random.Random(seed)) for seed in (1, 5, 7, 9)]
+    for _ in range(15):
+        ta, tb = midshift_pair(rng)
+        top = tb.chain.fields[tb.order]
+        other = random_irreducible(rng, top, tb.f_top, proper=True)
+        pairs += [(ta, tb), (ta, Type(tb.chain, other))]
+    witnesses = []
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            w = equivalent(x, y)
+            assert w == equivalent_by_transport(x, y), (format_type(x), format_type(y))
+            witnesses.append(w)
+    assert any(w.degenerate for w in witnesses)
+    assert any(w.failed in (None, "psi_top") and any(w.etas[:-1]) for w in witnesses)
+    assert {w.failed for w in witnesses} >= {None, "order", "psi_top"}
+
+
 def _same_primes(ta: Type, tb: Type) -> bool:
     """Two-sided oracle for equivalence: equal degree, and each type has
     order 1 at the other's representative."""
@@ -356,21 +432,10 @@ def test_equivalent_matches_two_sided_ord_oracle() -> None:
 
 
 def test_run_certificates_pairwise_inequivalent() -> None:
-    rng = random.Random(1)
-    pairs = 0
-    for _ in range(150):
-        p = rng.choice([2, 3, 5, 7])
-        d = rng.randint(2, 10)
-        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
-        try:
-            certs = factorize(qpoly(coeffs), p)
-        except PreconditionError:
-            continue
-        for i, a in enumerate(certs):
-            for b in certs[i + 1:]:
-                assert not equivalent(a.final_type, b.final_type)
-                pairs += 1
-    assert pairs > 300
+    pairs = _sweep_certificate_pairs(150)
+    for a, b in pairs:
+        assert not equivalent(a, b)
+    assert len(pairs) > 300
 
 
 def test_refactored_approximation_can_close_on_another_prime() -> None:
