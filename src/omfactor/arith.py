@@ -55,6 +55,11 @@ def vp(q: int | Fraction, p: int) -> int | float:
     """p-adic valuation of a rational number; INF for 0."""
     if not is_prime(p):
         raise ConfigError(f"vp: {p} is not prime")
+    return _vp(q, p)
+
+
+def _vp(q: int | Fraction, p: int) -> int | float:
+    """vp for a p already known to be prime."""
     if q == 0:
         return INF
 
@@ -272,7 +277,9 @@ def content_vp(g: Poly, p: int) -> int | float:
     """Minimum p-adic valuation over the coefficients of a rational polynomial."""
     if g.is_zero():
         return INF
-    return min(vp(c, p) for c in g.coeffs if c)
+    if not is_prime(p):
+        raise ConfigError(f"content_vp: {p} is not prime")
+    return min(_vp(c, p) for c in g.coeffs if c)
 
 
 def phi_expansion(g: Poly, phi: Poly) -> list[Poly]:

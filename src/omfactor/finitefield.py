@@ -7,16 +7,19 @@ y - a adds no coordinates: its elements keep the vectors of their base
 images and use the base's arithmetic, so only levels of degree >= 2
 multiply and reduce. Elements are fully reduced, so equality is vector
 equality. Factorization is squarefree / distinct-degree / equal-degree
-splitting with a deterministic candidate sequence, and factor lists are
-sorted canonically by degree, then by balanced coefficient coordinates from
-the constant term upward.
+splitting with a deterministic candidate sequence, run on plain lists of
+element vectors (no FqElt per operation), and factor lists are sorted
+canonically by degree, then by balanced coefficient coordinates from the
+constant term upward.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat, zip_longest
+from operator import add, mul
 
-from .arith import Poly, gcd_monic, is_prime, power
+from .arith import Poly, is_prime, power
 from .errors import ConfigError, InternalError, PreconditionError
 
 
@@ -103,17 +106,10 @@ class FqElt:
         return FqElt(self.field, self.field._kernel._mul(self.rep, other.rep))
 
     def inverse(self) -> "FqElt":
-        """a^(q-2), checked: over a modulus that is not irreducible, a zero
-        divisor has no inverse and the check fails."""
+        """Multiplicative inverse, checked as Fq._inv describes."""
         if not self:
             raise PreconditionError("inverse of zero")
-        k = self.field._kernel
-        if k.base is None:
-            return FqElt(self.field, pow(self.rep, -1, k.p))
-        inv = self ** (self.field.q - 2)
-        if inv * self != self.field._one:
-            raise InternalError("modulus not irreducible in inverse computation")
-        return inv
+        return FqElt(self.field, self.field._inv(self.rep))
 
     def __truediv__(self, other: "FqElt") -> "FqElt":
         self._same(other)
@@ -121,11 +117,7 @@ class FqElt:
 
     def __pow__(self, n: int) -> "FqElt":
         base = self.inverse() if n < 0 else self
-        n = abs(n)
-        k = self.field._kernel
-        if k.base is None:
-            return FqElt(self.field, pow(base.rep, n, k.p))
-        return FqElt(self.field, power(base.rep, n, self.field._one.rep, k._mul))
+        return FqElt(self.field, self.field._pow(base.rep, abs(n)))
 
     def __repr__(self) -> str:
         return f"FqElt({self.field.label()}, {self.rep!r})"
@@ -249,6 +241,24 @@ class Fq:
                     prod[k - d + j] = sub(prod[k - d + j], mul(c, self._mod_reps[j]))
         return self._flatten(prod[:d])
 
+    def _pow(self, r, n: int):
+        """r^n for n >= 0."""
+        k = self._kernel
+        if k.base is None:
+            return pow(r, n, k.p)
+        return power(r, n, self._one.rep, k._mul)
+
+    def _inv(self, r):
+        """Inverse of a nonzero vector, r^(q-2), checked: over a modulus that
+        is not irreducible, a zero divisor has no inverse and the check fails."""
+        k = self._kernel
+        if k.base is None:
+            return pow(r, -1, k.p)
+        inv = self._pow(r, self.q - 2)
+        if k._mul(inv, r) != self._one.rep:
+            raise InternalError("modulus not irreducible in inverse computation")
+        return inv
+
     # Ring adapter surface.
 
     @property
@@ -327,98 +337,177 @@ def _poly_key_str(g: Poly) -> str:
     return ", ".join(str(c.flat_key()) for c in g.coeffs)
 
 
-def _pth_root(g: Poly) -> Poly:
+# Polynomials over a field F inside the factorization: lists of F's element
+# vectors, constant term first, trailing zeros stripped.
+
+
+def _trim(F: Fq, a: list) -> list:
+    while a and a[-1] == F._zero.rep:
+        a.pop()
+    return a
+
+
+def _reduced(F: Fq, a: list) -> list:
+    return [c % F.p for c in a] if F.deg_abs == 1 else a
+
+
+def _axpy(F: Fq, u: list, c, b: list):
+    """u + c*b entrywise. Over absolute degree one the entries are plain
+    ints, left unreduced until _reduced."""
+    if F.deg_abs == 1:
+        return map(add, u, map(mul, repeat(c), b))
+    kmul, fadd, zero = F._kernel._mul, F._add, F._zero.rep
+    return [fadd(s, kmul(c, y)) if y != zero else s for s, y in zip(u, b)]
+
+
+def _psub(F: Fq, a: list, b: list) -> list:
+    return _trim(F, [F._sub(x, y) for x, y in zip_longest(a, b, fillvalue=F._zero.rep)])
+
+
+def _pmul(F: Fq, a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    zero, n = F._zero.rep, len(b)
+    out = [zero] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x != zero:
+            out[i:i + n] = _axpy(F, out[i:i + n], x, b)
+    return _reduced(F, out)
+
+
+def _pdivmod(F: Fq, a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by a monic b."""
+    db, dq = len(b) - 1, len(a) - len(b)
+    if dq < 0:
+        return [], a
+    flat, zero, low = F.deg_abs == 1, F._zero.rep, b[:db]
+    rem, quo = list(a), [zero] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + db] % F.p if flat else rem[k + db]
+        if c != zero:
+            quo[k] = c
+            rem[k:k + db] = _axpy(F, rem[k:k + db], -c if flat else F._sub(zero, c), low)
+    return quo, _trim(F, _reduced(F, rem[:db]))
+
+
+def _pmonic(F: Fq, a: list) -> list:
+    if not a or a[-1] == F._one.rep:
+        return a
+    inv, kmul = F._inv(a[-1]), F._kernel._mul
+    return [kmul(c, inv) for c in a]
+
+
+def _pgcd(F: Fq, a: list, b: list) -> list:
+    """Monic gcd."""
+    while b:
+        a, b = b, _pdivmod(F, a, _pmonic(F, b))[1]
+    return _pmonic(F, a)
+
+
+def _ppowmod(F: Fq, a: list, n: int, m: list) -> list:
+    """a^n mod a monic m, for n >= 1."""
+    return power(_pdivmod(F, a, m)[1], n, [F._one.rep],
+                 lambda u, v: _pdivmod(F, _pmul(F, u, v), m)[1])
+
+
+def _pderivative(F: Fq, a: list) -> list:
+    kmul = F._kernel._mul
+    return _trim(F, [kmul(c, F._pad(i % F.p)) for i, c in enumerate(a)][1:])
+
+
+def _pth_root(F: Fq, g: list) -> list:
     """p-th root of a polynomial whose derivative vanishes."""
-    field: Fq = g.ring
-    p = field.p
-    e = field.q // p
-    coeffs = []
-    for k in range(0, g.degree + 1, p):
-        coeffs.append(g.coeff(k) ** e)
-    return Poly(field, coeffs)
+    e = F.q // F.p
+    return [F._pow(c, e) for c in g[::F.p]]
 
 
-def _squarefree_parts(g: Poly) -> list[tuple[Poly, int]]:
-    """Pairs (h, m) with g = prod h^m, each h squarefree, pairwise coprime."""
-    field: Fq = g.ring
-    out: list[tuple[Poly, int]] = []
-    d = g.derivative()
-    if d.is_zero():
-        for h, m in _squarefree_parts(_pth_root(g)):
-            out.append((h, m * field.p))
-        return out
-    c = gcd_monic(g, d)
-    w = g // c
+def _squarefree_parts(F: Fq, g: list) -> list[tuple[list, int]]:
+    """Pairs (h, m) with monic g = prod h^m, each h squarefree, pairwise
+    coprime."""
+    out: list[tuple[list, int]] = []
+    d = _pderivative(F, g)
+    if not d:
+        return [(h, m * F.p) for h, m in _squarefree_parts(F, _pth_root(F, g))]
+    c = _pgcd(F, g, d)
+    w = _pdivmod(F, g, c)[0]
     i = 1
-    while w.degree > 0:
-        y = gcd_monic(w, c)
-        z = w // y
-        if z.degree > 0:
+    while len(w) > 1:
+        y = _pgcd(F, w, c)
+        z = _pdivmod(F, w, y)[0]
+        if len(z) > 1:
             out.append((z, i))
         w = y
-        c = c // y
+        c = _pdivmod(F, c, y)[0]
         i += 1
-    if c.degree > 0:
-        for h, m in _squarefree_parts(_pth_root(c)):
-            out.append((h, m * field.p))
+    if len(c) > 1:
+        out += [(h, m * F.p) for h, m in _squarefree_parts(F, _pth_root(F, c))]
     return out
 
 
-def _candidate(field: Fq, k: int, degree_bound: int) -> Poly:
-    """k-th polynomial of degree < degree_bound in the deterministic sweep."""
-    digits: list[FqElt] = []
-    q = field.q
+def _candidate(F: Fq, k: int, degree_bound: int) -> list:
+    """k-th polynomial of degree < degree_bound in the deterministic sweep:
+    the base-q digits of k, each the element of that index (Fq.from_index)."""
+    digits = []
     while k:
-        digits.append(field.from_index(k % q))
-        k //= q
-    del digits[degree_bound:]
-    return Poly(field, digits)
+        k, r = divmod(k, F.p)
+        digits.append(r)
+    n = F.deg_abs
+    if n > 1:
+        digits += [0] * (-len(digits) % n)
+        digits = [tuple(digits[i:i + n]) for i in range(0, len(digits), n)]
+    return _trim(F, digits[:degree_bound])
 
 
-def _split_equal_degree(h: Poly, d: int) -> list[Poly]:
-    """Factors of h, all irreducible of degree d, via deterministic splitting."""
-    field: Fq = h.ring
-    if h.degree == d:
+def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
+    """Factors of monic h, all irreducible of degree d, via deterministic
+    splitting."""
+    if len(h) == d + 1:
         return [h]
-    q = field.q
+    q = F.q
     k = q  # first candidates of degree >= 1
     while True:
-        r = _candidate(field, k, 2 * d)
+        r = _candidate(F, k, 2 * d)
         k += 1
-        if r.degree < 1:
+        if len(r) < 2:
             continue
-        if field.p == 2:
-            t = Poly(field, [])
-            acc = r % h
-            bits = field.deg_abs * d
-            for _ in range(bits):
-                t = (t + acc) % h
-                acc = (acc * acc) % h
+        if F.p == 2:
+            t, acc = [], _pdivmod(F, r, h)[1]
+            for _ in range(F.deg_abs * d):
+                t = _psub(F, t, acc)  # in characteristic 2, t + acc
+                acc = _pdivmod(F, _pmul(F, acc, acc), h)[1]
         else:
-            t = pow(r, (q ** d - 1) // 2, h) - Poly(field, [field.one])
-        g = gcd_monic(h, t)
-        if 0 < g.degree < h.degree:
-            return _split_equal_degree(g, d) + _split_equal_degree(h // g, d)
+            t = _psub(F, _ppowmod(F, r, (q ** d - 1) // 2, h), [F._one.rep])
+        g = _pgcd(F, h, t)
+        if 1 < len(g) < len(h):
+            return _split_equal_degree(F, g, d) + _split_equal_degree(F, _pdivmod(F, h, g)[0], d)
 
 
-def _factor_squarefree(w: Poly) -> list[Poly]:
+def _factor_squarefree(F: Fq, w: list) -> list[list]:
     """Irreducible factors of a squarefree monic polynomial."""
-    field: Fq = w.ring
-    out: list[Poly] = []
-    h = pow(Poly(field, [field.zero, field.one]), field.q, w)
+    out: list[list] = []
+    x = [F._zero.rep, F._one.rep]
+    h = _ppowmod(F, x, F.q, w)
     d = 1
-    while w.degree >= 2 * d:
-        g = gcd_monic(w, h - Poly(field, [field.zero, field.one]))
-        if g.degree > 0:
-            out.extend(_split_equal_degree(g, d))
-            w = w // g
-            h = h % w
+    while len(w) > 2 * d:
+        g = _pgcd(F, w, _psub(F, h, x))
+        if len(g) > 1:
+            out.extend(_split_equal_degree(F, g, d))
+            w = _pdivmod(F, w, g)[0]
+            h = _pdivmod(F, h, w)[1]
         d += 1
-        if w.degree >= 2 * d:
-            h = pow(h, field.q, w)
-    if w.degree > 0:
+        if len(w) > 2 * d:
+            h = _ppowmod(F, h, F.q, w)
+    if len(w) > 1:
         out.append(w)
     return out
+
+
+def modular_gcd(field: Fq, a: Poly, b: Poly) -> list:
+    """Monic gcd of rational polynomials a and b reduced into the prime
+    field, as a coefficient list; p divides no denominator."""
+    p = field.p
+    a, b = ([c.numerator * pow(c.denominator, -1, p) % p for c in g.coeffs] for g in (a, b))
+    return _pgcd(field, _trim(field, a), _trim(field, b))
 
 
 def factor_sort_key(g: Poly):
@@ -437,16 +526,16 @@ def fq_factor(g: Poly) -> list[tuple[Poly, int]]:
         raise PreconditionError("cannot factor the zero polynomial")
     if not isinstance(g.ring, Fq):
         raise PreconditionError("fq_factor expects a polynomial over a tower field")
-    g = g.monic()
+    g = g if g.is_monic() else g.monic()
     if g.degree == 0:
         return []
     cached = _factor_cache.get(g)
     if cached is not None:
         return list(cached)
-    found: list[tuple[Poly, int]] = []
-    for part, mult in _squarefree_parts(g):
-        for h in _factor_squarefree(part):
-            found.append((h, mult))
+    F = g.ring
+    found = [(Poly(F, [FqElt(F, c) for c in h]), mult)
+             for part, mult in _squarefree_parts(F, [c.rep for c in g.coeffs])
+             for h in _factor_squarefree(F, part)]
     found.sort(key=lambda pair: factor_sort_key(pair[0]))
     if len(_factor_cache) >= _FACTOR_CACHE_MAX:
         del _factor_cache[next(iter(_factor_cache))]

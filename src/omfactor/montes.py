@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import Fq, fq_factor
+from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
 from .residual import expansion_entries, graded_lift, line_residual, r0
 from .typecalc import Type, _lift_representative, okutsu_data, optimize, ord_type, representative
@@ -128,13 +128,13 @@ def _is_squarefree(f: Poly) -> bool:
     its derivative proves disc f != 0. If no prime proves it, the exact gcd
     over the rationals decides; every non-squarefree f reaches it.
     """
+    df = f.derivative()
     for q in _SQUAREFREE_PRIMES:
         if any(c.denominator % q == 0 for c in f.coeffs):
             continue
-        fq = Poly(Fq.prime(q), f.coeffs)
-        if gcd_monic(fq, fq.derivative()).degree == 0:
+        if len(modular_gcd(Fq.prime(q), f, df)) == 1:
             return True
-    return gcd_monic(f, f.derivative()).degree == 0
+    return gcd_monic(f, df).degree == 0
 
 
 def _validate_input(f: Poly, p: int) -> None:

@@ -5,17 +5,18 @@ recomputes, one step at a time or from its definition, something the
 package computes in one pass (the phi-expansion's inverse, the graded key
 divisibility read off expansion points, the stationary levels and their
 one-at-a-time collapse, the tower with every degree-one level collapsed,
-and the equivalence decision by transporting the whole residual tower
-through the tower homomorphism the key shifts induce).
+the equivalence decision by transporting the whole residual tower
+through the tower homomorphism the key shifts induce, and factorization
+over a tower field run on generic Poly arithmetic).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from omfactor.arith import INF, Poly
+from omfactor.arith import INF, Poly, gcd_monic
 from omfactor.errors import InternalError, PreconditionError
-from omfactor.finitefield import Fq, FqElt
+from omfactor.finitefield import Fq, FqElt, factor_sort_key
 from omfactor.residual import ri
 from omfactor.typecalc import EquivWitness, Type, _collapse, is_stationary_level, optimize
 from omfactor.valuation import MacLaneChain, expansion_points
@@ -179,3 +180,109 @@ def equivalent_by_transport(ta: Type, tb: Type) -> EquivWitness:
         if j < r:
             images.append(lift_from(dst, A.fields[j + 1].gen()) + shift)
     return EquivWitness(True, None, tuple(etas), False)
+
+
+def _pth_root(g: Poly) -> Poly:
+    """p-th root of a polynomial whose derivative vanishes."""
+    field: Fq = g.ring
+    p = field.p
+    e = field.q // p
+    coeffs = []
+    for k in range(0, g.degree + 1, p):
+        coeffs.append(g.coeff(k) ** e)
+    return Poly(field, coeffs)
+
+
+def _squarefree_parts(g: Poly) -> list[tuple[Poly, int]]:
+    """Pairs (h, m) with g = prod h^m, each h squarefree, pairwise coprime."""
+    field: Fq = g.ring
+    out: list[tuple[Poly, int]] = []
+    d = g.derivative()
+    if d.is_zero():
+        for h, m in _squarefree_parts(_pth_root(g)):
+            out.append((h, m * field.p))
+        return out
+    c = gcd_monic(g, d)
+    w = g // c
+    i = 1
+    while w.degree > 0:
+        y = gcd_monic(w, c)
+        z = w // y
+        if z.degree > 0:
+            out.append((z, i))
+        w = y
+        c = c // y
+        i += 1
+    if c.degree > 0:
+        for h, m in _squarefree_parts(_pth_root(c)):
+            out.append((h, m * field.p))
+    return out
+
+
+def _candidate(field: Fq, k: int, degree_bound: int) -> Poly:
+    """k-th polynomial of degree < degree_bound in the deterministic sweep."""
+    digits: list[FqElt] = []
+    q = field.q
+    while k:
+        digits.append(field.from_index(k % q))
+        k //= q
+    del digits[degree_bound:]
+    return Poly(field, digits)
+
+
+def _split_equal_degree(h: Poly, d: int) -> list[Poly]:
+    """Factors of h, all irreducible of degree d, via deterministic splitting."""
+    field: Fq = h.ring
+    if h.degree == d:
+        return [h]
+    q = field.q
+    k = q  # first candidates of degree >= 1
+    while True:
+        r = _candidate(field, k, 2 * d)
+        k += 1
+        if r.degree < 1:
+            continue
+        if field.p == 2:
+            t = Poly(field, [])
+            acc = r % h
+            bits = field.deg_abs * d
+            for _ in range(bits):
+                t = (t + acc) % h
+                acc = (acc * acc) % h
+        else:
+            t = pow(r, (q ** d - 1) // 2, h) - Poly(field, [field.one])
+        g = gcd_monic(h, t)
+        if 0 < g.degree < h.degree:
+            return _split_equal_degree(g, d) + _split_equal_degree(h // g, d)
+
+
+def _factor_squarefree(w: Poly) -> list[Poly]:
+    """Irreducible factors of a squarefree monic polynomial."""
+    field: Fq = w.ring
+    out: list[Poly] = []
+    h = pow(Poly(field, [field.zero, field.one]), field.q, w)
+    d = 1
+    while w.degree >= 2 * d:
+        g = gcd_monic(w, h - Poly(field, [field.zero, field.one]))
+        if g.degree > 0:
+            out.extend(_split_equal_degree(g, d))
+            w = w // g
+            h = h % w
+        d += 1
+        if w.degree >= 2 * d:
+            h = pow(h, field.q, w)
+    if w.degree > 0:
+        out.append(w)
+    return out
+
+
+def fq_factor_by_poly(g: Poly) -> list[tuple[Poly, int]]:
+    """fq_factor on Poly-over-Fq arithmetic, without the memo: the same
+    squarefree parts, distinct-degree factorization and candidate sweep."""
+    g = g.monic()
+    found: list[tuple[Poly, int]] = []
+    for part, mult in _squarefree_parts(g):
+        for h in _factor_squarefree(part):
+            found.append((h, mult))
+    found.sort(key=lambda pair: factor_sort_key(pair[0]))
+    return found

@@ -189,6 +189,24 @@ def test_content_vp() -> None:
     assert content_vp(qpoly([1, 3]), 3) == 0
 
 
+def test_content_vp_tests_primality_once(monkeypatch) -> None:
+    from omfactor import arith
+
+    asked: list[int] = []
+
+    def counting(n: int) -> bool:
+        asked.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    assert content_vp(qpoly([18, 27, 9, 3, 81]), 3) == 1
+    assert asked == [3]
+    with pytest.raises(ConfigError, match="4 is not prime"):
+        content_vp(qpoly([18, 27, 9]), 4)
+    with pytest.raises(ConfigError):
+        vp(10, 4)
+
+
 def test_phi_expansion_roundtrip() -> None:
     rng = random.Random(37)
     for _ in range(60):

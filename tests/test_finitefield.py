@@ -10,8 +10,10 @@ import oracles
 from omfactor import Fq, fq_factor, is_irreducible
 from omfactor.errors import InternalError, PreconditionError
 from omfactor.finitefield import Poly, balanced_int, multiplicity_of
-from genchains import ypoly
-from reference import elements, flatten_field, lift_from, map_poly, tower_map, tower_moduli
+from genchains import random_type, ypoly
+from reference import (
+    elements, flatten_field, fq_factor_by_poly, lift_from, map_poly, tower_map, tower_moduli,
+)
 from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
 
@@ -243,6 +245,64 @@ def test_fq_factor_remultiplies_and_is_irreducible() -> None:
             assert _independent_irreducible(f)
             prod = prod * f ** m
         assert prod == g
+
+
+def _factor_inputs(rng: random.Random, field: Fq, n: int) -> list[Poly]:
+    """Random polynomials over field: plain ones, ones with a repeated
+    factor, with a p-th-power part, and p-th powers (zero derivative);
+    every fifth gets a random nonzero leading coefficient."""
+    p = field.p
+
+    def monic(deg: int) -> Poly:
+        low = [field.from_index(rng.randrange(field.q)) for _ in range(deg)]
+        return Poly(field, low + [field.one])
+
+    out = []
+    for k in range(n):
+        kind = k % 4 if p <= 31 else k % 2
+        g = monic(rng.randrange(1, 7))
+        if kind == 1:
+            g = g * monic(rng.randrange(1, 3)) ** rng.randrange(2, 4)
+        elif kind == 2:
+            g = g * monic(rng.randrange(1, 3) if p <= 5 else 1) ** p
+        elif kind == 3:
+            g = monic(1) ** p * (monic(2) ** (2 * p) if p <= 5 else Poly(field, [field.one]))
+        if k % 5 == 0:
+            g = g.scale(field.from_index(rng.randrange(1, field.q)))
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 2147483647])
+def test_fq_factor_prime_field_matches_poly_reference_and_sympy(monkeypatch, p: int) -> None:
+    from omfactor import finitefield
+
+    monkeypatch.setattr(finitefield, "_factor_cache", {})  # no answer from earlier tests
+    rng = random.Random(p)
+    for g in _factor_inputs(rng, Fq.prime(p), 16):
+        got = fq_factor(g)
+        assert got == fq_factor_by_poly(g)
+        lifted = [c.lift_int() for c in g.coeffs]
+        assert sorted((h.degree, m) for h, m in got) == oracles.modp_factors(lifted, p)
+
+
+def test_fq_factor_tower_fields_match_poly_reference(monkeypatch) -> None:
+    from omfactor import finitefield
+
+    rng = random.Random(23)
+    fields: dict[Fq, None] = {}
+    while len(fields) < 12:
+        t = random_type(rng, rng.choice([2, 2, 3, 5]))
+        for field in (*t.chain.fields, t.chain.fields[-1].extend(t.psi_top)):
+            if field.deg_abs >= 2 and field.q <= 81:
+                fields[field] = None
+    shapes = [[m.degree for m in tower_moduli(f)] for f in fields]
+    assert {f.p for f in fields} == {2, 3, 5}
+    assert any(s[-1] == 1 for s in shapes) and any(1 in s[:-1] for s in shapes)
+    monkeypatch.setattr(finitefield, "_factor_cache", {})
+    for field in fields:
+        for g in _factor_inputs(rng, field, 8):
+            assert fq_factor(g) == fq_factor_by_poly(g)
 
 
 def test_fq_factor_nonmonic_unit() -> None:

@@ -22,6 +22,9 @@ cases, written by the code that transported the whole residual tower
 through the key shifts, pin the decision: an equivalent pair over p = 3
 whose top keys differ by a shift with nonzero residue, and a p = 2 pair
 that keeps psi_top = y + eta across such a shift and fails degenerately.
+The x^100 + 1 cases at p = 3, written by the code that factored over F_q
+on generic Poly arithmetic, pin fq_factor on a large residual polynomial:
+ten irreducible factors of degree 2 to 20.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ CASES = {
     "top_shift_equiv.json": ["equiv", *TOP_SHIFT, "--json"],
     "degenerate_equiv.txt": ["equiv", *DEGENERATE],
     "degenerate_equiv.json": ["equiv", *DEGENERATE, "--json"],
+    "x100_plus_1_p3_factor.txt": ["factor", "--prime", "3", "--poly", "x^100 + 1"],
+    "x100_plus_1_p3_factor.json": ["factor", "--prime", "3", "--poly", "x^100 + 1", "--json"],
 }
 
 

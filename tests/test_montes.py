@@ -24,7 +24,7 @@ from omfactor import (
 )
 from omfactor import montes
 from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
-from omfactor.finitefield import Fq
+from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
 from omfactor.polygon import lower_hull
 from omfactor.residual import ri
@@ -181,14 +181,20 @@ def test_input_validation() -> None:
 
 
 def _gcd_rings(monkeypatch) -> list:
-    """Record the coefficient ring of every gcd_monic call the driver makes."""
+    """Record the coefficient ring of every gcd the driver makes: the prime
+    field of each modular_gcd call, QQ for each exact gcd_monic call."""
     rings: list = []
 
-    def counting(a, b):
+    def modular(field, a, b):
+        rings.append(field)
+        return modular_gcd(field, a, b)
+
+    def exact(a, b):
         rings.append(a.ring)
         return gcd_monic(a, b)
 
-    monkeypatch.setattr(montes, "gcd_monic", counting)
+    monkeypatch.setattr(montes, "modular_gcd", modular)
+    monkeypatch.setattr(montes, "gcd_monic", exact)
     return rings
 
 
