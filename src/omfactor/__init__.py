@@ -17,7 +17,7 @@ from .errors import (
 )
 from .finitefield import Fq, FqElt, fq_factor, is_irreducible
 from .montes import FactorCertificate, RunResult, certify, factorize, run
-from .polygon import Component, NewtonPolygon, apply_affinity, component_of, lower_hull
+from .polygon import Component, NewtonPolygon, lower_hull
 from .residual import ResidualResult, graded_lift, r0, ri
 from .typecalc import (
     EquivWitness,
@@ -27,7 +27,6 @@ from .typecalc import (
     optimize,
     ord_type,
     representative,
-    transport_residual,
 )
 from .valuation import (
     MacLaneChain,
@@ -64,8 +63,6 @@ __all__ = [
     "run",
     "Component",
     "NewtonPolygon",
-    "apply_affinity",
-    "component_of",
     "lower_hull",
     "ResidualResult",
     "graded_lift",
@@ -78,7 +75,6 @@ __all__ = [
     "optimize",
     "ord_type",
     "representative",
-    "transport_residual",
     "MacLaneChain",
     "augment",
     "build_chain",

@@ -286,15 +286,26 @@ def phi_expansion(g: Poly, phi: Poly) -> list[Poly]:
     """Coefficients a_0..a_k of the phi-adic expansion g = sum a_s phi^s.
 
     Requires phi monic of degree >= 1; every a_s has degree < deg phi.
-    The zero polynomial expands to an empty list.
+    The zero polynomial expands to an empty list. Each step divides g's
+    coefficients from index lo up by phi in place: a_s is left below lo + m,
+    the quotient, which the next step divides, above it.
     """
     if phi.degree < 1 or not phi.is_monic():
         raise PreconditionError("phi_expansion: phi must be monic of degree >= 1")
-    out: list[Poly] = []
-    rest = g
-    while not rest.is_zero():
-        rest, a = divmod(rest, phi)
-        out.append(a)
+    m = phi.degree
+    if g.degree < m:
+        return [g] if g.coeffs else []
+    low = [(j, b) for j, b in enumerate(phi.coeffs[:m]) if b]
+    rest, out, lo = list(g.coeffs), [], 0
+    while len(rest) - lo > m:
+        for k in range(len(rest) - 1, lo + m - 1, -1):
+            c = rest[k]
+            if c:
+                for j, b in low:
+                    rest[k - m + j] -= c * b
+        out.append(Poly(g.ring, rest[lo:lo + m]))
+        lo += m
+    out.append(Poly(g.ring, rest[lo:]))
     return out
 
 

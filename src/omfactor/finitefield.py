@@ -284,7 +284,7 @@ class Fq:
 
     def from_poly(self, g: Poly) -> FqElt:
         """Class of a polynomial over the immediate base modulo the modulus."""
-        cs = [c.rep for c in (g % self.modulus).coeffs]
+        cs = [c.rep for c in (g if g.degree < self.deg_over_base else g % self.modulus).coeffs]
         cs += [self.base._zero.rep] * (self.deg_over_base - len(cs))
         return FqElt(self, self._flatten(cs))
 
@@ -464,12 +464,10 @@ def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
     if len(h) == d + 1:
         return [h]
     q = F.q
-    k = q  # first candidates of degree >= 1
-    while True:
+    # Candidates of degree 1 to 2d - 1. Those of degree < 2d reach every
+    # residue pair modulo two factors of h, so a valid h splits before the end.
+    for k in range(q, q ** (2 * d)):
         r = _candidate(F, k, 2 * d)
-        k += 1
-        if len(r) < 2:
-            continue
         if F.p == 2:
             t, acc = [], _pdivmod(F, r, h)[1]
             for _ in range(F.deg_abs * d):
@@ -480,6 +478,7 @@ def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
         g = _pgcd(F, h, t)
         if 1 < len(g) < len(h):
             return _split_equal_degree(F, g, d) + _split_equal_degree(F, _pdivmod(F, h, g)[0], d)
+    raise InternalError("no candidate splits a product of equal-degree factors")
 
 
 def _factor_squarefree(F: Fq, w: list) -> list[list]:
@@ -551,15 +550,18 @@ def is_irreducible(g: Poly) -> bool:
 
 
 def multiplicity_of(factor: Poly, g: Poly) -> int:
-    """Largest m with factor^m dividing g; g nonzero."""
+    """Largest m with factor^m dividing g (g nonzero), on coordinate-vector lists."""
     if g.is_zero():
         raise PreconditionError("multiplicity in the zero polynomial")
     if factor.degree < 1:
         raise PreconditionError("multiplicity of a constant factor")
-    m = 0
+    if factor.ring != g.ring:
+        raise PreconditionError("factor and polynomial over different fields")
+    F, m = g.ring, 0
+    a, b = [c.rep for c in g.coeffs], [c.rep for c in factor.monic().coeffs]
     while True:
-        quo, rem = divmod(g, factor)
-        if not rem.is_zero():
+        quo, rem = _pdivmod(F, a, b)
+        if rem:
             return m
         m += 1
-        g = quo
+        a = quo

@@ -76,23 +76,3 @@ def lower_hull(points: Iterable[Sequence]) -> NewtonPolygon:
         verts.append(pt)
     return NewtonPolygon(tuple(verts))
 
-
-def component_of(polygon: NewtonPolygon, lam: Fraction) -> Component:
-    """Stretch of the support line of slope -lam touching the polygon.
-
-    The component may degenerate to a single vertex, which is a valid
-    outcome, not an error.
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise PreconditionError("component_of requires lam > 0")
-    vals = [u + lam * s for s, u in polygon.vertices]
-    lo = min(vals)
-    touch = [v for v, val in zip(polygon.vertices, vals) if val == lo]
-    return Component(touch[0], touch[-1], -lam)
-
-
-def apply_affinity(polygon: NewtonPolygon, lam0: Fraction) -> NewtonPolygon:
-    """Shear (s, u) -> (s, u - lam0 * s); hulls map to hulls."""
-    lam0 = Fraction(lam0)
-    return NewtonPolygon(tuple((s, u - lam0 * s) for s, u in polygon.vertices))

@@ -6,9 +6,11 @@ the phi_i-expansion, together with the residual polynomial R_i(g) over the
 level-i residue field. It is the package's only walk over phi-expansions:
 expansion_entries gives (s, u_s, R_j(a_s)) for each nonzero a_s, with
 u_s = v_j(a_s phi^s) normalized (the polygon points are (s, u_s / e(mu_j))),
-and line_residual builds R_i on the line: each on-line coefficient
-contributes its lower-level residual evaluated at the tower generator,
-twisted by a power of that generator set by the previous Bezout pair.
+and line_residual picks the line and its endpoint from the values alone.
+R_i is built on the first read of .poly, from the on-line entries only, so
+reading a value builds none: each on-line entry contributes its lower-level
+residual evaluated at the tower generator, twisted by a power of that
+generator set by the previous Bezout pair.
 
 graded_lift inverts the residual map on homogeneous pieces: given a target
 normalized degree W >= V_i and a nonzero residue beta, it produces an
@@ -17,8 +19,7 @@ integer polynomial of degree < m_i whose level-i image is exactly beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .arith import Poly, content_vp, phi_expansion, qpoly
 from .errors import InternalError, PreconditionError
@@ -28,11 +29,36 @@ if TYPE_CHECKING:
     from .valuation import MacLaneChain
 
 
-@dataclass(frozen=True)
 class ResidualResult:
-    s: int
-    u: int
-    poly: Poly
+    """Residual data (s, u, R). R is given as a Poly, or as a function that
+    builds it on the first read of .poly; it is kept from then on.
+    Immutable, and compared by value."""
+
+    __slots__ = ("s", "u", "_poly")
+
+    def __init__(self, s: int, u: int, poly: Poly | Callable[[], Poly]) -> None:
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_poly", poly)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("ResidualResult is immutable")
+
+    @property
+    def poly(self) -> Poly:
+        if not isinstance(self._poly, Poly):
+            object.__setattr__(self, "_poly", self._poly())
+        return self._poly
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ResidualResult) and (
+            (self.s, self.u, self.poly) == (other.s, other.u, other.poly))
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.u, self.poly))
+
+    def __repr__(self) -> str:
+        return f"ResidualResult(s={self.s!r}, u={self.u!r}, poly={self.poly!r})"
 
 
 def r0(p: int, g: Poly) -> ResidualResult:
@@ -40,12 +66,16 @@ def r0(p: int, g: Poly) -> ResidualResult:
     if g.is_zero():
         raise PreconditionError("residual of the zero polynomial")
     u = content_vp(g, p)
-    if u >= 0:
-        pu = p ** u  # divides every coefficient, so // is exact on ints
-        scaled = [c // pu if type(c) is int else c / pu for c in g.coeffs]
-    else:
-        scaled = [c * p ** -u for c in g.coeffs]
-    return ResidualResult(0, u, Poly(Fq.prime(p), scaled))
+
+    def build() -> Poly:
+        if u >= 0:
+            pu = p ** u  # divides every coefficient, so // is exact on ints
+            scaled = [c // pu if type(c) is int else c / pu for c in g.coeffs]
+        else:
+            scaled = [c * p ** -u for c in g.coeffs]
+        return Poly(Fq.prime(p), scaled)
+
+    return ResidualResult(0, u, build)
 
 
 def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
@@ -69,23 +99,25 @@ def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, g: Poly) -
 
 def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
     """Level-i residual data from the entries of the phi_i-expansion: the
-    left endpoint of the slope-lambda_i line and R_i built on it."""
+    left endpoint of the slope-lambda_i line, and R_i built on that line
+    at the first read of .poly."""
     if not entries:
         raise InternalError("empty expansion of a nonzero polynomial")
     lev = chain.level(i)
     t_min = min(lev.e * u_s + lev.h * s for s, u_s, _ in entries)
     line = [(s, u_s, sub) for s, u_s, sub in entries if lev.e * u_s + lev.h * s == t_min]
     s_i, u_i = line[0][0], line[0][1]
-    field = chain.fields[i]
-    z = chain.z(i - 1)
-    coeffs = [field.zero] * ((line[-1][0] - s_i) // lev.e + 1)
-    for s, _, sub in line:
-        if (s - s_i) % lev.e != 0:
-            raise InternalError("on-line abscissa not congruent to the left endpoint")
-        c = field.from_poly(sub.poly)
-        eps = z ** (chain.lp(i - 1) * sub.s - chain.l(i - 1) * sub.u)
-        coeffs[(s - s_i) // lev.e] = c * eps
-    return ResidualResult(s_i, u_i, Poly(field, coeffs))
+    if any((s - s_i) % lev.e for s, _, _ in line):
+        raise InternalError("on-line abscissa not congruent to the left endpoint")
+
+    def build() -> Poly:
+        field, z, l, lp = chain.fields[i], chain.z(i - 1), chain.l(i - 1), chain.lp(i - 1)
+        coeffs = [field.zero] * ((line[-1][0] - s_i) // lev.e + 1)
+        for s, _, sub in line:
+            coeffs[(s - s_i) // lev.e] = field.from_poly(sub.poly) * z ** (lp * sub.s - l * sub.u)
+        return Poly(field, coeffs)
+
+    return ResidualResult(s_i, u_i, build)
 
 
 def graded_lift(chain: MacLaneChain, i: int, W: int, beta: FqElt) -> Poly:

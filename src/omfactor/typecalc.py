@@ -1,5 +1,5 @@
-"""Types over a chain: order function, representatives, optimization,
-equivalence decision, and the residual transport law.
+"""Types over a chain: order function, representatives, optimization and
+the equivalence decision.
 
 A type pairs a chain with a monic irreducible polynomial psi_top over the
 top residue field (psi_top != y above order 0). It selects one branch of
@@ -133,28 +133,6 @@ def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
     if r >= 1 and is_stationary_level(t_o, r):
         r -= 1
     return r, [t_o.chain.level(i).phi for i in range(1, r + 1)]
-
-
-def transport_residual(res: Poly, s: int, eta: FqElt) -> tuple[int, Poly]:
-    """Rewrite top residual data (s, R) in the coordinates of a key shifted
-    by a degree-zero element with residue eta.
-
-    The (y + eta)-part of R moves into the abscissa; the rest is recentered:
-    s* = mult_(y+eta)(R), R* = (y - eta)^s P(y - eta) with P = R / (y+eta)^s*.
-    Applying the law twice with eta and -eta gives back (s, R).
-    """
-    if res.is_zero():
-        raise PreconditionError("cannot transport a zero residual")
-    field = res.ring
-    if eta.field != field:
-        raise PreconditionError("shift must live in the residual's field")
-    plus = Poly(field, [eta, field.one])
-    minus = Poly(field, [-eta, field.one])
-    k = multiplicity_of(plus, res)
-    part = res
-    for _ in range(k):
-        part = part // plus
-    return k, minus ** s * part.compose(minus)
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,27 @@
 
 Unlike oracles.py, these are built on the package's own primitives: each
 recomputes, one step at a time or from its definition, something the
-package computes in one pass (the phi-expansion's inverse, the graded key
-divisibility read off expansion points, the stationary levels and their
-one-at-a-time collapse, the tower with every degree-one level collapsed,
-the equivalence decision by transporting the whole residual tower
-through the tower homomorphism the key shifts induce, and factorization
-over a tower field run on generic Poly arithmetic).
+package computes in one pass (the phi-expansion's inverse and the
+phi-expansion by repeated division, the residual walk that builds every
+residual polynomial as it goes, the graded key divisibility read off
+expansion points, the stationary levels and their one-at-a-time collapse,
+the tower with every degree-one level collapsed, the residual transport
+law under a key shift, the equivalence decision by transporting the whole
+residual tower through the tower homomorphism the key shifts induce, and
+factorization over a tower field run on generic Poly arithmetic). The
+lambda-components and shears of a polygon, which only tests use, live
+here too.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
-from omfactor.arith import INF, Poly, gcd_monic
+from omfactor.arith import INF, Poly, content_vp, gcd_monic
 from omfactor.errors import InternalError, PreconditionError
-from omfactor.finitefield import Fq, FqElt, factor_sort_key
+from omfactor.finitefield import Fq, FqElt, factor_sort_key, multiplicity_of
+from omfactor.polygon import Component, NewtonPolygon
 from omfactor.residual import ri
 from omfactor.typecalc import EquivWitness, Type, _collapse, is_stationary_level, optimize
 from omfactor.valuation import MacLaneChain, expansion_points
@@ -28,6 +34,51 @@ def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:
     for a in reversed(coeffs):
         acc = acc * phi + a
     return acc
+
+
+def phi_expansion_by_divmod(g: Poly, phi: Poly) -> list[Poly]:
+    """The phi-adic expansion of g by repeated division with remainder."""
+    out: list[Poly] = []
+    rest = g
+    while not rest.is_zero():
+        rest, a = divmod(rest, phi)
+        out.append(a)
+    return out
+
+
+def multiplicity_by_divmod(factor: Poly, g: Poly) -> int:
+    """Largest m with factor^m dividing g, by repeated Poly division."""
+    m = 0
+    while True:
+        quo, rem = divmod(g, factor)
+        if not rem.is_zero():
+            return m
+        m, g = m + 1, quo
+
+
+def ri_eager(chain: MacLaneChain, i: int, g: Poly) -> tuple[int, int, Poly]:
+    """(s_i, u_i, R_i(g)) from a walk that builds the residual polynomial of
+    every coefficient at every level, on the line or not."""
+    p = chain.p
+    if i == 0:
+        u = content_vp(g, p)
+        return 0, u, Poly(Fq.prime(p), [c / Fraction(p) ** u for c in g.coeffs])
+    lev = chain.level(i)
+    entries = []
+    for s, a in enumerate(phi_expansion_by_divmod(g, lev.phi)):
+        if not a.is_zero():
+            s_a, u_a, poly_a = ri_eager(chain, i - 1, a)
+            v = chain.e(i - 1) * u_a + chain.h(i - 1) * s_a
+            entries.append((s, v + s * lev.V, s_a, u_a, poly_a))
+    t_min = min(lev.e * u_s + lev.h * s for s, u_s, *_ in entries)
+    line = [entry for entry in entries if lev.e * entry[1] + lev.h * entry[0] == t_min]
+    s_i, u_i = line[0][0], line[0][1]
+    field, z = chain.fields[i], chain.z(i - 1)
+    coeffs = [field.zero] * ((line[-1][0] - s_i) // lev.e + 1)
+    for s, _, s_a, u_a, poly_a in line:
+        eps = z ** (chain.lp(i - 1) * s_a - chain.l(i - 1) * u_a)
+        coeffs[(s - s_i) // lev.e] = field.from_poly(poly_a) * eps
+    return s_i, u_i, Poly(field, coeffs)
 
 
 def key_divides(chain: MacLaneChain, phi: Poly, g: Poly) -> bool:
@@ -286,3 +337,46 @@ def fq_factor_by_poly(g: Poly) -> list[tuple[Poly, int]]:
             found.append((h, mult))
     found.sort(key=lambda pair: factor_sort_key(pair[0]))
     return found
+
+
+def transport_residual(res: Poly, s: int, eta: FqElt) -> tuple[int, Poly]:
+    """Rewrite top residual data (s, R) in the coordinates of a key shifted
+    by a degree-zero element with residue eta.
+
+    The (y + eta)-part of R moves into the abscissa; the rest is recentered:
+    s* = mult_(y+eta)(R), R* = (y - eta)^s P(y - eta) with P = R / (y+eta)^s*.
+    Applying the law twice with eta and -eta gives back (s, R).
+    """
+    if res.is_zero():
+        raise PreconditionError("cannot transport a zero residual")
+    field = res.ring
+    if eta.field != field:
+        raise PreconditionError("shift must live in the residual's field")
+    plus = Poly(field, [eta, field.one])
+    minus = Poly(field, [-eta, field.one])
+    k = multiplicity_of(plus, res)
+    part = res
+    for _ in range(k):
+        part = part // plus
+    return k, minus ** s * part.compose(minus)
+
+
+def component_of(polygon: NewtonPolygon, lam: Fraction) -> Component:
+    """Stretch of the support line of slope -lam touching the polygon.
+
+    The component may degenerate to a single vertex, which is a valid
+    outcome, not an error.
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise PreconditionError("component_of requires lam > 0")
+    vals = [u + lam * s for s, u in polygon.vertices]
+    lo = min(vals)
+    touch = [v for v, val in zip(polygon.vertices, vals) if val == lo]
+    return Component(touch[0], touch[-1], -lam)
+
+
+def apply_affinity(polygon: NewtonPolygon, lam0: Fraction) -> NewtonPolygon:
+    """Shear (s, u) -> (s, u - lam0 * s); hulls map to hulls."""
+    lam0 = Fraction(lam0)
+    return NewtonPolygon(tuple((s, u - lam0 * s) for s, u in polygon.vertices))

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import oracles
+from reference import apply_affinity, component_of
 from omfactor.arith import Poly, content_vp, qpoly
 from omfactor.finitefield import is_irreducible, multiplicity_of
 from omfactor.montes import (
@@ -22,7 +23,7 @@ from omfactor.montes import (
     factorize,
     run,
 )
-from omfactor.polygon import apply_affinity, component_of, lower_hull
+from omfactor.polygon import lower_hull
 from omfactor.residual import ri
 from omfactor.serialize import (
     canonical_json,

@@ -27,7 +27,7 @@ from omfactor.arith import (
     phi_expansion,
 )
 from genchains import random_qpoly
-from reference import expansion_sum
+from reference import expansion_sum, phi_expansion_by_divmod
 from omfactor.finitefield import Fq
 
 
@@ -223,6 +223,40 @@ def test_phi_expansion_roundtrip() -> None:
 
 def test_phi_expansion_of_zero() -> None:
     assert phi_expansion(qpoly([]), qpoly([0, 1])) == []
+
+
+def _canonical(g: Poly) -> bool:
+    return all(type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in g.coeffs)
+
+
+def test_phi_expansion_matches_repeated_division(monkeypatch) -> None:
+    """One in-place division loop gives the expansion that repeated divmod
+    gives, with every coefficient in canonical form, and calls no divmod."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(150):
+        m = rng.randrange(1, 6)
+        phi = qpoly([rng.randrange(-30, 31) for _ in range(m)] + [1])
+        deg = rng.choice([-1, rng.randrange(0, m), rng.randrange(0, 18)])
+        coeffs = [rng.randrange(-50, 51) for _ in range(deg + 1)]
+        if rng.random() < 0.5:  # denominators prime to p = 5
+            coeffs = [Fraction(c, rng.choice([1, 2, 3, 7, 12])) for c in coeffs]
+        cases.append((qpoly(coeffs), phi))
+    cases.append((qpoly([Fraction(3, 2), 4]), qpoly([1, 1, 1])))
+    want = [phi_expansion_by_divmod(g, phi) for g, phi in cases]
+
+    def no_division(a, b):
+        raise AssertionError("phi_expansion divided with Poly.__divmod__")
+
+    monkeypatch.setattr(Poly, "__divmod__", no_division)
+    for (g, phi), expected in zip(cases, want):
+        got = phi_expansion(g, phi)
+        assert got == expected
+        assert all(_canonical(a) for a in got)
+        if g.is_zero():
+            assert got == []
+        elif g.degree < phi.degree:
+            assert got == [g]
 
 
 def test_parse_format_roundtrip() -> None:

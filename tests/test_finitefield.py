@@ -9,10 +9,11 @@ import pytest
 import oracles
 from omfactor import Fq, fq_factor, is_irreducible
 from omfactor.errors import InternalError, PreconditionError
-from omfactor.finitefield import Poly, balanced_int, multiplicity_of
-from genchains import random_type, ypoly
+from omfactor.finitefield import Poly, _split_equal_degree, balanced_int, multiplicity_of
+from genchains import random_fq_elt, random_irreducible, random_type, ypoly
 from reference import (
-    elements, flatten_field, fq_factor_by_poly, lift_from, map_poly, tower_map, tower_moduli,
+    elements, flatten_field, fq_factor_by_poly, lift_from, map_poly, multiplicity_by_divmod,
+    tower_map, tower_moduli,
 )
 from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
@@ -333,6 +334,53 @@ def test_multiplicity_of() -> None:
     assert multiplicity_of(lin, g) == 2
     assert multiplicity_of(other, g) == 1
     assert multiplicity_of(ypoly(f3, [0, 1]), g) == 0
+
+
+def test_multiplicity_of_matches_repeated_division() -> None:
+    """Over F_5 and over a two-level tower F_3 -> F_9 -> F_81, with
+    multiplicities 0 to 3 and factors that are not always monic."""
+    rng = random.Random(331)
+    f9 = small_tower(3)
+    f81 = f9.extend(random_irreducible(rng, f9, 2, proper=True))
+    for field in (Fq.prime(5), f81):
+        for mult in range(4):
+            for _ in range(3):
+                factor = random_irreducible(rng, field, rng.choice([1, 2]), proper=False)
+                while True:
+                    cofactor = Poly(field, [random_fq_elt(rng, field)
+                                            for _ in range(rng.randrange(0, 4))]
+                                    + [random_fq_elt(rng, field, nonzero=True)])
+                    if multiplicity_by_divmod(factor, cofactor) == 0:
+                        break
+                g = factor ** mult * cofactor
+                unit = random_fq_elt(rng, field, nonzero=True)
+                assert multiplicity_of(factor, g) == multiplicity_by_divmod(factor, g) == mult
+                assert multiplicity_of(factor.scale(unit), g) == mult
+    with pytest.raises(PreconditionError):
+        multiplicity_of(ypoly(Fq.prime(3), [1, 1]), ypoly(Fq.prime(5), [1, 1]))
+
+
+def test_from_poly_is_evaluation_at_the_generator() -> None:
+    """Below the modulus degree from_poly skips the reduction; at or above
+    it reduces. Either way the class is g evaluated at the generator."""
+    rng = random.Random(337)
+    f9 = small_tower(3)
+    f81 = f9.extend(random_irreducible(rng, f9, 2, proper=True))
+    for field in (f9, f81):
+        for deg in range(6):
+            g = Poly(field.base, [random_fq_elt(rng, field.base) for _ in range(deg)]
+                     + [random_fq_elt(rng, field.base, nonzero=True)])
+            want = field.zero
+            for c in reversed(g.coeffs):
+                want = want * field.gen() + lift_from(field, c)
+            assert field.from_poly(g) == want
+
+
+def test_split_equal_degree_is_bounded() -> None:
+    """An input with no factor of the claimed degree exhausts the candidates
+    of degree < 2d and raises, instead of looping."""
+    with pytest.raises(InternalError):
+        _split_equal_degree(Fq.prime(3), [1, 0, 1], 1)
 
 
 def test_flatten_collapses_linear_levels() -> None:

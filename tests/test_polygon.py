@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from omfactor import NewtonPolygon, apply_affinity, component_of, lower_hull
+from reference import apply_affinity, component_of
+from omfactor import NewtonPolygon, lower_hull
 from omfactor.errors import PreconditionError
 
 

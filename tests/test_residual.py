@@ -9,6 +9,7 @@ import pytest
 
 from genchains import (
     fixture_chain3,
+    fixture_chain5,
     fixture_poly,
     random_fq_elt,
     random_qpoly,
@@ -16,20 +17,23 @@ from genchains import (
     shift_pair,
     stationary_pair,
 )
-from reference import flatten_field, map_poly
+from reference import component_of, flatten_field, map_poly, ri_eager, transport_residual
 from omfactor import (
     Poly,
     PreconditionError,
+    ResidualResult,
     build_chain,
     collapse_step,
-    component_of,
+    factorize,
     graded_lift,
     lower_hull,
+    parse_poly,
     qpoly,
     r0,
     ri,
-    transport_residual,
+    v_norm,
 )
+from omfactor.finitefield import Fq
 from omfactor.valuation import expansion_points
 
 
@@ -80,6 +84,55 @@ def test_ri_at_level_zero_is_r0() -> None:
         a = ri(chain, 0, g)
         b = r0(3, g)
         assert (a.s, a.u, a.poly) == (b.s, b.u, b.poly)
+
+
+def test_ri_matches_the_eager_walk() -> None:
+    """Residual polynomials built on the first read of .poly, from the
+    on-line entries only, equal those of a walk that builds every one."""
+    rng = random.Random(163)
+    chains = [fixture_chain3(), fixture_chain5()]
+    chains += [random_type(rng).chain for _ in range(10)]
+    chains += [c for _ in range(3) for c in stationary_pair(rng)]
+    for chain in chains:
+        for i in range(chain.r + 1):
+            gs = [random_qpoly(rng, 10) for _ in range(3)]
+            gs += [lev.phi for lev in chain.levels[i:]]
+            gs += [gs[0] * chain.levels[-1].phi + qpoly([chain.p])]
+            for g in gs:
+                res = ri(chain, i, g)
+                assert (res.s, res.u, res.poly) == ri_eager(chain, i, g)
+
+
+def test_residual_result_is_a_value() -> None:
+    chain = fixture_chain3()
+    res = ri(chain, 4, fixture_poly(3))
+    same = ResidualResult(res.s, res.u, res.poly)
+    assert same == res and hash(same) == hash(res)
+    assert ri(chain, 4, fixture_poly(3)) == res
+    assert ResidualResult(res.s + 1, res.u, res.poly) != res
+    with pytest.raises(AttributeError):
+        res.s = 1
+
+
+def test_values_build_no_residual_polynomial(monkeypatch) -> None:
+    """v_norm reads (s, u) only: over the chain of the degree-16 p = 2
+    input's certificate it reduces no coefficient into a residue field."""
+    f = parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41")
+    [cert] = factorize(f, 2)
+    chain = cert.final_type.chain
+    calls = []
+    from_poly = Fq.from_poly
+
+    def counting(field, g):
+        calls.append(g)
+        return from_poly(field, g)
+
+    monkeypatch.setattr(Fq, "from_poly", counting)
+    values = [v_norm(chain, i, f) for i in range(chain.r + 1)]
+    assert calls == []
+    eager = [ri_eager(chain, i, f) for i in range(chain.r + 1)]
+    assert values == [chain.residual_value(i, ResidualResult(*e)) for i, e in enumerate(eager)]
+    assert calls
 
 
 def test_ri_rejects_zero() -> None:
