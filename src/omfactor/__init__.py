@@ -15,7 +15,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .finitefield import Fq, FqElt, fq_factor, is_irreducible
+from .finitefield import Fq, FqElt, fq_factor
 from .montes import FactorCertificate, RunResult, certify, factorize, run
 from .polygon import Component, NewtonPolygon, lower_hull
 from .residual import ResidualResult, graded_lift, r0, ri
@@ -55,7 +55,6 @@ __all__ = [
     "Fq",
     "FqElt",
     "fq_factor",
-    "is_irreducible",
     "FactorCertificate",
     "RunResult",
     "certify",

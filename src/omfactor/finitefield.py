@@ -485,17 +485,14 @@ def _factor_squarefree(F: Fq, w: list) -> list[list]:
     """Irreducible factors of a squarefree monic polynomial."""
     out: list[list] = []
     x = [F._zero.rep, F._one.rep]
-    h = _ppowmod(F, x, F.q, w)
-    d = 1
+    h, d = x, 1
     while len(w) > 2 * d:
+        h = _ppowmod(F, h, F.q, w)  # x^(q^d) mod w; _ppowmod reduces h by w first
         g = _pgcd(F, w, _psub(F, h, x))
         if len(g) > 1:
             out.extend(_split_equal_degree(F, g, d))
             w = _pdivmod(F, w, g)[0]
-            h = _pdivmod(F, h, w)[1]
         d += 1
-        if len(w) > 2 * d:
-            h = _ppowmod(F, h, F.q, w)
     if len(w) > 1:
         out.append(w)
     return out
@@ -540,13 +537,6 @@ def fq_factor(g: Poly) -> list[tuple[Poly, int]]:
         del _factor_cache[next(iter(_factor_cache))]
     _factor_cache[g] = found
     return list(found)
-
-
-def is_irreducible(g: Poly) -> bool:
-    if g.is_zero() or g.degree < 1:
-        return False
-    factors = fq_factor(g)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 def multiplicity_of(factor: Poly, g: Poly) -> int:

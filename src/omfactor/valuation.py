@@ -12,6 +12,8 @@ polynomial) and v_norm returns the integer e(mu_i) * mu_i(g). Both are read
 from the residual walk, as v_i(g) = e_i u_i + h_i s_i of ri(chain, i, g).
 augment walks the new key once, in its key check; psi_prev and V are read
 from that walk, and V is checked against the recurrence next_key_value.
+The key check decides the residual irreducible by building the next
+residue field with Fq.extend, and augment keeps that field.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from .arith import INF, Poly, Val
 from .errors import InternalError, PreconditionError
-from .finitefield import Fq, FqElt, is_irreducible
+from .finitefield import Fq, FqElt
 from .residual import ResidualResult, expansion_entries, ri
 
 
@@ -147,24 +149,32 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:
 
 def _key_check(chain: MacLaneChain, phi: Poly):
     """key_check's verdict and diagnostic, plus the top-level residual of phi
-    it computed. The residual is None only for an improper step: phi has the
-    current key degree and residual abscissa s > 0, so it divides that key."""
+    it computed and, for a proper key, the field F_r[y]/(R) that Fq.extend
+    built when it decided R irreducible. The residual is None only for an
+    improper step: phi has the current key degree and residual abscissa
+    s > 0, so it divides that key. Past the constant and degree checks, R
+    is monic with a nonzero constant term, so extend can reject it only as
+    reducible."""
     _check_key_poly_shape(phi)
     r = chain.r
     res = ri(chain, r, phi)
     if res.s > 0 and phi.degree == chain.m(r):
-        return True, "key equivalent to the current key (improper step)", None
+        return True, "key equivalent to the current key (improper step)", None, None
     if res.poly.degree == 0:
-        return False, "residual polynomial is constant", res
+        return False, "residual polynomial is constant", res, None
     if phi.degree != chain.e(r) * chain.m(r) * res.poly.degree:
-        return False, "degree differs from e * m * deg(residual)", res
+        return False, "degree differs from e * m * deg(residual)", res, None
+    if not res.poly.is_monic():
+        raise InternalError("residual of a key polynomial must be monic")
     if r == 0:
         failed, passed = "reduction modulo p is not irreducible", "key for the base valuation"
     else:
         failed, passed = "residual polynomial is reducible", "key with irreducible residual polynomial"
-    if not is_irreducible(res.poly):
-        return False, failed, res
-    return True, passed, res
+    try:
+        field = chain.fields[r].extend(res.poly)
+    except PreconditionError:
+        return False, failed, res, None
+    return True, passed, res, field
 
 
 def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
@@ -176,15 +186,12 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     nu = Fraction(nu)
     if nu <= 0:
         raise PreconditionError("slope must be positive")
-    ok, msg, res = _key_check(chain, phi)
+    ok, msg, res, field_new = _key_check(chain, phi)
     if not ok:
         raise PreconditionError(f"key check failed: {msg}")
     r = chain.r
     if res is None:
         raise PreconditionError("improper step: the new key divides the current key")
-    psi_prev = res.poly
-    if not psi_prev.is_monic():
-        raise InternalError("residual of a key polynomial must be monic")
 
     ecum = chain.e_cum[r]
     lam = ecum * nu
@@ -192,14 +199,14 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     l_new = pow(h_new, -1, e_new) if e_new > 1 else 0
     lp_new = (1 - l_new * h_new) // e_new
     V_new = chain.residual_value(r, res)
-    d = psi_prev.degree
+    d = res.poly.degree
     if V_new != chain.next_key_value(d):
         raise InternalError("key value disagrees with the level recurrence")
 
     level = Level(
         phi=phi,
         nu=nu,
-        psi_prev=psi_prev,
+        psi_prev=res.poly,
         e=e_new,
         h=h_new,
         f_prev=d,
@@ -208,7 +215,6 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
         l=l_new,
         lp=lp_new,
     )
-    field_new = chain.fields[r].extend(psi_prev)
     return MacLaneChain(
         chain.p,
         chain.levels + (level,),

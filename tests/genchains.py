@@ -26,7 +26,8 @@ from omfactor import (
     representative,
     ri,
 )
-from omfactor.finitefield import Fq, FqElt, fq_factor, is_irreducible
+from omfactor.finitefield import Fq, FqElt, fq_factor
+from reference import is_irreducible
 
 
 def ypoly(field: Fq, coeffs) -> Poly:

@@ -9,9 +9,9 @@ expansion points, the stationary levels and their one-at-a-time collapse,
 the tower with every degree-one level collapsed, the residual transport
 law under a key shift, the equivalence decision by transporting the whole
 residual tower through the tower homomorphism the key shifts induce, and
-factorization over a tower field run on generic Poly arithmetic). The
-lambda-components and shears of a polygon, which only tests use, live
-here too.
+factorization and the irreducibility test over a tower field run on
+generic Poly arithmetic). The lambda-components and shears of a polygon,
+which only tests use, live here too.
 """
 
 from __future__ import annotations
@@ -337,6 +337,14 @@ def fq_factor_by_poly(g: Poly) -> list[tuple[Poly, int]]:
             found.append((h, mult))
     found.sort(key=lambda pair: factor_sort_key(pair[0]))
     return found
+
+
+def is_irreducible(g: Poly) -> bool:
+    """Irreducibility over a tower field, read from fq_factor_by_poly."""
+    if g.is_zero() or g.degree < 1:
+        return False
+    factors = fq_factor_by_poly(g)
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 def transport_residual(res: Poly, s: int, eta: FqElt) -> tuple[int, Poly]:

@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
-from reference import apply_affinity, component_of
+from reference import apply_affinity, component_of, is_irreducible
 from omfactor.arith import Poly, content_vp, qpoly
-from omfactor.finitefield import is_irreducible, multiplicity_of
+from omfactor.finitefield import multiplicity_of
 from omfactor.montes import (
     NodePolygon,
     NodeResidual,
@@ -63,6 +64,24 @@ def _flat_equal(a: Poly, b: Poly) -> bool:
     fa, ia = flatten_field(a.ring)
     fb, ib = flatten_field(b.ring)
     return fa == fb and map_poly(a, fa, ia) == map_poly(b, fb, ib)
+
+
+def test_readme_library_snippet() -> None:
+    """The README's Library snippet runs as written and gives the values its
+    comments state."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    start = library.index("```python\n") + len("```python\n")
+    snippet = library[start:library.index("```", start)]
+    ns: dict = {}
+    exec(snippet, ns)
+    f, result, chain = ns["f"], ns["result"], ns["chain"]
+    assert result.floor == 9
+    assert result.nodes == 4
+    assert ns["certify"](f, 3, result.certificates, result.floor).ok
+    assert ns["mu_eval"](chain, 1, qpoly([9])) == Fraction(2, 1)
+    res = ns["ri"](chain, 1, qpoly([6786, 0, 30, 0, 1]))
+    assert (res.s, res.u) == (0, 2)
 
 
 def test_quartic_single_certificate_with_exact_trace() -> None:

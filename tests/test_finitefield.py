@@ -7,13 +7,13 @@ import random
 import pytest
 
 import oracles
-from omfactor import Fq, fq_factor, is_irreducible
+from omfactor import Fq, fq_factor
 from omfactor.errors import InternalError, PreconditionError
 from omfactor.finitefield import Poly, _split_equal_degree, balanced_int, multiplicity_of
 from genchains import random_fq_elt, random_irreducible, random_type, ypoly
 from reference import (
-    elements, flatten_field, fq_factor_by_poly, lift_from, map_poly, multiplicity_by_divmod,
-    tower_map, tower_moduli,
+    elements, flatten_field, fq_factor_by_poly, is_irreducible, lift_from, map_poly,
+    multiplicity_by_divmod, tower_map, tower_moduli,
 )
 from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
@@ -317,13 +317,36 @@ def test_fq_factor_nonmonic_unit() -> None:
 
 
 def test_is_irreducible_pins() -> None:
+    """Fq.extend is the package's irreducibility test: it accepts an
+    irreducible modulus and rejects a reducible one."""
     f3 = Fq.prime(3)
-    assert is_irreducible(ypoly(f3, [1, 0, 1]))
-    assert not is_irreducible(ypoly(f3, [-1, 0, 1]))
-    assert is_irreducible(ypoly(f3, [0, 1]))
+    assert f3.extend(ypoly(f3, [1, 0, 1])).q == 9
+    assert f3.extend(ypoly(f3, [0, 1])).q == 3
     f9 = small_tower(3)
     lifted = Poly(f9, [lift_from(f9, c) for c in ypoly(f3, [1, 0, 1]).coeffs])
-    assert not is_irreducible(lifted)
+    for psi in (ypoly(f3, [-1, 0, 1]), lifted):
+        with pytest.raises(PreconditionError, match="modulus is reducible"):
+            psi.ring.extend(psi)
+
+
+def test_linear_squarefree_part_makes_no_frobenius_power(monkeypatch) -> None:
+    """A linear squarefree part is irreducible as it stands: the distinct-
+    degree loop never runs, and no x^q mod w is computed for it."""
+    from omfactor import finitefield
+
+    powers = []
+    real = finitefield._ppowmod
+
+    def counting(F, a, n, m):
+        powers.append(n)
+        return real(F, a, n, m)
+
+    monkeypatch.setattr(finitefield, "_factor_cache", {})
+    monkeypatch.setattr(finitefield, "_ppowmod", counting)
+    f7 = Fq.prime(7)
+    g = ypoly(f7, [1, 1])
+    assert fq_factor(g) == [(g, 1)]
+    assert powers == []
 
 
 def test_multiplicity_of() -> None:

@@ -21,6 +21,7 @@ from genchains import (
 from omfactor import (
     INF,
     ConfigError,
+    Fq,
     PreconditionError,
     augment,
     build_chain,
@@ -35,9 +36,8 @@ from omfactor import (
     ri,
     v_norm,
 )
-from omfactor.finitefield import is_irreducible
 from omfactor.valuation import expansion_points
-from reference import key_divides
+from reference import is_irreducible, key_divides
 
 
 def test_empty_chain_requires_prime() -> None:
@@ -347,6 +347,36 @@ def test_augment_rejects_non_keys() -> None:
     for phi in (qpoly([24, 0, 1]), trunc2.level(2).phi):
         with pytest.raises(PreconditionError, match="improper step"):
             augment(trunc2, phi, Fraction(1))
+
+
+def test_augment_builds_each_level_with_one_extend(monkeypatch) -> None:
+    """The key check decides the residual irreducible through Fq.extend and
+    augment keeps that field: one extend per level, and no fq_factor call
+    once the level's field is interned."""
+    from omfactor import finitefield
+
+    chain = fixture_chain3()  # interns every field of the chain
+    factored, extended = [], []
+    real_factor, real_extend = finitefield.fq_factor, Fq.extend
+
+    def counting_factor(g):
+        factored.append(g)
+        return real_factor(g)
+
+    def counting_extend(field, psi):
+        extended.append(psi)
+        return real_extend(field, psi)
+
+    monkeypatch.setattr(finitefield, "fq_factor", counting_factor)
+    monkeypatch.setattr(Fq, "extend", counting_extend)
+    for r in range(chain.r):
+        lev = chain.levels[r]
+        trunc = build_chain(3, chain.steps()[:r])
+        extended.clear()
+        top = augment(trunc, lev.phi, lev.nu)
+        assert extended == [lev.psi_prev]
+        assert top.fields[-1] is chain.fields[r + 1]
+    assert factored == []
 
 
 def test_improper_verdict_matches_graded_division() -> None:
