@@ -318,13 +318,13 @@ _MAX_DEGREE = 1000
 _MAX_COEFF_BITS = 100_000
 
 
-def _size_bits(g: Poly) -> int:
-    """Bound on log2 of g's l1 norm: the largest numerator's bit length plus
-    the bit length of the term count. The l1 norm is submultiplicative, so a
-    product's coefficients have at most _size_bits(a) + _size_bits(b) bits
-    and an n-th power's at most n * _size_bits(g)."""
-    terms = [c for c in g.coeffs if c]
-    return max((abs(c.numerator).bit_length() for c in terms), default=0) + len(terms).bit_length()
+def _size_bits(coeffs: Iterable[int]) -> int:
+    """Bound on log2 of the l1 norm of g, given g's integer coefficients: the
+    largest one's bit length plus the bit length of the nonzero-term count.
+    The l1 norm is submultiplicative, so a product's coefficients have at
+    most _size_bits(a) + _size_bits(b) bits and an n-th power's n * _size_bits(g)."""
+    terms = list(filter(None, coeffs))
+    return max(map(int.bit_length, map(abs, terms)), default=0) + len(terms).bit_length()
 
 
 def _check_size(degree: int, bits: int) -> None:
@@ -365,6 +365,20 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
+def _sparse_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two parser values (exponent -> nonzero int): every pair of
+    terms, summed into a list indexed from the lowest possible exponent."""
+    if not a or not b:
+        return {}
+    lo = min(a) + min(b)
+    out = [0] * (max(a) + max(b) - lo + 1)
+    for i, x in a.items():
+        i -= lo
+        for j, y in b.items():
+            out[i + j] += x * y
+    return {k: c for k, c in enumerate(out, lo) if c}
+
+
 class _Parser:
     def __init__(self, toks: list[str], var: str) -> None:
         self.toks = toks
@@ -385,26 +399,28 @@ class _Parser:
         out = self.expr()
         if self.peek() is not None:
             raise ParseError(f"unexpected token {self.peek()!r}")
-        return out
+        return qpoly([out.get(k, 0) for k in range(max(out, default=-1) + 1)])
 
-    def expr(self) -> Poly:
+    def expr(self) -> dict[int, int]:
         acc = self.term()
         while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            sign = 1 if self.next() == "+" else -1
+            for k, c in self.term().items():
+                if c := acc.pop(k, 0) + sign * c:
+                    acc[k] = c
         return acc
 
-    def term(self) -> Poly:
+    def term(self) -> dict[int, int]:
         acc = self.factor()
         while self.peek() == "*":
             self.next()
             rhs = self.factor()
-            _check_size(acc.degree + rhs.degree, _size_bits(acc) + _size_bits(rhs))
-            acc = acc * rhs
+            _check_size(max(acc, default=-1) + max(rhs, default=-1),
+                        _size_bits(acc.values()) + _size_bits(rhs.values()))
+            acc = _sparse_mul(acc, rhs)
         return acc
 
-    def factor(self) -> Poly:
+    def factor(self) -> dict[int, int]:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.next() == "-":
@@ -416,16 +432,16 @@ class _Parser:
             if not tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
             n = _literal(tok)
-            _check_size(n * base.degree, n * _size_bits(base))
-            base = base ** n
-        return base if sign == 1 else -base
+            _check_size(n * max(base, default=-1), n * _size_bits(base.values()))
+            base = power(base, n, {0: 1}, _sparse_mul)
+        return base if sign == 1 else {k: -c for k, c in base.items()}
 
-    def atom(self) -> Poly:
+    def atom(self) -> dict[int, int]:
         tok = self.next()
         if tok.isdigit():
-            return qpoly([_literal(tok)])
+            return {0: c} if (c := _literal(tok)) else {}
         if tok == self.var:
-            return qpoly([0, 1])
+            return {1: 1}
         if tok == "(":
             inner = self.expr()
             if self.next() != ")":

@@ -48,9 +48,12 @@ def _read_text(path: str) -> str:
 
 
 def _parse_json(text: str, path: str):
+    """json.loads with every decoding failure a ParseError: malformed JSON
+    and an integer longer than the interpreter converts (both ValueError),
+    and nesting deeper than the recursion limit."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arith import Poly, format_poly, format_terms, qpoly
+from .arith import Poly, _check_size, _size_bits, format_poly, format_terms, qpoly
 from .errors import ConfigError, ParseError, PreconditionError
 from .finitefield import Fq, FqElt
 from .montes import (
@@ -139,20 +139,26 @@ def fraction_from_json(obj) -> Fraction:
 
 
 def _parse_int_string(text) -> int:
+    """A JSON int, or a string of ASCII digits after an optional -."""
     if isinstance(text, int) and not isinstance(text, bool):
         return text
     if not isinstance(text, str):
         raise ParseError("coefficients must be decimal strings")
     try:
-        return int(text, 10)
-    except ValueError:
-        raise ParseError(f"bad integer literal {text!r}") from None
+        if text.isascii() and text.lstrip("-").isdigit():
+            return int(text)
+    except ValueError:  # "--1", or more digits than the interpreter converts
+        pass
+    raise ParseError(f"bad integer literal {text!r}")
 
 
 def qpoly_from_json(arr) -> Poly:
+    """A coefficient array, constant first, under the text parser's limits."""
     if not isinstance(arr, list):
         raise ParseError("polynomial must be a JSON array of coefficients")
-    return qpoly([_parse_int_string(c) for c in arr])
+    g = qpoly([_parse_int_string(c) for c in arr])
+    _check_size(g.degree, _size_bits(g.coeffs))
+    return g
 
 
 def fq_elt_from_json(field: Fq, obj) -> FqElt:

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import oracles
 from omfactor import (
@@ -276,6 +277,7 @@ def test_parse_expression_grammar() -> None:
     assert parse_poly("2^3") == qpoly([8])
     assert parse_poly("y^2 + 1", var="y") == qpoly([1, 0, 1])
     assert parse_poly("x^1000 + 1") == qpoly([1] + [0] * 999 + [1])
+    assert parse_poly("x^1000 + x^1000") == qpoly([0] * 1000 + [2])
     assert parse_poly("2^41") == qpoly([2**41])
     assert parse_poly("(" * 100 + "x" + ")" * 100) == qpoly([0, 1])
 
@@ -290,7 +292,7 @@ def test_parse_rejects_garbage() -> None:
 def test_parse_size_limits() -> None:
     """Degree and coefficient size are bounded before a product or power is
     computed; an over-long literal is a parse error, not a ValueError."""
-    for text in ["x^1001", "x^600*x^600", "(x^2+1)^501", "(2^1000)^1000",
+    for text in ["x^1001", "x^1000*x", "x^600*x^600", "(x^2+1)^501", "(2^1000)^1000",
                  "2^30000*2^30000*2^30000*2^30000",
                  "((2^1000)^1000)^1000", "x^99999999999", "2^99999999999"]:
         with pytest.raises(ParseError, match="exceeds the limit"):
@@ -301,3 +303,98 @@ def test_parse_size_limits() -> None:
             with pytest.raises(ParseError, match="too long"):
                 parse_poly(text)
 
+
+X = sympy.symbols("x")
+
+
+def _sympy_coeffs(value) -> tuple:
+    """Constant-first integer coefficients of a sympy expression in x."""
+    expanded = sympy.expand(value)
+    if expanded == 0:
+        return ()
+    return tuple(int(c) for c in reversed(sympy.Poly(expanded, X).all_coeffs()))
+
+
+def _random_expr(rng: random.Random, depth: int) -> tuple[str, object]:
+    """A random text in the parser's grammar and its value built in sympy:
+    expr = term (+|- term)*, term = factor (* factor)*, factor = sign* atom
+    [^ n], atom = integer | x | ( expr )."""
+
+    def atom(d):
+        kind = rng.randrange(4 if d else 2)
+        if kind == 0:
+            n = rng.choice([0, 1, 2, 3, 7, rng.randrange(10**25)])
+            return str(n), sympy.Integer(n)
+        if kind == 1:
+            return "x", X
+        text, value = expr(d - 1)
+        return f"({text})", value
+
+    def factor(d):
+        signs = "".join(rng.choice("+-") for _ in range(rng.choice([0, 0, 1, 2])))
+        text, value = atom(d)
+        if rng.random() < 0.3:
+            n = rng.randrange(4)
+            text, value = f"{text}^{n}", value**n
+        return signs + text, value * (-1) ** signs.count("-")
+
+    def term(d):
+        text, value = factor(d)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            t, v = factor(d)
+            text, value = f"{text}*{t}", value * v
+        return text, value
+
+    def expr(d):
+        text, value = term(d)
+        for _ in range(rng.randrange(4)):
+            op = rng.choice("+-")
+            t, v = term(d)
+            text, value = f"{text} {op} {t}", value + v if op == "+" else value - v
+        return text, value
+
+    return expr(depth)
+
+
+def _expanded_text(coeffs: list[int]) -> str:
+    """Constant-first coefficients as expanded text, highest power first:
+    `x^48 - 2*x^47 + ... + 2`, the form of the benchmark's inputs."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        head = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        body = str(mag) if not head else head if mag == 1 else f"{mag}*{head}"
+        if not parts:
+            parts.append(f"-{body}" if c < 0 else body)
+        else:
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(parts) or "0"
+
+
+def test_parse_matches_sympy_oracle() -> None:
+    """parse_poly against sympy.expand: random expression trees, sums that
+    cancel, 0^0, and sparse expanded texts up to degree 1000."""
+    rng = random.Random(1801)
+    for _ in range(80):
+        text, value = _random_expr(rng, rng.randrange(4))
+        assert parse_poly(text).coeffs == _sympy_coeffs(value), text
+    for _ in range(12):
+        text, value = _random_expr(rng, 2)
+        for cancel in [f"({text}) - ({text})", f"-({text}) + ({text})*1",
+                       f"({text})*0", f"({text}) - ({text})^1"]:
+            assert parse_poly(cancel).is_zero(), cancel
+    for text, want in [("0^0", (1,)), ("0^3", ()), ("(x - x)^0", (1,)), ("(x - x)^2", ()),
+                       ("x^5 + 3*x - x^5 - 3*x", ()), ("-(-x)^0", (-1,))]:
+        oracle = _sympy_coeffs(sympy.sympify(text.replace("^", "**")))
+        assert parse_poly(text).coeffs == want == oracle, text
+    for deg in [1000] + [rng.randrange(1, 1001) for _ in range(14)]:
+        coeffs = [0] * deg + [1]
+        for k in rng.sample(range(deg), min(deg, rng.randrange(1, 60))):
+            coeffs[k] = rng.choice([-1, 1, rng.randrange(-50, 51), rng.randrange(-10**40, 10**40)])
+        text = _expanded_text(coeffs)
+        got = parse_poly(text)
+        assert got == qpoly(coeffs), text
+        assert got.coeffs == _sympy_coeffs(sympy.sympify(text.replace("^", "**"))), text

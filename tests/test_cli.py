@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 from omfactor import cli, montes
 from omfactor.arith import format_poly, parse_poly
@@ -217,15 +218,34 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         assert err.startswith("error: ") and err.count("\n") == 1
     bad_array = tmp_path / "bad_array.txt"
     bad_array.write_text("[1, 0,")
+    # A JSON array gets the text parser's limits and message.
+    over_array = tmp_path / "over.json"
+    over_array.write_text(json.dumps(["1"] * 1502))
+    over_text = " + ".join(f"x^{k}" for k in range(1501, 0, -1)) + " + 1"
+    over_limit = "polynomial degree 1501 exceeds the limit 1000"
     worded = [
         (["factor", "--prime", "3", "--file", str(tmp_path / "missing.txt")], "cannot read"),
         (["factor", "--prime", "3", "--file", str(bad_array)], "invalid JSON"),
         (["eval", "--file", write_chain(tmp_path)], "eval requires --poly"),
+        (["factor", "--prime", "3", "--file", str(over_array)], over_limit),
+        (["factor", "--prime", "3", "--poly", over_text], over_limit),
     ]
+    # A bare JSON integer past the interpreter's digit limit is invalid JSON.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = "7" * (limit + 1)
+        long_array = tmp_path / "long.json"
+        long_array.write_text(f"[{big}, 1]")
+        long_type = tmp_path / "long_type.json"
+        long_type.write_text(f'{{"p": 5, "levels": [], "psi_top": [{big}, 1]}}')
+        worded += [
+            (["factor", "--prime", "3", "--file", str(long_array)], "invalid JSON"),
+            (["optimize", "--file", str(long_type)], "invalid JSON"),
+        ]
     for argv, words in worded:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and words in err, argv
+        assert err.startswith("error: ") and words in err and err.count("\n") == 1, argv
 
 
 def test_non_prime_reported_by_the_prime_check(capsys) -> None:

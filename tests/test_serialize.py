@@ -49,12 +49,21 @@ def test_qpoly_round_trip() -> None:
 
 
 def test_qpoly_rejects_rationals() -> None:
+    """Decimal strings are an optional - and ASCII digits, as in the text
+    format; bare JSON ints stay accepted."""
     with pytest.raises(ParseError):
         qpoly_to_json(qpoly([Fraction(1, 2), 1]))
-    with pytest.raises(ParseError):
-        qpoly_from_json(["1.5", "1"])
-    with pytest.raises(ParseError):
-        qpoly_from_json([True])
+    for bad in ["1.5", True, "\u0663", " 1_0 ", "+1", "-", "", "--1", "\u00b2"]:
+        with pytest.raises(ParseError):
+            qpoly_from_json([bad, "1"])
+    assert qpoly_from_json(["-12", 0, 7, "1"]) == qpoly([-12, 0, 7, 1])
+
+
+def test_qpoly_json_under_the_parser_limits() -> None:
+    """The degree counts after trailing zeros are dropped."""
+    with pytest.raises(ParseError, match="polynomial degree 1001 exceeds the limit 1000"):
+        qpoly_from_json(["1"] * 1002)
+    assert qpoly_from_json(["1"] * 1001 + ["0"] * 2000).degree == 1000
 
 
 def test_chain_round_trip() -> None:
