@@ -10,6 +10,7 @@ non-rational value ever produced; no coefficient is ever a float.
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -467,7 +468,17 @@ def format_poly(g: Poly, var: str = "x") -> str:
     Integer polynomials round-trip through parse_poly; non-integer rational
     coefficients render as num/den, which the integer grammar does not accept.
     """
-    return format_terms(g, str, var)
+    return format_terms(g, decimal_str, var)
+
+
+def decimal_str(q: int | Fraction) -> str:
+    """str(q) for an int or a Fraction, exact also past the interpreter's
+    digit limit for str(int), which bounds only the literals read."""
+    try:
+        return str(q)
+    except ValueError:
+        num, den = (str(decimal.Decimal(n)) for n in (q.numerator, q.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def format_terms(g: Poly, render, var: str) -> str:

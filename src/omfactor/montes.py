@@ -3,7 +3,8 @@ input and emits one certificate per p-adic prime factor.
 
 Each open node carries a type t and its branch order omega = ord_t(f) >= 2.
 The node takes a representative phi, builds the Newton polygon of f's
-phi-expansion under the node's valuation, and branches over the principal
+phi-expansion under the node's valuation (valuation.expansion_points, with
+phi's value read from the level recurrence), and branches over the principal
 sides (negative slope) and the irreducible factors of each side's residual
 polynomial. phi is walked once per side, by that side's augment, whose
 residual on the new level is checked against psi_top. A branch with order
@@ -27,9 +28,9 @@ from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
-from .residual import expansion_entries, graded_lift, line_residual, r0
+from .residual import graded_lift, line_residual, r0
 from .typecalc import Type, _lift_representative, okutsu_data, optimize, ord_type, representative
-from .valuation import augment, empty_chain
+from .valuation import augment, empty_chain, expansion_points
 
 _MAX_NODES = 10000
 
@@ -169,14 +170,6 @@ def _close(t: Type, run: RunResult) -> FactorCertificate:
     return cert
 
 
-def _node_expansion(t: Type, phi: Poly, f: Poly) -> tuple[list, list]:
-    """Entries and points of f's phi-expansion at the top valuation; phi is
-    t's representative or equivalent to it, so the level recurrence fixes its value."""
-    chain, r = t.chain, t.chain.r
-    entries = expansion_entries(chain, r, phi, chain.next_key_value(t.f_top), f)
-    return entries, [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
-
-
 def _perturbed_representative(
     t: Type, phi: Poly, pts: list[tuple[int, Fraction]]
 ) -> tuple[Poly, Fraction]:
@@ -202,12 +195,15 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
     phi = _lift_representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
-    entries, pts = _node_expansion(t, phi, f)
+    # phi is t's representative, or is equivalent to it after a perturbation,
+    # so the level recurrence fixes its value: no walk of phi is needed.
+    V = chain.next_key_value(t.f_top)
+    entries, pts = expansion_points(chain, phi, V, f)
     if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
         run.events.append(ExactDivisor(phi))
         exact = phi
         phi, exact_slope = _perturbed_representative(t, phi, pts)
-        entries, pts = _node_expansion(t, phi, f)
+        entries, pts = expansion_points(chain, phi, V, f)
         if pts[0][0] != 0:
             raise InternalError("perturbed representative still divides the input")
     hull = lower_hull(pts)

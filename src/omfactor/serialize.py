@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arith import Poly, _check_size, _size_bits, format_poly, format_terms, qpoly
+from .arith import Poly, _check_size, _size_bits, decimal_str, format_poly, format_terms, qpoly
 from .errors import ConfigError, ParseError, PreconditionError
 from .finitefield import Fq, FqElt
 from .montes import (
@@ -49,7 +49,7 @@ def qpoly_to_json(g: Poly) -> list[str]:
     for c in g.coeffs:
         if c.denominator != 1:
             raise ParseError("only integer polynomials serialize to JSON")
-        out.append(str(c.numerator))
+        out.append(decimal_str(c.numerator))
     return out
 
 
@@ -175,6 +175,7 @@ def fq_elt_from_json(field: Fq, obj) -> FqElt:
 def fq_poly_from_json(field: Fq, arr) -> Poly:
     if not isinstance(arr, list):
         raise ParseError("residual polynomial must be a JSON array")
+    _check_size(len(arr) - 1, 0)
     return Poly(field, [fq_elt_from_json(field, c) for c in arr])
 
 
@@ -210,10 +211,28 @@ def type_from_json(doc) -> Type:
     if "psi_top" not in doc:
         raise ParseError("type document is missing psi_top")
     psi_top = fq_poly_from_json(chain.fields[chain.r], doc["psi_top"])
+    _check_representative_size(chain, psi_top)
     try:
         return Type(chain, psi_top)
     except PreconditionError as exc:
         raise ParseError(f"serialized type is not a valid type: {exc}") from exc
+
+
+def _check_representative_size(chain: MacLaneChain, psi_top: Poly) -> None:
+    """Refuse a type whose representative would exceed the parser's limits.
+    The representative has degree D = e_r m_r f and at most D + 1 terms, each
+    an integer below p times p^k times keys of total degree at most D, with
+    k at most its value f (e_r V_r + h_r) / e(mu_{r-1}); the l1 norm bounds
+    the bits, as the parser bounds a power."""
+    r, f = chain.r, psi_top.degree
+    degree = chain.e(r) * chain.m(r) * f
+    k = f * chain.key_value(r) // chain.e_cum[r - 1] if r else 0
+    keys = max((_size_bits(lev.phi.coeffs) for lev in chain.levels), default=0)
+    bits = (k + 1) * chain.p.bit_length() + degree * keys + (degree + 1).bit_length()
+    try:
+        _check_size(degree, bits)
+    except ParseError as exc:
+        raise ParseError(f"type representative: {exc}") from None
 
 
 def residual_from_json(field: Fq, doc) -> ResidualResult:

@@ -24,7 +24,7 @@ from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, multiplicity_of
 from .residual import graded_lift, ri
-from .valuation import MacLaneChain, merge_levels
+from .valuation import MacLaneChain, collapse_step
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _collapse(t: Type, dropped: set[int]) -> Type:
     rebuilding the chain once. Collapsing leaves the valuation unchanged, so
     t's representative is a key over the merged chain and its top residual
     there is the collapsed psi_top: one walk, no tower map."""
-    new_chain = merge_levels(t.chain, dropped)
+    new_chain = collapse_step(t.chain, dropped)
     res = ri(new_chain, new_chain.r, _lift_representative(t))
     if res.s != 0 or res.poly.degree != t.psi_top.degree:
         raise InternalError("representative is not a key over the collapsed chain")

@@ -10,10 +10,12 @@ the prefix, which generates level i of the residue tower.
 Values are exact: mu_eval returns a Fraction (INF only for the zero
 polynomial) and v_norm returns the integer e(mu_i) * mu_i(g). Both are read
 from the residual walk, as v_i(g) = e_i u_i + h_i s_i of ri(chain, i, g).
-augment walks the new key once, in its key check; psi_prev and V are read
-from that walk, and V is checked against the recurrence next_key_value.
-The key check decides the residual irreducible by building the next
-residue field with Fq.extend, and augment keeps that field.
+augment walks the new key once, in key_check, which returns the residual
+and the next residue field it built with Fq.extend to decide the residual
+irreducible; augment reads psi_prev and V from that walk, checks V against
+the recurrence next_key_value, and keeps the field. collapse_step merges
+stationary levels in one rebuild, and expansion_points gives the points of
+a node's Newton polygon from a key whose value the caller already knows.
 """
 
 from __future__ import annotations
@@ -128,33 +130,25 @@ def v_norm(chain: MacLaneChain, i: int, g: Poly) -> int | float:
 _vi = v_norm
 
 
-def expansion_points(chain: MacLaneChain, phi: Poly, g: Poly) -> list[tuple[int, Fraction]]:
-    """Points (s, mu_r(a_s phi^s)) of g's phi-expansion at the top valuation.
-
-    Zero coefficients contribute no point.
-    """
+def expansion_points(chain: MacLaneChain, phi: Poly, V: int, g: Poly) -> tuple[list, list]:
+    """Entries and points (s, mu_r(a_s phi^s)) of g's phi-expansion at the top
+    valuation, given V = v_r(phi) normalized. Zero coefficients give neither."""
     r = chain.r
-    entries = expansion_entries(chain, r, phi, v_norm(chain, r, phi), g)
-    return [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
+    entries = expansion_entries(chain, r, phi, V, g)
+    return entries, [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
 
 
-def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str]:
+def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str, ResidualResult | None, Fq | None]:
     """Decide whether phi is a key polynomial for the chain's top valuation.
 
-    Returns (verdict, diagnostic); the diagnostic names the first failed
-    condition, or describes the kind of key on success.
+    Returns (verdict, diagnostic, residual, field). The diagnostic names the
+    first failed condition, or the kind of key on success. The residual is
+    phi's top-level residual; it is None only for an improper step, where
+    phi has the current key degree and abscissa s > 0, so it divides that
+    key. For a proper key, field is F_r[y]/(R), which Fq.extend built when
+    it decided R irreducible. Past the constant and degree checks, R is
+    monic with a nonzero constant term, so extend rejects it only as reducible.
     """
-    return _key_check(chain, phi)[:2]
-
-
-def _key_check(chain: MacLaneChain, phi: Poly):
-    """key_check's verdict and diagnostic, plus the top-level residual of phi
-    it computed and, for a proper key, the field F_r[y]/(R) that Fq.extend
-    built when it decided R irreducible. The residual is None only for an
-    improper step: phi has the current key degree and residual abscissa
-    s > 0, so it divides that key. Past the constant and degree checks, R
-    is monic with a nonzero constant term, so extend can reject it only as
-    reducible."""
     _check_key_poly_shape(phi)
     r = chain.r
     res = ri(chain, r, phi)
@@ -186,7 +180,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     nu = Fraction(nu)
     if nu <= 0:
         raise PreconditionError("slope must be positive")
-    ok, msg, res, field_new = _key_check(chain, phi)
+    ok, msg, res, field_new = key_check(chain, phi)
     if not ok:
         raise PreconditionError(f"key check failed: {msg}")
     r = chain.r
@@ -234,10 +228,13 @@ def build_chain(p: int, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
     return _extend(empty_chain(p), steps)
 
 
-def merge_levels(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
+def collapse_step(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
     """Merge each level i in `dropped` into level i+1, whose slope absorbs
-    nu_i. Levels below the lowest dropped one are kept as they are; the
-    levels above it are augmented again."""
+    nu_i; each needs deg phi_i = deg phi_{i+1}, which forces level i to be
+    stationary. One rebuild: levels below the lowest dropped one are kept
+    as the same objects, and the levels above it are augmented again."""
+    if not dropped or not all(1 <= i < chain.r for i in dropped):
+        raise PreconditionError(f"collapse levels {sorted(dropped)} out of range")
     lo = min(dropped)
     steps: list[tuple[Poly, Fraction]] = []
     nu = Fraction(0)
@@ -250,14 +247,3 @@ def merge_levels(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
             raise PreconditionError("collapse requires equal key degrees")
     kept = MacLaneChain(chain.p, chain.levels[: lo - 1], chain.fields[:lo], chain.e_cum[:lo])
     return _extend(kept, steps)
-
-
-def collapse_step(chain: MacLaneChain, i: int) -> MacLaneChain:
-    """Merge levels i-1 and i into the single level (phi_i, nu_{i-1} + nu_i).
-
-    Requires deg phi_{i-1} = deg phi_i (which forces level i-1 to be
-    stationary). Levels 1..i-2 are kept, as in merge_levels.
-    """
-    if not 2 <= i <= chain.r:
-        raise PreconditionError(f"collapse index {i} out of range")
-    return merge_levels(chain, {i - 1})

@@ -168,14 +168,3 @@ def brute_lower_hull(points) -> list[tuple[int, Fraction]]:
         hull.append(cand)
     return hull
 
-
-def monomial_values(p: int, steps, max_b: int, max_j: int) -> set[Fraction]:
-    """Values mu(p^b x^j) over a monomial grid, via the direct recursion."""
-    out: set[Fraction] = set()
-    for b in range(max_b + 1):
-        for j in range(max_j + 1):
-            coeffs = [Fraction(0)] * j + [Fraction(p) ** b]
-            val = mu_direct(p, steps, coeffs)
-            if val != INF:
-                out.add(val)
-    return out

@@ -25,7 +25,7 @@ from omfactor.finitefield import Fq, FqElt, factor_sort_key, multiplicity_of
 from omfactor.polygon import Component, NewtonPolygon
 from omfactor.residual import ri
 from omfactor.typecalc import EquivWitness, Type, _collapse, is_stationary_level, optimize
-from omfactor.valuation import MacLaneChain, expansion_points
+from omfactor.valuation import MacLaneChain, expansion_points, v_norm
 
 
 def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:
@@ -89,7 +89,7 @@ def key_divides(chain: MacLaneChain, phi: Poly, g: Poly) -> bool:
     """
     if g.is_zero():
         return True
-    pts = expansion_points(chain, phi, g)
+    pts = expansion_points(chain, phi, v_norm(chain, chain.r, phi), g)[1]
     lo = min(u for _, u in pts)
     return pts[0] != (0, lo)
 

@@ -41,6 +41,7 @@ from omfactor.valuation import (
     collapse_step,
     expansion_points,
     mu_eval,
+    v_norm,
 )
 
 from genchains import (
@@ -178,7 +179,7 @@ def test_collapsed_chain_residuals_and_polygons_agree() -> None:
         phi_top = steps[-1][0]
         chain1 = build_chain(raw.p, steps[:-1])
         base = build_chain(raw.p, steps[:-2])
-        assert collapse_step(raw, raw.r).steps() == col.steps()
+        assert collapse_step(raw, {raw.r - 1}).steps() == col.steps()
         for _ in range(20):
             g = random_qpoly(rng, 6) * phi_top ** rng.randrange(0, 2)
             a = ri(raw, raw.r, g)
@@ -186,8 +187,8 @@ def test_collapsed_chain_residuals_and_polygons_agree() -> None:
             assert a.s == b.s
             assert a.u == b.u + a.s * h_stat
             assert _flat_equal(a.poly, b.poly)
-            pts_raw = expansion_points(chain1, phi_top, g)
-            pts_col = expansion_points(base, phi_top, g)
+            pts_raw = expansion_points(chain1, phi_top, v_norm(chain1, chain1.r, phi_top), g)[1]
+            pts_col = expansion_points(base, phi_top, v_norm(base, base.r, phi_top), g)[1]
             assert pts_raw == [(s, u + s * nu1) for s, u in pts_col]
             sheared = apply_affinity(lower_hull(pts_col), Fraction(-nu1))
             assert lower_hull(pts_raw).vertices == sheared.vertices
@@ -300,7 +301,7 @@ def test_residual_degree_matches_principal_component() -> None:
         trunc = build_chain(chain.p, chain.steps()[:-1])
         g = random_qpoly(rng, 6) * lev.phi ** rng.randrange(0, 2)
         res = ri(chain, r, g)
-        hull = lower_hull(expansion_points(trunc, lev.phi, g))
+        hull = lower_hull(expansion_points(trunc, lev.phi, v_norm(trunc, trunc.r, lev.phi), g)[1])
         lam = Fraction(lev.h, lev.e * trunc.e_cum[trunc.r])
         comp = component_of(hull, lam)
         length = comp.right[0] - comp.left[0]

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+from omfactor import cli, montes, valuation
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +39,36 @@ def test_tracer_targets_resolve() -> None:
     targets += [f"arith:Poly.{attr}" for attr in tracer.RING_SPLIT]
     targets.append("arith:QQ")
     assert [t for t in targets if not _defines(t)] == []
+
+
+def test_traced_names_are_on_the_command_path(monkeypatch, capsys) -> None:
+    """The key check, collapse and node expansion that the tracer counts
+    under their public names are the ones the commands run."""
+    counts: dict[str, int] = {}
+
+    def count(fn):
+        counts[fn.__name__] = 0
+
+        def counted(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    targets = [valuation.key_check, valuation.collapse_step, valuation.expansion_points,
+               valuation.augment, montes._branch]
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "omfactor"]
+    for fn in targets:
+        wrapper = count(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    deep = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
+    golden = Path(__file__).resolve().parent / "data" / "golden" / "t4_type.json"
+    assert cli.main(["factor", "--prime", "2", "--poly", deep]) == 0
+    assert cli.main(["optimize", "--file", str(golden)]) == 0
+    capsys.readouterr()
+    assert counts["key_check"] == counts["augment"] > 0
+    assert counts["collapse_step"] > 0
+    assert counts["expansion_points"] >= counts["_branch"] > 0

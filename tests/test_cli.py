@@ -6,12 +6,14 @@ exact stdout/stderr bytes are pinned without spawning subprocesses.
 
 from __future__ import annotations
 
+import decimal
 import json
 import random
 import sys
+from fractions import Fraction
 
 from omfactor import cli, montes
-from omfactor.arith import format_poly, parse_poly
+from omfactor.arith import Poly, format_poly, parse_poly
 from omfactor.cli import main
 from omfactor.montes import factorize
 from omfactor.serialize import (
@@ -21,7 +23,8 @@ from omfactor.serialize import (
     type_from_json,
     type_to_json,
 )
-from omfactor.typecalc import equivalent, optimize
+from omfactor.typecalc import Type, equivalent, optimize
+from omfactor.valuation import build_chain
 
 from genchains import fixture_chain3, fixture_poly, fixture_t4, unshifted_top_pair
 
@@ -75,6 +78,18 @@ def write_type(tmp_path, t, name="type.json"):
     path = tmp_path / name
     path.write_text(canonical_json(type_to_json(t)))
     return str(path)
+
+
+def one_level_p2_type(tmp_path, nu: Fraction, name: str) -> str:
+    """The p = 2 type (x, nu, y + 1), written as a type document."""
+    chain = build_chain(2, [(parse_poly("x"), nu)])
+    field = chain.fields[1]
+    return write_type(tmp_path, Type(chain, Poly(field, [field.one, field.one])), name)
+
+
+def exact_int(text: str) -> int:
+    """A decimal string read back with no digit limit, through decimal."""
+    return int(decimal.Decimal(text))
 
 
 def test_factor_trace_text_pinned(capsys) -> None:
@@ -230,6 +245,15 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         (["factor", "--prime", "3", "--file", str(over_array)], over_limit),
         (["factor", "--prime", "3", "--poly", over_text], over_limit),
     ]
+    # Type documents get the same limits: on psi_top, and on the representative.
+    long_psi = tmp_path / "long_psi.json"
+    long_psi.write_text(json.dumps({"p": 5, "levels": [], "psi_top": ["1"] * 1502}))
+    worded.append((["optimize", "--file", str(long_psi)], over_limit))
+    for nu, words in ((Fraction(10**6), "coefficient size bound"),
+                      (Fraction(1, 10**6), "polynomial degree 1000000")):
+        path = one_level_p2_type(tmp_path, nu, f"slope_{nu.denominator}.json")
+        worded += [(["representative", "--file", path], words),
+                   (["equiv", path, path], words)]
     # A bare JSON integer past the interpreter's digit limit is invalid JSON.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
@@ -442,3 +466,30 @@ def test_representative_command(capsys, tmp_path) -> None:
     assert code == 0
     doc = json.loads(out)
     assert doc == {"poly": ["6786", "0", "30", "0", "1"]}
+
+
+def test_integers_past_the_str_digit_limit_print_exactly(capsys, tmp_path) -> None:
+    """A 20000-bit coefficient is inside the parser's limits, and its
+    6021 decimal digits print in full in both modes."""
+    big = 2**20000
+    text = "x^2 + 2^20000"
+    approx = factorize(parse_poly(text), 2)[0].approximation
+    want = [int(c) for c in approx.coeffs]
+    code, out, _ = run_cli(capsys, ["factor", "--prime", "2", "--poly", text])
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("  approximation "))
+    head, b1, b0 = line.removeprefix("  approximation ").split(" + ")
+    assert (head, b1[-2:]) == ("x^2", "*x")
+    assert [exact_int(b0), exact_int(b1[:-2]), 1] == want
+    code, out, _ = run_cli(capsys, ["factor", "--prime", "2", "--poly", text, "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert [exact_int(c) for c in doc["poly"]] == [big, 0, 1]
+    assert [exact_int(c) for c in doc["certificates"][0]["approximation"]] == want
+    path = one_level_p2_type(tmp_path, Fraction(20000), "big.json")
+    code, out, _ = run_cli(capsys, ["representative", "--file", path])
+    assert code == 0
+    assert out.startswith("x + ") and exact_int(out[4:]) == big
+    code, out, _ = run_cli(capsys, ["representative", "--file", path, "--json"])
+    assert code == 0
+    assert [exact_int(c) for c in json.loads(out)["poly"]] == [big, 1]

@@ -173,7 +173,7 @@ def test_degree_law_and_left_end() -> None:
                 if g.is_zero():
                     continue
                 res = ri(build_chain(chain.p, chain.steps()[:i]), i, g)
-                pts = expansion_points(trunc, lev.phi, g)
+                pts = expansion_points(trunc, lev.phi, v_norm(trunc, trunc.r, lev.phi), g)[1]
                 comp = component_of(lower_hull(pts), Fraction(lev.h, lev.e * trunc.e_cum[trunc.r]))
                 assert res.s == comp.left[0]
                 assert res.u == trunc.e_cum[trunc.r] * comp.left[1]
@@ -212,7 +212,7 @@ def test_graded_lift_normalizes_back() -> None:
 
 def test_collapse_invariance_fixture() -> None:
     chain = fixture_chain3()
-    col = collapse_step(chain, 4)
+    col = collapse_step(chain, {3})
     h = chain.level(3).h
     rng = random.Random(139)
     phi = chain.level(4).phi
