@@ -63,16 +63,14 @@ def _vp(q: int | Fraction, p: int) -> int | float:
     """vp for a p already known to be prime."""
     if q == 0:
         return INF
-
-    def ord_int(n: int) -> int:
-        n = abs(n)
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k
-
-    return ord_int(q.numerator) - ord_int(q.denominator)
+    n, d, k = abs(q.numerator), q.denominator, 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    while d % p == 0:
+        d //= p
+        k -= 1
+    return k
 
 
 class RationalRing:
@@ -280,33 +278,51 @@ def content_vp(g: Poly, p: int) -> int | float:
         return INF
     if not is_prime(p):
         raise ConfigError(f"content_vp: {p} is not prime")
-    return min(_vp(c, p) for c in g.coeffs if c)
+    return _content_vp(g.coeffs, p)
 
 
-def phi_expansion(g: Poly, phi: Poly) -> list[Poly]:
+def _content_vp(coeffs: tuple, p: int) -> int | float:
+    """content_vp on a coefficient tuple, for a p already known to be prime:
+    a direct loop on int coefficients, _vp for a Fraction."""
+    u = INF
+    for c in filter(None, coeffs):
+        if type(c) is int:
+            k = 0
+            while k < u and c % p == 0:
+                c //= p
+                k += 1
+        else:
+            k = _vp(c, p)
+        u = min(u, k)
+    return u
+
+
+def phi_expansion(coeffs: tuple, phi: Poly) -> list[tuple]:
     """Coefficients a_0..a_k of the phi-adic expansion g = sum a_s phi^s.
 
-    Requires phi monic of degree >= 1; every a_s has degree < deg phi.
-    The zero polynomial expands to an empty list. Each step divides g's
-    coefficients from index lo up by phi in place: a_s is left below lo + m,
-    the quotient, which the next step divides, above it.
+    Takes g's coefficient tuple; each a_s is a tuple of length < m = deg phi
+    in Poly's canonical form, () expands to [], and phi is monic with m >= 1.
+    Each step divides the coefficients from index lo up by phi in place: a_s
+    is left below lo + m, the quotient, which the next step divides, above it.
     """
-    if phi.degree < 1 or not phi.is_monic():
+    m = len(phi.coeffs) - 1
+    if m < 1 or phi.coeffs[-1] != 1:
         raise PreconditionError("phi_expansion: phi must be monic of degree >= 1")
-    m = phi.degree
-    if g.degree < m:
-        return [g] if g.coeffs else []
+    if (n := len(coeffs)) <= m:
+        return [coeffs] if coeffs else []
     low = [(j, b) for j, b in enumerate(phi.coeffs[:m]) if b]
-    rest, out, lo = list(g.coeffs), [], 0
-    while len(rest) - lo > m:
-        for k in range(len(rest) - 1, lo + m - 1, -1):
+    rest, out = list(coeffs), []
+    for lo in range(0, n - m, m):
+        for k in range(n - 1, lo + m - 1, -1):
             c = rest[k]
             if c:
                 for j, b in low:
                     rest[k - m + j] -= c * b
-        out.append(Poly(g.ring, rest[lo:lo + m]))
-        lo += m
-    out.append(Poly(g.ring, rest[lo:]))
+    for lo in range(0, n, m):
+        a = [c if type(c) is int or c.denominator > 1 else c.numerator for c in rest[lo:lo + m]]
+        while a and not a[-1]:
+            a.pop()
+        out.append(tuple(a))
     return out
 
 

@@ -244,7 +244,7 @@ def _run(f: Poly, p: int) -> RunResult:
     base = empty_chain(p)  # checks p before the input's p-adic content
     _validate_input(f, p)
     run = RunResult()
-    red = r0(p, f)
+    red = r0(p, f.coeffs)
     run.events.append(RootResidual(red.poly))
     for psi0, w in fq_factor(red.poly):
         t = Type(base, psi0)

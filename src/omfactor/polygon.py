@@ -7,6 +7,7 @@ increasing slopes. Principal sides are the ones of negative slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,7 +51,7 @@ def _norm_points(points: Iterable[Sequence]) -> list[Point]:
         s = int(s)
         if s < 0:
             raise PreconditionError("polygon abscissae must be nonnegative")
-        u = Fraction(u)
+        u = u if type(u) is Fraction else Fraction(u)
         if s not in best or u < best[s]:
             best[s] = u
     return sorted(best.items())
@@ -61,18 +62,21 @@ def lower_hull(points: Iterable[Sequence]) -> NewtonPolygon:
 
     Points sharing an abscissa are reduced to the minimal ordinate first;
     collinear interior points are removed, so the vertex set is minimal.
+    Cross products run on integers, the ordinates times the lcm of their
+    denominators; the vertices are the input's own points.
     """
     pts = _norm_points(points)
     if not pts:
         raise PreconditionError("lower_hull of an empty point set")
-    verts: list[Point] = []
+    d = math.lcm(*(u.denominator for _, u in pts))
+    verts: list[tuple[int, int, Point]] = []
     for pt in pts:
+        s2, u2 = pt[0], pt[1].numerator * (d // pt[1].denominator)
         while len(verts) >= 2:
-            (s0, u0), (s1, u1) = verts[-2], verts[-1]
-            if (u1 - u0) * (pt[0] - s1) >= (pt[1] - u1) * (s1 - s0):
+            (s0, u0, _), (s1, u1, _) = verts[-2], verts[-1]
+            if (u1 - u0) * (s2 - s1) >= (u2 - u1) * (s1 - s0):
                 verts.pop()
             else:
                 break
-        verts.append(pt)
-    return NewtonPolygon(tuple(verts))
-
+        verts.append((s2, u2, pt))
+    return NewtonPolygon(tuple(pt for _, _, pt in verts))

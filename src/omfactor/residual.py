@@ -3,10 +3,11 @@
 ri(chain, i, g) computes the level-i residual data of a nonzero polynomial:
 the left endpoint (s_i, u_i) of the slope-lambda_i line under the points of
 the phi_i-expansion, together with the residual polynomial R_i(g) over the
-level-i residue field. It is the package's only walk over phi-expansions:
-expansion_entries gives (s, u_s, R_j(a_s)) for each nonzero a_s, with
-u_s = v_j(a_s phi^s) normalized (the polygon points are (s, u_s / e(mu_j))),
-and line_residual picks the line and its endpoint from the values alone.
+level-i residue field. It is the package's only walk over phi-expansions,
+and recurses on coefficient tuples down to r0, building no Poly for an
+expansion coefficient. expansion_entries gives (s, u_s, R_j(a_s)) for each
+nonzero a_s, with u_s = v_j(a_s phi^s) normalized (the polygon points are
+(s, u_s / e(mu_j))), and line_residual picks the line from the values alone.
 R_i is built on the first read of .poly, from the on-line entries only, so
 reading a value builds none: each on-line entry contributes its lower-level
 residual evaluated at the tower generator, twisted by a power of that
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .arith import Poly, content_vp, phi_expansion, qpoly
+from .arith import INF, Poly, _content_vp, phi_expansion, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt
 
@@ -61,18 +62,19 @@ class ResidualResult:
         return f"ResidualResult(s={self.s!r}, u={self.u!r}, poly={self.poly!r})"
 
 
-def r0(p: int, g: Poly) -> ResidualResult:
-    """Level-0 data: content valuation u and (g / p^u) mod p."""
-    if g.is_zero():
+def r0(p: int, coeffs: tuple) -> ResidualResult:
+    """Level-0 data of a nonzero g, given its coefficient tuple: content
+    valuation u and (g / p^u) mod p."""
+    if not coeffs:
         raise PreconditionError("residual of the zero polynomial")
-    u = content_vp(g, p)
+    u = _content_vp(coeffs, p)
 
     def build() -> Poly:
         if u >= 0:
             pu = p ** u  # divides every coefficient, so // is exact on ints
-            scaled = [c // pu if type(c) is int else c / pu for c in g.coeffs]
+            scaled = [c // pu if type(c) is int else c / pu for c in coeffs]
         else:
-            scaled = [c * p ** -u for c in g.coeffs]
+            scaled = [c * p ** -u for c in coeffs]
         return Poly(Fq.prime(p), scaled)
 
     return ResidualResult(0, u, build)
@@ -84,17 +86,27 @@ def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
         raise PreconditionError("residual of the zero polynomial")
     if not 0 <= i <= chain.r:
         raise PreconditionError(f"residual level {i} out of range")
+    return _walk(chain, i, g.coeffs)
+
+
+def _walk(chain: MacLaneChain, i: int, coeffs: tuple) -> ResidualResult:
+    """ri on a nonzero coefficient tuple, for a level already checked."""
     if i == 0:
-        return r0(chain.p, g)
+        return r0(chain.p, coeffs)
     lev = chain.levels[i - 1]
-    return line_residual(chain, i, expansion_entries(chain, i - 1, lev.phi, lev.V, g))
+    return line_residual(chain, i, _entries(chain, i - 1, lev.phi, lev.V, coeffs))
+
+
+def _entries(chain: MacLaneChain, j: int, phi: Poly, V: int, coeffs: tuple) -> list:
+    """expansion_entries on a coefficient tuple."""
+    subs = [(s, _walk(chain, j, a)) for s, a in enumerate(phi_expansion(coeffs, phi)) if a]
+    return [(s, chain.residual_value(j, sub) + s * V, sub) for s, sub in subs]
 
 
 def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, g: Poly) -> list:
     """(s, u_s, R_j(a_s)) for each nonzero a_s of g = sum a_s phi^s, where
     u_s = v_j(a_s) + s V, the normalized value of a_s phi^s if V = v_j(phi)."""
-    subs = [(s, ri(chain, j, a)) for s, a in enumerate(phi_expansion(g, phi)) if not a.is_zero()]
-    return [(s, chain.residual_value(j, sub) + s * V, sub) for s, sub in subs]
+    return _entries(chain, j, phi, V, g.coeffs)
 
 
 def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
@@ -104,17 +116,24 @@ def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
     if not entries:
         raise InternalError("empty expansion of a nonzero polynomial")
     lev = chain.level(i)
-    t_min = min(lev.e * u_s + lev.h * s for s, u_s, _ in entries)
-    line = [(s, u_s, sub) for s, u_s, sub in entries if lev.e * u_s + lev.h * s == t_min]
+    e, h = lev.e, lev.h
+    t_min, line = INF, []
+    for entry in entries:
+        t = e * entry[1] + h * entry[0]
+        if t < t_min:
+            t_min, line = t, [entry]
+        elif t == t_min:
+            line.append(entry)
     s_i, u_i = line[0][0], line[0][1]
-    if any((s - s_i) % lev.e for s, _, _ in line):
+    if any((s - s_i) % e for s, _, _ in line):
         raise InternalError("on-line abscissa not congruent to the left endpoint")
 
     def build() -> Poly:
         field, z, l, lp = chain.fields[i], chain.z(i - 1), chain.l(i - 1), chain.lp(i - 1)
-        coeffs = [field.zero] * ((line[-1][0] - s_i) // lev.e + 1)
+        coeffs = [field.zero] * ((line[-1][0] - s_i) // e + 1)
         for s, _, sub in line:
-            coeffs[(s - s_i) // lev.e] = field.from_poly(sub.poly) * z ** (lp * sub.s - l * sub.u)
+            a, n = field.from_poly(sub.poly), lp * sub.s - l * sub.u
+            coeffs[(s - s_i) // e] = a * z ** n if n else a
         return Poly(field, coeffs)
 
     return ResidualResult(s_i, u_i, build)

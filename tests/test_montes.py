@@ -27,7 +27,7 @@ from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, p
 from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
 from omfactor.polygon import lower_hull
-from omfactor.residual import ri
+from omfactor.residual import r0, ri
 from omfactor.serialize import format_trace
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -311,10 +311,10 @@ def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> Non
     f = parse_poly(poly)
     seen: Counter = Counter()
 
-    def counting(g, phi):
-        if g == f:
+    def counting(coeffs, phi):
+        if coeffs == f.coeffs:
             seen[phi.coeffs] += 1
-        return phi_expansion(g, phi)
+        return phi_expansion(coeffs, phi)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("omfactor") and getattr(mod, "phi_expansion", None) is phi_expansion:
@@ -369,19 +369,31 @@ P_UNIT_QUARTIC = qpoly([Fraction(3393, 8), 0, Fraction(15, 2), 0, 1])
 
 
 def test_run_keeps_one_coefficient_representation(monkeypatch) -> None:
-    """Every rational polynomial a run creates stores an int, or a Fraction
-    with denominator > 1, and never a float."""
+    """Every rational polynomial a run creates, and every coefficient tuple
+    that reaches r0, stores an int, or a Fraction with denominator > 1, and
+    never a float."""
     bad: list = []
+    reached: list = []
     init = Poly.__init__
+
+    def canonical(coeffs) -> bool:
+        return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coeffs)
 
     def checked(self, ring, coeffs):
         init(self, ring, coeffs)
-        if ring == QQ and not all(
-            type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in self.coeffs
-        ):
+        if ring == QQ and not canonical(self.coeffs):
             bad.append(self)
 
+    def checked_r0(p, coeffs):
+        reached.append(coeffs)
+        if type(coeffs) is not tuple or not canonical(coeffs) or not coeffs[-1]:
+            bad.append(coeffs)
+        return r0(p, coeffs)
+
     monkeypatch.setattr(Poly, "__init__", checked)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("omfactor") and getattr(mod, "r0", None) is r0:
+            monkeypatch.setattr(mod, "r0", checked_r0)
     rng = random.Random(1)
     inputs = [(P_UNIT_QUARTIC, 3), (parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"), 2)]
     for _ in range(60):
@@ -397,7 +409,7 @@ def test_run_keeps_one_coefficient_representation(monkeypatch) -> None:
             continue
         certify(f, p, res.certificates, res.floor)
         runs += 1
-    assert runs > 50 and bad == []
+    assert runs > 50 and reached and bad == []
 
 
 def test_p_unit_denominators_keep_their_output() -> None:

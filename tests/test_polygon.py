@@ -55,6 +55,37 @@ def test_hull_matches_gift_wrap_oracle() -> None:
         assert got == want
 
 
+def _assert_hull_of_input(pts: list, hull: NewtonPolygon) -> None:
+    assert hull.vertices == tuple(oracles.brute_lower_hull(pts))
+    for s, u in hull.vertices:
+        assert type(u) is Fraction and (s, u) in pts
+        if all(type(w) is Fraction for _, w in pts):
+            assert any(w is u for t, w in pts if t == s)
+
+
+def test_integer_hull_on_one_denominator() -> None:
+    """Ordinates u / e with one e from 1 to 12, as expansion_points gives
+    them: the scaled integer cross products give the gift-wrap hull, and
+    every vertex is one of the input points."""
+    rng = random.Random(59)
+    for e in range(1, 13):
+        for _ in range(40):
+            n = rng.randrange(1, 30)
+            pts = [(rng.randrange(0, 40), Fraction(rng.randrange(-5 * e, 60 * e), e))
+                   for _ in range(n)]
+            _assert_hull_of_input(pts, lower_hull(pts))
+
+
+def test_integer_hull_on_mixed_denominators() -> None:
+    rng = random.Random(61)
+    for _ in range(300):
+        pts = []
+        for _ in range(rng.randrange(1, 25)):
+            u = Fraction(rng.randrange(-400, 401), rng.choice([1, 2, 3, 4, 5, 7, 9, 11, 12, 35]))
+            pts.append((rng.randrange(0, 20), u if rng.random() < 0.8 else int(u)))
+        _assert_hull_of_input(pts, lower_hull(pts))
+
+
 def test_hull_dominance() -> None:
     rng = random.Random(47)
     for _ in range(500):

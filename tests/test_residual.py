@@ -39,10 +39,10 @@ from omfactor.valuation import expansion_points
 
 def test_r0_pins() -> None:
     f = fixture_poly(3)
-    res = r0(3, f)
+    res = r0(3, f.coeffs)
     assert (res.s, res.u) == (0, 0)
     assert [c.lift_int() for c in res.poly.coeffs] == [0, 0, 0, 0, 1]
-    res = r0(3, qpoly([18]))
+    res = r0(3, (18,))
     assert (res.s, res.u) == (0, 2)
     assert [c.lift_int() for c in res.poly.coeffs] == [-1]
     # Rational coefficients, with u of either sign: g / 3^u is exact.
@@ -51,13 +51,13 @@ def test_r0_pins() -> None:
         (qpoly([Fraction(1, 18), Fraction(1, 3)]), -2, [-1]),
         (qpoly([Fraction(2, 3), Fraction(1, 9)]), -2, [0, 1]),
     ]:
-        res = r0(3, g)
+        res = r0(3, g.coeffs)
         assert (res.u, [c.lift_int() for c in res.poly.coeffs]) == (u, lifts)
 
 
 def test_r0_rejects_zero() -> None:
     with pytest.raises(PreconditionError):
-        r0(3, qpoly([]))
+        r0(3, ())
 
 
 def test_ri_level_pins_on_fixture() -> None:
@@ -82,7 +82,7 @@ def test_ri_at_level_zero_is_r0() -> None:
     for _ in range(10):
         g = random_qpoly(rng, 6)
         a = ri(chain, 0, g)
-        b = r0(3, g)
+        b = r0(3, g.coeffs)
         assert (a.s, a.u, a.poly) == (b.s, b.u, b.poly)
 
 
@@ -98,6 +98,47 @@ def test_ri_matches_the_eager_walk() -> None:
             gs = [random_qpoly(rng, 10) for _ in range(3)]
             gs += [lev.phi for lev in chain.levels[i:]]
             gs += [gs[0] * chain.levels[-1].phi + qpoly([chain.p])]
+            for g in gs:
+                res = ri(chain, i, g)
+                assert (res.s, res.u, res.poly) == ri_eager(chain, i, g)
+
+
+def test_ri_matches_the_eager_walk_below_the_key_degree() -> None:
+    """At every level i, constants and polynomials of degree m_i - 1 expand
+    to one coefficient, which the walk passes down as it is."""
+    rng = random.Random(167)
+    chains = [fixture_chain3(), fixture_chain5()]
+    chains += [random_type(rng).chain for _ in range(10)]
+    for chain in chains:
+        p = chain.p
+        for i in range(chain.r + 1):
+            m = chain.m(i)
+            gs = [qpoly([c]) for c in (1, -p, p ** 3, Fraction(p ** 2, 7))]
+            for _ in range(3):
+                top = rng.choice([1, p, rng.randrange(1, 40)])
+                gs.append(qpoly([rng.randrange(-40, 41) for _ in range(m - 1)] + [top]))
+            for g in gs:
+                assert g.degree < m
+                res = ri(chain, i, g)
+                assert (res.s, res.u, res.poly) == ri_eager(chain, i, g)
+
+
+def test_ri_matches_the_eager_walk_on_p_unit_rationals() -> None:
+    """Rational coefficients take r0's valuation path for Fractions: p-unit
+    denominators, as in P_UNIT_QUARTIC of test_montes, and denominators
+    divisible by p."""
+    rng = random.Random(173)
+    chains = [fixture_chain3(), fixture_chain5()]
+    chains += [random_type(rng).chain for _ in range(10)]
+    for chain in chains:
+        p = chain.p
+        units = [d for d in range(2, 12) if d % p]
+        for i in range(chain.r + 1):
+            gs = [qpoly([Fraction(3393, 8), 0, Fraction(15, 2), 0, 1])]
+            for _ in range(4):
+                g = random_qpoly(rng, 10)
+                dens = units + [p, p ** 2] * (rng.random() < 0.5)
+                gs.append(qpoly([Fraction(c, rng.choice(dens)) for c in g.coeffs]))
             for g in gs:
                 res = ri(chain, i, g)
                 assert (res.s, res.u, res.poly) == ri_eager(chain, i, g)
