@@ -74,8 +74,9 @@ def _vp(q: int | Fraction, p: int) -> int | float:
 
 
 class RationalRing:
-    """Coefficient-ring adapter for rational polynomials. `one` is a Fraction
-    so that `one / c` divides exactly."""
+    """Coefficient-ring adapter for rational polynomials. QQ is the only
+    instance, compared by identity. `one` is a Fraction so that `one / c`
+    divides exactly."""
 
     zero = 0
     one = Fraction(1)
@@ -89,12 +90,6 @@ class RationalRing:
 
     def __repr__(self) -> str:
         return "QQ"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalRing)
-
-    def __hash__(self) -> int:
-        return hash("QQ")
 
 
 QQ = RationalRing()
@@ -149,7 +144,7 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Poly)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.coeffs == other.coeffs
         )
 
@@ -234,12 +229,6 @@ class Poly:
         acc = self.ring.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose(self, other: "Poly") -> "Poly":
-        acc = Poly(self.ring, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly(self.ring, [c])
         return acc
 
     def __repr__(self) -> str:

@@ -11,6 +11,13 @@ splitting with a deterministic candidate sequence, run on plain lists of
 element vectors (no FqElt per operation), and factor lists are sorted
 canonically by degree, then by balanced coefficient coordinates from the
 constant term upward.
+
+Fields are interned: Fq.prime and Fq.extend build each field once and hand
+back that object from then on, and fields are compared by identity, so two
+elements are equal only over the same field object. A field built by
+calling Fq directly is a field of its own. The interning tables
+(Fq._prime_cache and each field's _ext_cache) are never evicted, since an
+evicted field would be rebuilt as a different object.
 """
 
 from __future__ import annotations
@@ -45,20 +52,14 @@ class FqElt:
         self.rep = rep
 
     def _same(self, other: "FqElt") -> None:
-        if isinstance(other, FqElt) and self.field is other.field:
-            return
-        if not isinstance(other, FqElt) or self.field != other.field:
+        if not isinstance(other, FqElt) or self.field is not other.field:
             raise InternalError("mixed-field arithmetic")
 
     def __bool__(self) -> bool:
         return self.rep != self.field._zero.rep
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FqElt):
-            return False
-        if self.field is other.field:
-            return self.rep == other.rep
-        return self.field == other.field and self.rep == other.rep
+        return isinstance(other, FqElt) and self.field is other.field and self.rep == other.rep
 
     def __hash__(self) -> int:
         return hash((self.field, self.rep))
@@ -130,7 +131,7 @@ class Fq:
 
     __slots__ = (
         "p", "base", "modulus", "deg_over_base", "deg_abs", "q", "_kernel",
-        "_mod_reps", "_skey", "_hash", "_zero", "_one", "_gen", "_ext_cache",
+        "_mod_reps", "_zero", "_one", "_gen", "_ext_cache",
     )
 
     _prime_cache: dict[int, "Fq"] = {}
@@ -143,14 +144,12 @@ class Fq:
         if base is None:
             self.deg_over_base = self.deg_abs = 1
             self._kernel = self
-            self._skey = ("p", p)
         else:
             self.deg_over_base = modulus.degree
             self.deg_abs = base.deg_abs * modulus.degree
             # The field whose multiplication this one's vectors use.
             self._kernel = self if modulus.degree > 1 else base._kernel
             self._mod_reps = tuple(c.rep for c in modulus.coeffs)
-            self._skey = ("e", base._skey, self._mod_reps)
         self.q = p ** self.deg_abs
         self._zero = FqElt(self, 0 if self.deg_abs == 1 else (0,) * self.deg_abs)
         self._one = FqElt(self, self._pad(1))
@@ -158,7 +157,6 @@ class Fq:
             # y itself, or the root -a of a degree-one modulus y + a.
             y = self.from_index(base.q) if modulus.degree > 1 else -modulus.coeff(0)
             self._gen = FqElt(self, y.rep)
-        self._hash = hash(self._skey)
         self._ext_cache: dict[tuple, Fq] = {}
 
     @classmethod
@@ -175,14 +173,6 @@ class Fq:
 
     def label(self) -> str:
         return f"F{self.p}^{self.deg_abs}" if self.deg_abs > 1 else f"F{self.p}"
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Fq) and self._skey == other._skey
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return self.label()
@@ -271,7 +261,7 @@ class Fq:
 
     def coerce(self, v: int | Fraction | FqElt) -> FqElt:
         if isinstance(v, FqElt):
-            if v.field is not self and v.field != self:
+            if v.field is not self:
                 raise InternalError("coercion from a different field")
             return v
         if isinstance(v, Fraction):
@@ -284,7 +274,7 @@ class Fq:
 
     def from_poly(self, g: Poly) -> FqElt:
         """Class of a polynomial over the immediate base modulo the modulus."""
-        cs = [c.rep for c in (g if g.degree < self.deg_over_base else g % self.modulus).coeffs]
+        cs = _pdivmod(self.base, [c.rep for c in g.coeffs], list(self._mod_reps))[1]
         cs += [self.base._zero.rep] * (self.deg_over_base - len(cs))
         return FqElt(self, self._flatten(cs))
 
@@ -296,7 +286,7 @@ class Fq:
         Degree-one moduli are allowed, but the modulus y itself only on the
         first level above the prime field.
         """
-        if psi.ring != self:
+        if psi.ring is not self:
             raise PreconditionError("modulus is not a polynomial over this field")
         if psi.degree < 1 or not psi.is_monic():
             raise PreconditionError("modulus must be monic of degree >= 1")
@@ -449,12 +439,8 @@ def _candidate(F: Fq, k: int, degree_bound: int) -> list:
     the base-q digits of k, each the element of that index (Fq.from_index)."""
     digits = []
     while k:
-        k, r = divmod(k, F.p)
-        digits.append(r)
-    n = F.deg_abs
-    if n > 1:
-        digits += [0] * (-len(digits) % n)
-        digits = [tuple(digits[i:i + n]) for i in range(0, len(digits), n)]
+        k, r = divmod(k, F.q)
+        digits.append(F.from_index(r).rep)
     return _trim(F, digits[:degree_bound])
 
 
@@ -545,10 +531,10 @@ def multiplicity_of(factor: Poly, g: Poly) -> int:
         raise PreconditionError("multiplicity in the zero polynomial")
     if factor.degree < 1:
         raise PreconditionError("multiplicity of a constant factor")
-    if factor.ring != g.ring:
+    if factor.ring is not g.ring:
         raise PreconditionError("factor and polynomial over different fields")
     F, m = g.ring, 0
-    a, b = [c.rep for c in g.coeffs], [c.rep for c in factor.monic().coeffs]
+    a, b = [c.rep for c in g.coeffs], _pmonic(F, [c.rep for c in factor.coeffs])
     while True:
         quo, rem = _pdivmod(F, a, b)
         if rem:

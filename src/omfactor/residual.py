@@ -94,19 +94,15 @@ def _walk(chain: MacLaneChain, i: int, coeffs: tuple) -> ResidualResult:
     if i == 0:
         return r0(chain.p, coeffs)
     lev = chain.levels[i - 1]
-    return line_residual(chain, i, _entries(chain, i - 1, lev.phi, lev.V, coeffs))
+    return line_residual(chain, i, expansion_entries(chain, i - 1, lev.phi, lev.V, coeffs))
 
 
-def _entries(chain: MacLaneChain, j: int, phi: Poly, V: int, coeffs: tuple) -> list:
-    """expansion_entries on a coefficient tuple."""
+def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, coeffs: tuple) -> list:
+    """(s, u_s, R_j(a_s)) for each nonzero a_s of g = sum a_s phi^s, given
+    g's coefficient tuple, where u_s = v_j(a_s) + s V, the normalized value
+    of a_s phi^s if V = v_j(phi)."""
     subs = [(s, _walk(chain, j, a)) for s, a in enumerate(phi_expansion(coeffs, phi)) if a]
     return [(s, chain.residual_value(j, sub) + s * V, sub) for s, sub in subs]
-
-
-def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, g: Poly) -> list:
-    """(s, u_s, R_j(a_s)) for each nonzero a_s of g = sum a_s phi^s, where
-    u_s = v_j(a_s) + s V, the normalized value of a_s phi^s if V = v_j(phi)."""
-    return _entries(chain, j, phi, V, g.coeffs)
 
 
 def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:

@@ -134,7 +134,7 @@ def expansion_points(chain: MacLaneChain, phi: Poly, V: int, g: Poly) -> tuple[l
     """Entries and points (s, mu_r(a_s phi^s)) of g's phi-expansion at the top
     valuation, given V = v_r(phi) normalized. Zero coefficients give neither."""
     r = chain.r
-    entries = expansion_entries(chain, r, phi, V, g)
+    entries = expansion_entries(chain, r, phi, V, g.coeffs)
     return entries, [(s, Fraction(u, chain.e_cum[r])) for s, u, _ in entries]
 
 

@@ -10,8 +10,8 @@ the tower with every degree-one level collapsed, the residual transport
 law under a key shift, the equivalence decision by transporting the whole
 residual tower through the tower homomorphism the key shifts induce, and
 factorization and the irreducibility test over a tower field run on
-generic Poly arithmetic). The lambda-components and shears of a polygon,
-which only tests use, live here too.
+generic Poly arithmetic). Polynomial composition and the lambda-components
+and shears of a polygon, which only tests use, live here too.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:
     acc = Poly(phi.ring, [])
     for a in reversed(coeffs):
         acc = acc * phi + a
+    return acc
+
+
+def compose(g: Poly, h: Poly) -> Poly:
+    """g(h), by Horner's rule over g's coefficient ring."""
+    acc = Poly(g.ring, [])
+    for c in reversed(g.coeffs):
+        acc = acc * h + Poly(g.ring, [c])
     return acc
 
 
@@ -167,7 +175,7 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
         if mapped.degree == 1:
             images.append(-mapped.coeff(0))
         else:
-            bigger = Fq(field.p, flat, mapped)
+            bigger = flat.extend(mapped)
             images = [lift_from(bigger, img) for img in images]
             images.append(bigger.gen())
             flat = bigger
@@ -224,7 +232,7 @@ def equivalent_by_transport(ta: Type, tb: Type) -> EquivWitness:
         mapped = map_poly(moduli_b[j], dst, images)
         shift = dst.zero if j == 0 else lift_from(dst, etas[j - 1])
         lifted = Poly(dst, [lift_from(dst, c) for c in moduli_a[j].coeffs])
-        target = lifted.compose(Poly(dst, [-shift, dst.one]))
+        target = compose(lifted, Poly(dst, [-shift, dst.one]))
         if mapped != target:
             degen = j > 0 and moduli_a[j].evaluate(-etas[j - 1]) == A.fields[j].zero
             return _fail(f"psi@{j}" if j < r else "psi_top", etas, degen)
@@ -358,7 +366,7 @@ def transport_residual(res: Poly, s: int, eta: FqElt) -> tuple[int, Poly]:
     if res.is_zero():
         raise PreconditionError("cannot transport a zero residual")
     field = res.ring
-    if eta.field != field:
+    if eta.field is not field:
         raise PreconditionError("shift must live in the residual's field")
     plus = Poly(field, [eta, field.one])
     minus = Poly(field, [-eta, field.one])
@@ -366,7 +374,7 @@ def transport_residual(res: Poly, s: int, eta: FqElt) -> tuple[int, Poly]:
     part = res
     for _ in range(k):
         part = part // plus
-    return k, minus ** s * part.compose(minus)
+    return k, minus ** s * compose(part, minus)
 
 
 def component_of(polygon: NewtonPolygon, lam: Fraction) -> Component:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import oracles
-from reference import apply_affinity, component_of, is_irreducible
+from reference import apply_affinity, component_of, compose, is_irreducible
 from omfactor.arith import Poly, content_vp, qpoly
 from omfactor.finitefield import multiplicity_of
 from omfactor.montes import (
@@ -216,7 +217,7 @@ def test_shifted_key_residual_transport() -> None:
             part = res.poly
             for _ in range(s_star):
                 part = part // plus
-            moved = minus ** res.s * part.compose(minus)
+            moved = minus ** res.s * compose(part, minus)
             assert out.s == s_star
             assert out.u == res.u + h_r * (res.s - s_star)
             assert _flat_equal(out.poly, moved)
@@ -418,6 +419,33 @@ def test_unramified_inputs_mirror_residue_field_factorization() -> None:
             assert cert.f == cert.degree
         done += 1
     assert time.perf_counter() - start < BATCH_RUN_LIMIT
+
+
+def test_constructed_products_factor_with_the_constructed_e_and_f() -> None:
+    """An oracle by construction, which shares neither the engine's tree nor
+    its certify. Take h monic with h mod p irreducible of degree f (sympy
+    decides), e, a >= 1 with gcd(a, e) = 1, and u a unit. The h-adic
+    expansion of g = h^e + p^a*u is p^a*u + 1*h^e, so g's h-polygon is one
+    side of slope -a/e with no lattice point inside, and its residual
+    polynomial has degree 1. By Ore's p-regular case g is irreducible over
+    Z_p with ramification e and residue degree f. Distinct (h mod p, a/e)
+    make the g distinct, so their product is squarefree and its p-adic
+    factors are the g themselves."""
+    rng = random.Random(2014)
+    for _ in range(40):
+        p, k = rng.choice([2, 3, 5]), rng.randint(1, 3)
+        f, want, seen = qpoly([1]), [], set()
+        while len(want) < k:
+            deg, e, a = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 7)
+            h = [rng.randrange(p) for _ in range(deg)] + [1]
+            if (gcd(a, e) != 1 or (tuple(h), Fraction(a, e)) in seen
+                    or oracles.modp_factors(h, p) != [(deg, 1)]):
+                continue
+            seen.add((tuple(h), Fraction(a, e)))
+            u = rng.choice([c for c in range(1 - p, p) if c % p])
+            f = f * (qpoly(h) ** e + qpoly([p ** a * u]))
+            want.append((e, deg))
+        assert sorted((c.e, c.f) for c in factorize(f, p)) == sorted(want), (p, f)
 
 
 def _artifact() -> str:

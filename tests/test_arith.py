@@ -28,7 +28,7 @@ from omfactor.arith import (
     phi_expansion,
 )
 from genchains import random_qpoly
-from reference import expansion_sum, phi_expansion_by_divmod
+from reference import compose, expansion_sum, phi_expansion_by_divmod
 from omfactor.finitefield import Fq
 
 
@@ -140,7 +140,7 @@ def test_poly_pow_and_compose() -> None:
         assert pow(g, 0, m) == qpoly([1])
     f = qpoly([1, 0, 1])
     g = qpoly([-2, 1])
-    assert f.compose(g) == qpoly([5, -4, 1])
+    assert compose(f, g) == qpoly([5, -4, 1])
     assert f.evaluate(Fraction(3)) == 10
 
 

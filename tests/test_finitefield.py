@@ -489,16 +489,35 @@ def test_flat_arithmetic_matches_quotient_ring(p: int, shape: list[int]) -> None
 
 
 def test_separately_built_fields_agree() -> None:
+    """Fields are interned and compared by identity. A tower rebuilt from its
+    JSON coordinates through extend is the same objects; a field built with
+    Fq(...) is a field of its own, whatever its modulus."""
     rng = random.Random(7)
     fields = _random_tower(3, TOWER_SHAPES[0], rng)
-    # Rebuild the tower without the extension cache, from JSON coordinates.
-    twin = Fq(3, None, None)
+    rebuilt, twin = Fq.prime(3), Fq(3, None, None)
+    assert rebuilt is fields[0] and twin is not rebuilt
     for field in fields[1:]:
-        coeffs = [fq_elt_from_json(twin, fq_elt_to_json(c)) for c in field.modulus.coeffs]
-        twin = Fq(3, twin, Poly(twin, coeffs))
+        rebuilt = rebuilt.extend(Poly(rebuilt, [
+            fq_elt_from_json(rebuilt, fq_elt_to_json(c)) for c in field.modulus.coeffs]))
+        assert rebuilt is field
+        twin = Fq(3, twin, Poly(twin, [
+            fq_elt_from_json(twin, fq_elt_to_json(c)) for c in field.modulus.coeffs]))
     top = fields[-1]
-    assert twin is not top and twin == top and hash(twin) == hash(top)
+    assert twin is not top and twin != top
     for a in _random_elements(top, rng, 20):
         b = fq_elt_from_json(twin, fq_elt_to_json(a))
-        assert b == a and hash(b) == hash(a)
-        assert b.field is twin and b * b == a * a
+        assert b.rep == a.rep and b != a and b.field is twin
+        for op in (lambda: a * b, lambda: b + a, lambda: a - b, lambda: b / top.one):
+            with pytest.raises(InternalError, match="mixed-field arithmetic"):
+                op()
+        with pytest.raises(InternalError, match="coercion from a different field"):
+            twin.coerce(a)
+    with pytest.raises(PreconditionError, match="not a polynomial over this field"):
+        top.extend(Poly(twin, [twin.gen(), twin.one]))
+    # y^2 - a^2 = (y - a)(y + a): the memo filled over top serves no other field.
+    a = top.from_index(29)
+    for field in (top, twin):
+        a = fq_elt_from_json(field, fq_elt_to_json(a))
+        factors = fq_factor(Poly(field, [-(a * a), field.zero, field.one]))
+        assert [h.degree for h, _ in factors] == [1, 1]
+        assert all(h.ring is field and all(c.field is field for c in h.coeffs) for h, _ in factors)

@@ -45,6 +45,7 @@ from omfactor import (
 from omfactor.serialize import canonical_json, format_type, type_to_json
 from omfactor.typecalc import f_level, is_stationary_level
 from reference import (
+    compose,
     equivalent_by_transport,
     flatten_field,
     is_optimal,
@@ -311,7 +312,7 @@ def test_shift_pair_types_are_equivalent() -> None:
         field = chain.fields[r]
         psi = random_irreducible(rng, field, 2, proper=True)
         ta = Type(chain, psi)
-        shifted = psi.compose(Poly(field, [-eta, field.one]))
+        shifted = compose(psi, Poly(field, [-eta, field.one]))
         tb = Type(star, Poly(star.fields[r], list(shifted.coeffs)))
         w = equivalent(ta, tb)
         assert w.equivalent, w
@@ -341,7 +342,7 @@ def _top_shift_pairs(rng: random.Random, count: int) -> list[tuple[Type, Type]]:
         psi = random_irreducible(rng, field, rng.choice([1, 2]), proper=True)
         ta = Type(chain, psi)
         for shift in (-eta, eta, field.zero):
-            moved = psi.compose(Poly(field, [shift, field.one]))
+            moved = compose(psi, Poly(field, [shift, field.one]))
             try:
                 pairs.append((ta, Type(star, Poly(star.fields[r], list(moved.coeffs)))))
             except PreconditionError:  # the shift turned psi into y
@@ -420,7 +421,7 @@ def test_equivalent_matches_two_sided_ord_oracle() -> None:
         field = chain.fields[r]
         psi = random_irreducible(rng, field, rng.choice([1, 2]), proper=True)
         for shift in (-eta, eta):
-            moved = psi.compose(Poly(field, [shift, field.one]))
+            moved = compose(psi, Poly(field, [shift, field.one]))
             try:
                 tb = Type(star, Poly(star.fields[r], list(moved.coeffs)))
             except PreconditionError:  # the shift turned psi into y
