@@ -6,7 +6,11 @@ vector over F_p in the tower monomial basis (see FqElt). A degree-one level
 y - a adds no coordinates: its elements keep the vectors of their base
 images and use the base's arithmetic, so only levels of degree >= 2
 multiply and reduce. Elements are fully reduced, so equality is vector
-equality. Factorization is squarefree / distinct-degree / equal-degree
+equality. F_q[y] has one arithmetic here, the list kernel below (_pmul,
+_pdivmod, _pmonic, ...) on plain lists of element vectors: a tower product
+is the kernel's product of the two chunk lists over the base, reduced by the
+modulus, and Poly over F_q is only the container that commands pass around.
+Factorization is squarefree / distinct-degree / equal-degree
 splitting with a deterministic candidate sequence, run on plain lists of
 element vectors (no FqElt per operation), and factor lists are sorted
 canonically by degree, then by balanced coefficient coordinates from the
@@ -56,7 +60,7 @@ class FqElt:
             raise InternalError("mixed-field arithmetic")
 
     def __bool__(self) -> bool:
-        return self.rep != self.field._zero.rep
+        return self.rep != self.field.zero.rep
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FqElt) and self.field is other.field and self.rep == other.rep
@@ -100,7 +104,7 @@ class FqElt:
         return FqElt(self.field, self.field._sub(self.rep, other.rep))
 
     def __neg__(self) -> "FqElt":
-        return FqElt(self.field, self.field._sub(self.field._zero.rep, self.rep))
+        return FqElt(self.field, self.field._sub(self.field.zero.rep, self.rep))
 
     def __mul__(self, other: "FqElt") -> "FqElt":
         self._same(other)
@@ -131,7 +135,7 @@ class Fq:
 
     __slots__ = (
         "p", "base", "modulus", "deg_over_base", "deg_abs", "q", "_kernel",
-        "_mod_reps", "_zero", "_one", "_gen", "_ext_cache",
+        "_mod_list", "zero", "one", "_gen", "_ext_cache",
     )
 
     _prime_cache: dict[int, "Fq"] = {}
@@ -149,10 +153,10 @@ class Fq:
             self.deg_abs = base.deg_abs * modulus.degree
             # The field whose multiplication this one's vectors use.
             self._kernel = self if modulus.degree > 1 else base._kernel
-            self._mod_reps = tuple(c.rep for c in modulus.coeffs)
+            self._mod_list = [c.rep for c in modulus.coeffs]
         self.q = p ** self.deg_abs
-        self._zero = FqElt(self, 0 if self.deg_abs == 1 else (0,) * self.deg_abs)
-        self._one = FqElt(self, self._pad(1))
+        self.zero = FqElt(self, 0 if self.deg_abs == 1 else (0,) * self.deg_abs)
+        self.one = FqElt(self, self._pad(1))
         if base is not None:
             # y itself, or the root -a of a degree-one modulus y + a.
             y = self.from_index(base.q) if modulus.degree > 1 else -modulus.coeff(0)
@@ -185,7 +189,7 @@ class Fq:
         if self.deg_abs == 1:
             return r
         r = (r,) if isinstance(r, int) else r  # absolute degree 1
-        return r + self._zero.rep[len(r):]
+        return r + self.zero.rep[len(r):]
 
     def _chunks(self, r) -> list:
         """Coordinates over the immediate base, as base vectors."""
@@ -212,31 +216,23 @@ class Fq:
 
     def _mul(self, a, b):
         """Product of two vectors, on the prime field or a level of degree
-        >= 2: chunkwise product over the base, reduced by the modulus."""
+        >= 2: the kernel's product of the chunk lists, reduced by the modulus."""
         if self.base is None:
             return a * b % self.p
-        base, d = self.base, self.deg_over_base
-        mul, add, sub, zero = base._kernel._mul, base._add, base._sub, base._zero.rep
-        prod = [zero] * (2 * d - 1)
-        bs = self._chunks(b)
-        for i, x in enumerate(self._chunks(a)):
-            if x != zero:
-                for j, y in enumerate(bs):
-                    if y != zero:
-                        prod[i + j] = add(prod[i + j], mul(x, y))
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c != zero:
-                for j in range(d):
-                    prod[k - d + j] = sub(prod[k - d + j], mul(c, self._mod_reps[j]))
-        return self._flatten(prod[:d])
+        return self._reduce(_pmul(self.base, self._chunks(a), self._chunks(b)))
+
+    def _reduce(self, cs: list):
+        """Vector of the class of cs, a list of base vectors constant term
+        first, modulo the modulus."""
+        cs = _pdivmod(self.base, cs, self._mod_list)[1]
+        return self._flatten(cs + [self.base.zero.rep] * (self.deg_over_base - len(cs)))
 
     def _pow(self, r, n: int):
         """r^n for n >= 0."""
         k = self._kernel
         if k.base is None:
             return pow(r, n, k.p)
-        return power(r, n, self._one.rep, k._mul)
+        return power(r, n, self.one.rep, k._mul)
 
     def _inv(self, r):
         """Inverse of a nonzero vector, r^(q-2), checked: over a modulus that
@@ -245,19 +241,11 @@ class Fq:
         if k.base is None:
             return pow(r, -1, k.p)
         inv = self._pow(r, self.q - 2)
-        if k._mul(inv, r) != self._one.rep:
+        if k._mul(inv, r) != self.one.rep:
             raise InternalError("modulus not irreducible in inverse computation")
         return inv
 
     # Ring adapter surface.
-
-    @property
-    def zero(self) -> FqElt:
-        return self._zero
-
-    @property
-    def one(self) -> FqElt:
-        return self._one
 
     def coerce(self, v: int | Fraction | FqElt) -> FqElt:
         if isinstance(v, FqElt):
@@ -272,11 +260,14 @@ class Fq:
             return self.coerce(v.numerator) / self.coerce(v.denominator)
         return FqElt(self, self._pad(v % self.p))
 
-    def from_poly(self, g: Poly) -> FqElt:
-        """Class of a polynomial over the immediate base modulo the modulus."""
-        cs = _pdivmod(self.base, [c.rep for c in g.coeffs], list(self._mod_reps))[1]
-        cs += [self.base._zero.rep] * (self.deg_over_base - len(cs))
-        return FqElt(self, self._flatten(cs))
+    def from_poly(self, g: Poly | list[FqElt]) -> FqElt:
+        """Class modulo the modulus of g, a Poly over the immediate base or a
+        sequence of its elements, constant term first."""
+        base = self.base
+        cs = g.coeffs if isinstance(g, Poly) else g
+        if base is None or any(type(c) is not FqElt or c.field is not base for c in cs):
+            raise PreconditionError("from_poly expects elements of the immediate base field")
+        return FqElt(self, self._reduce([c.rep for c in cs]))
 
     # Tower structure.
 
@@ -332,7 +323,7 @@ def _poly_key_str(g: Poly) -> str:
 
 
 def _trim(F: Fq, a: list) -> list:
-    while a and a[-1] == F._zero.rep:
+    while a and a[-1] == F.zero.rep:
         a.pop()
     return a
 
@@ -346,18 +337,18 @@ def _axpy(F: Fq, u: list, c, b: list):
     ints, left unreduced until _reduced."""
     if F.deg_abs == 1:
         return map(add, u, map(mul, repeat(c), b))
-    kmul, fadd, zero = F._kernel._mul, F._add, F._zero.rep
+    kmul, fadd, zero = F._kernel._mul, F._add, F.zero.rep
     return [fadd(s, kmul(c, y)) if y != zero else s for s, y in zip(u, b)]
 
 
 def _psub(F: Fq, a: list, b: list) -> list:
-    return _trim(F, [F._sub(x, y) for x, y in zip_longest(a, b, fillvalue=F._zero.rep)])
+    return _trim(F, [F._sub(x, y) for x, y in zip_longest(a, b, fillvalue=F.zero.rep)])
 
 
 def _pmul(F: Fq, a: list, b: list) -> list:
     if not a or not b:
         return []
-    zero, n = F._zero.rep, len(b)
+    zero, n = F.zero.rep, len(b)
     out = [zero] * (len(a) + n - 1)
     for i, x in enumerate(a):
         if x != zero:
@@ -370,7 +361,7 @@ def _pdivmod(F: Fq, a: list, b: list) -> tuple[list, list]:
     db, dq = len(b) - 1, len(a) - len(b)
     if dq < 0:
         return [], a
-    flat, zero, low = F.deg_abs == 1, F._zero.rep, b[:db]
+    flat, zero, low = F.deg_abs == 1, F.zero.rep, b[:db]
     rem, quo = list(a), [zero] * (dq + 1)
     for k in range(dq, -1, -1):
         c = rem[k + db] % F.p if flat else rem[k + db]
@@ -381,7 +372,7 @@ def _pdivmod(F: Fq, a: list, b: list) -> tuple[list, list]:
 
 
 def _pmonic(F: Fq, a: list) -> list:
-    if not a or a[-1] == F._one.rep:
+    if not a or a[-1] == F.one.rep:
         return a
     inv, kmul = F._inv(a[-1]), F._kernel._mul
     return [kmul(c, inv) for c in a]
@@ -396,7 +387,7 @@ def _pgcd(F: Fq, a: list, b: list) -> list:
 
 def _ppowmod(F: Fq, a: list, n: int, m: list) -> list:
     """a^n mod a monic m, for n >= 1."""
-    return power(_pdivmod(F, a, m)[1], n, [F._one.rep],
+    return power(_pdivmod(F, a, m)[1], n, [F.one.rep],
                  lambda u, v: _pdivmod(F, _pmul(F, u, v), m)[1])
 
 
@@ -460,7 +451,7 @@ def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
                 t = _psub(F, t, acc)  # in characteristic 2, t + acc
                 acc = _pdivmod(F, _pmul(F, acc, acc), h)[1]
         else:
-            t = _psub(F, _ppowmod(F, r, (q ** d - 1) // 2, h), [F._one.rep])
+            t = _psub(F, _ppowmod(F, r, (q ** d - 1) // 2, h), [F.one.rep])
         g = _pgcd(F, h, t)
         if 1 < len(g) < len(h):
             return _split_equal_degree(F, g, d) + _split_equal_degree(F, _pdivmod(F, h, g)[0], d)
@@ -470,7 +461,7 @@ def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
 def _factor_squarefree(F: Fq, w: list) -> list[list]:
     """Irreducible factors of a squarefree monic polynomial."""
     out: list[list] = []
-    x = [F._zero.rep, F._one.rep]
+    x = [F.zero.rep, F.one.rep]
     h, d = x, 1
     while len(w) > 2 * d:
         h = _ppowmod(F, h, F.q, w)  # x^(q^d) mod w; _ppowmod reduces h by w first
@@ -498,7 +489,7 @@ def factor_sort_key(g: Poly):
 
 # Memo of fq_factor results; past the cap the oldest entry is evicted.
 _FACTOR_CACHE_MAX = 4096
-_factor_cache: dict[Poly, list[tuple[Poly, int]]] = {}
+_factor_cache: dict[tuple, list[tuple[Poly, int]]] = {}
 
 
 def fq_factor(g: Poly) -> list[tuple[Poly, int]]:
@@ -508,20 +499,21 @@ def fq_factor(g: Poly) -> list[tuple[Poly, int]]:
         raise PreconditionError("cannot factor the zero polynomial")
     if not isinstance(g.ring, Fq):
         raise PreconditionError("fq_factor expects a polynomial over a tower field")
-    g = g if g.is_monic() else g.monic()
-    if g.degree == 0:
+    F = g.ring
+    vectors = _pmonic(F, [c.rep for c in g.coeffs])
+    if len(vectors) == 1:
         return []
-    cached = _factor_cache.get(g)
+    key = (F, tuple(vectors))
+    cached = _factor_cache.get(key)
     if cached is not None:
         return list(cached)
-    F = g.ring
     found = [(Poly(F, [FqElt(F, c) for c in h]), mult)
-             for part, mult in _squarefree_parts(F, [c.rep for c in g.coeffs])
+             for part, mult in _squarefree_parts(F, vectors)
              for h in _factor_squarefree(F, part)]
     found.sort(key=lambda pair: factor_sort_key(pair[0]))
     if len(_factor_cache) >= _FACTOR_CACHE_MAX:
         del _factor_cache[next(iter(_factor_cache))]
-    _factor_cache[g] = found
+    _factor_cache[key] = found
     return list(found)
 
 

@@ -168,8 +168,7 @@ def fq_elt_from_json(field: Fq, obj) -> FqElt:
         raise ParseError("extension-field element must be a coordinate array")
     if len(obj) != field.deg_over_base:
         raise ParseError("element coordinate array has the wrong length")
-    coords = [fq_elt_from_json(field.base, c) for c in obj]
-    return field.from_poly(Poly(field.base, coords))
+    return field.from_poly([fq_elt_from_json(field.base, c) for c in obj])
 
 
 def fq_poly_from_json(field: Fq, arr) -> Poly:

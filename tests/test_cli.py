@@ -10,10 +10,11 @@ import decimal
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from omfactor import cli, montes
-from omfactor.arith import Poly, format_poly, parse_poly
+from omfactor import cli, finitefield, montes
+from omfactor.arith import QQ, Poly, format_poly, parse_poly
 from omfactor.cli import main
 from omfactor.montes import factorize
 from omfactor.serialize import (
@@ -27,6 +28,7 @@ from omfactor.typecalc import Type, equivalent, optimize
 from omfactor.valuation import build_chain
 
 from genchains import fixture_chain3, fixture_poly, fixture_t4, unshifted_top_pair
+from test_golden_output import CASES, P5_TYPE
 
 QUARTIC = "x^4 + 30*x^2 + 6786"
 
@@ -176,6 +178,36 @@ def test_factor_walks_the_tree_once(capsys, monkeypatch) -> None:
     assert code == 2
     assert err == "error: --precision-floor must be at least 1\n"
     assert calls == []
+
+
+def test_command_paths_run_no_poly_arithmetic_over_fq(capsys, monkeypatch) -> None:
+    """F_q[y] arithmetic runs on finitefield's list kernel; on the command
+    paths Poly over a residue field is only a container. Poly.evaluate,
+    which returns an element, is not counted."""
+    counts: Counter = Counter()
+
+    def counting(name):
+        real = getattr(Poly, name)
+
+        def counted(self, *args):
+            if self.ring is not QQ:
+                counts[name] += 1
+            return real(self, *args)
+
+        return counted
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__divmod__", "__pow__",
+                 "scale", "monic", "derivative"):
+        monkeypatch.setattr(Poly, name, counting(name))
+    monkeypatch.setattr(finitefield, "_factor_cache", {})  # no answer from earlier tests
+    golden = ["deep_p2_factor_trace.txt", "tower_p5_factor_trace.txt",
+              "tower_f64_p2_factor_trace.txt", "x100_plus_1_p3_factor.txt",
+              "t4_type_optimize.txt", "top_shift_equiv.txt", "degenerate_equiv.txt",
+              "p5_type_eval_residual.txt"]
+    for argv in [CASES[name] for name in golden] + [["representative", "--file", P5_TYPE]]:
+        code, _, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+    assert counts == Counter()
 
 
 def test_order0_type_renders_psi0(capsys, tmp_path) -> None:

@@ -172,7 +172,8 @@ def test_factor_cache_bounded(monkeypatch) -> None:
         assert [fq_factor(g) for g in polys] == expected
         assert len(finitefield._factor_cache) <= 8
     # The oldest entries are evicted first.
-    assert list(finitefield._factor_cache) == polys[-8:]
+    assert list(finitefield._factor_cache) == [(f31, tuple(c.rep for c in g.coeffs))
+                                               for g in polys[-8:]]
 
 
 def test_coerce_rejects_other_field() -> None:
@@ -399,6 +400,20 @@ def test_from_poly_is_evaluation_at_the_generator() -> None:
             assert field.from_poly(g) == want
 
 
+def test_from_poly_rejects_what_is_not_over_the_base() -> None:
+    """Coefficients from another field, including a field below the base,
+    and a prime field (which has no base) raise instead of building an
+    unreduced or nested vector."""
+    f3, f5 = Fq.prime(3), Fq.prime(5)
+    f9 = small_tower(3)
+    f25 = small_tower(5)
+    for field, g in [(f9, Poly(f5, [4, 4])), (f25, Poly(f9, [f9.gen()])),
+                     (f25, [f5.one, f25.one]), (f25, [f5.one, 1]), (f3, Poly(f3, [1]))]:
+        with pytest.raises(PreconditionError, match="elements of the immediate base field"):
+            field.from_poly(g)
+    assert f9.from_poly([f3.one, f3.one]) == f9.from_poly(Poly(f3, [1, 1])) == f9.gen() + f9.one
+
+
 def test_split_equal_degree_is_bounded() -> None:
     """An input with no factor of the claimed degree exhausts the candidates
     of degree < 2d and raises, instead of looping."""
@@ -425,7 +440,7 @@ def test_flatten_collapses_linear_levels() -> None:
 # Flat coordinate-vector arithmetic against the quotient-ring definition.
 
 # Degrees of the levels above F_p; 0 stands for the modulus y itself.
-TOWER_SHAPES = [[0, 1, 2, 1, 3], [2, 1, 2], [1, 3, 1]]
+TOWER_SHAPES = [[0, 1, 2, 1, 3], [2, 1, 2], [1, 3, 1], [2, 4]]
 
 
 def _random_tower(p: int, shape: list[int], rng: random.Random) -> list[Fq]:

@@ -24,7 +24,10 @@ whose top keys differ by a shift with nonzero residue, and a p = 2 pair
 that keeps psi_top = y + eta across such a shift and fails degenerately.
 The x^100 + 1 cases at p = 3, written by the code that factored over F_q
 on generic Poly arithmetic, pin fq_factor on a large residual polynomial:
-ten irreducible factors of degree 2 to 20.
+ten irreducible factors of degree 2 to 20. The F_64 cases at p = 2, written
+by the code that reduced tower products with a loop of their own, pin a
+tower product over a base that is not a prime field: the level-2 field is
+F_64 = F_4[y]/(y^3 + z0).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from omfactor.cli import main
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
 TOWER_P5 = "((x^2+5)^3 + 5^4*x)^2 + 5^12*x + 5^13"
+TOWER_F64_P2 = "((x^2+x+1)^3 + 8*x)^2 + 2^7*x"
 P5_TYPE = str(GOLDEN / "p5_type.json")
 T4_TYPE = str(GOLDEN / "t4_type.json")
 TOP_SHIFT = [str(GOLDEN / "top_shift_a.json"), str(GOLDEN / "top_shift_b.json")]
@@ -63,6 +67,10 @@ CASES = {
     "tower_p5_factor_trace.txt": ["factor", "--prime", "5", "--poly", TOWER_P5, "--trace"],
     "tower_p5_factor_json_trace.json": [
         "factor", "--prime", "5", "--poly", TOWER_P5, "--json", "--trace",
+    ],
+    "tower_f64_p2_factor_trace.txt": ["factor", "--prime", "2", "--poly", TOWER_F64_P2, "--trace"],
+    "tower_f64_p2_factor_json_trace.json": [
+        "factor", "--prime", "2", "--poly", TOWER_F64_P2, "--json", "--trace",
     ],
     "quartic_p3_factor.txt": ["factor", "--prime", "3", "--poly", "x^4 + 30*x^2 + 6786"],
     "p5_type_eval_residual.txt": ["eval", "--file", P5_TYPE, "--poly", TOWER_P5, "--residual"],
