@@ -40,14 +40,26 @@ _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
 
 @dataclass(frozen=True)
 class FactorCertificate:
-    degree: int
-    e: int
-    f: int
-    okutsu_depth: int
-    okutsu_frame: tuple[Poly, ...]
+    """A p-adic prime factor: its branch's slopes, an approximation, and the
+    optimized closing type, from which the remaining fields are derived."""
+
     slopes: tuple[Fraction, ...]
     approximation: Poly
     final_type: Type
+    degree: int = field(init=False)
+    e: int = field(init=False)
+    f: int = field(init=False)
+    okutsu_depth: int = field(init=False)
+    okutsu_frame: tuple[Poly, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        t = self.final_type
+        degree, e = t.degree(), t.chain.e_cum[-1]
+        depth, frame = okutsu_data(t)
+        derived = {"degree": degree, "e": e, "f": degree // e,
+                   "okutsu_depth": depth, "okutsu_frame": tuple(frame)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -148,24 +160,11 @@ def _validate_input(f: Poly, p: int) -> None:
 
 
 def _close(t: Type, run: RunResult) -> FactorCertificate:
-    raw_slopes = tuple(lev.nu for lev in t.chain.levels)
     t_o = optimize(t)
-    depth, frame = okutsu_data(t_o)
     approx = representative(t_o)
-    e = t_o.chain.e_cum[-1]
-    degree = approx.degree
-    if degree % e != 0:
-        raise InternalError("approximation degree not divisible by the ramification index")
-    cert = FactorCertificate(
-        degree=degree,
-        e=e,
-        f=degree // e,
-        okutsu_depth=depth,
-        okutsu_frame=tuple(frame),
-        slopes=raw_slopes,
-        approximation=approx,
-        final_type=t_o,
-    )
+    if approx.degree != t_o.degree():
+        raise InternalError("approximation degree differs from the type's degree")
+    cert = FactorCertificate(tuple(lev.nu for lev in t.chain.levels), approx, t_o)
     run.events.append(NodeClose(cert))
     return cert
 
@@ -180,12 +179,8 @@ def _perturbed_representative(
     hull = lower_hull(pts)
     lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
     nu_star = Fraction(math.floor(lam_max) + 1)
-    if r == 0:
-        bump = qpoly([chain.p ** int(nu_star)])
-    else:
-        W = chain.next_key_value(t.f_top) + int(nu_star) * chain.e_cum[r]
-        bump = graded_lift(chain, r, W, chain.fields[r].one)
-    return phi + bump, nu_star
+    W = chain.next_key_value(t.f_top) + int(nu_star) * chain.e_cum[r]
+    return phi + graded_lift(chain, r, W, chain.fields[r].one), nu_star
 
 
 def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
@@ -294,6 +289,8 @@ def certify(f: Poly, p: int, certs: list[FactorCertificate], floor: int) -> Cert
         CertCheck("degree-sum", total == f.degree, f"{total} vs deg f = {f.degree}")
     )
     for k, cert in enumerate(certs):
+        q = cert.final_type.chain.p
+        checks.append(CertCheck(f"cert{k}-prime", q == p, f"type prime {q} vs p = {p}"))
         checks.append(
             CertCheck(
                 f"cert{k}-ef",

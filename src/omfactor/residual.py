@@ -125,10 +125,10 @@ def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
         raise InternalError("on-line abscissa not congruent to the left endpoint")
 
     def build() -> Poly:
-        field, z, l, lp = chain.fields[i], chain.z(i - 1), chain.l(i - 1), chain.lp(i - 1)
+        field, z, prev = chain.fields[i], chain.z(i - 1), chain.at(i - 1)
         coeffs = [field.zero] * ((line[-1][0] - s_i) // e + 1)
         for s, _, sub in line:
-            a, n = field.from_poly(sub.poly), lp * sub.s - l * sub.u
+            a, n = field.from_poly(sub.poly), prev.lp * sub.s - prev.l * sub.u
             coeffs[(s - s_i) // e] = a * z ** n if n else a
         return Poly(field, coeffs)
 
@@ -139,32 +139,31 @@ def graded_lift(chain: MacLaneChain, i: int, W: int, beta: FqElt) -> Poly:
     """Integer polynomial A with deg A < m_i, v_i(A) = W, level-i image beta.
 
     Requires W >= V_i (which keeps every recursive p-exponent nonnegative)
-    and beta != 0.
+    and beta != 0. At level 0, A is the constant beta p^W.
     """
-    if not 1 <= i <= chain.r:
-        raise PreconditionError(f"level {i} out of range")
+    lev = chain.at(i)
     if beta == chain.fields[i].zero:
         raise PreconditionError("cannot lift the zero residue")
-    if W < chain.V(i):
-        raise PreconditionError(f"target value {W} below the key value bound {chain.V(i)}")
-    if i == 1:
+    if W < lev.V:
+        raise PreconditionError(f"target value {W} below the key value bound {lev.V}")
+    if i == 0:
+        return qpoly([beta.lift_int() * chain.p ** W])
+    if i == 1:  # the general step over the key x, without its Poly products
         pw = chain.p ** W
         return qpoly([b.lift_int() * pw for b in beta.coords()])
-    e_p, h_p = chain.e(i - 1), chain.h(i - 1)
-    l_p, lp_p = chain.l(i - 1), chain.lp(i - 1)
-    V_p = chain.V(i - 1)
-    vt = e_p * V_p + h_p
+    prev = chain.at(i - 1)
+    e_p, l_p, V_p = prev.e, prev.l, prev.V
+    vt = chain.key_value(i - 1)
     a_star = (W * pow(vt, -1, e_p)) % e_p if e_p > 1 else 0
     w0 = (W - vt * a_star) // e_p
-    tau = lp_p - l_p * V_p
+    tau = prev.lp - l_p * V_p
     delta0 = tau * a_star - l_p * w0
     z = chain.z(i - 1)
     gammas = (beta * z ** (-delta0)).coords()
-    phi_prev = chain.level(i - 1).phi
     acc = qpoly([])
     for t, gamma in enumerate(gammas):
         if gamma == chain.fields[i - 1].zero:
             continue
         part = graded_lift(chain, i - 1, w0 - vt * t, gamma)
-        acc = acc + part * phi_prev ** (a_star + e_p * t)
+        acc = acc + part * prev.phi ** (a_star + e_p * t)
     return acc

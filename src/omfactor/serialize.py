@@ -6,8 +6,9 @@ consumers without big-integer support), structural counters are plain JSON
 numbers, rationals are {"num", "den"} objects, and points are [s, num, den]
 triples. Emission builds every object in a fixed key order, so equal values
 always produce byte-identical documents. Parsing rebuilds chains from their
-(phi, nu) steps and cross-checks every stored derived field, so a tampered
-file is rejected instead of deserialized into an inconsistent object.
+(phi, nu) steps and certificates from their type, and cross-checks every
+stored derived field, so a tampered file is rejected instead of
+deserialized into an inconsistent object.
 
 Text conventions: residue-field elements render with balanced integer
 coordinates in the tower generators z0, z1, ...; a type renders as the tuple
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 from .arith import Poly, _check_size, _size_bits, decimal_str, format_poly, format_terms, qpoly
 from .errors import ConfigError, ParseError, PreconditionError
@@ -99,12 +101,16 @@ def residual_to_json(res: ResidualResult) -> dict:
     return {"s": res.s, "u": res.u, "poly": fq_poly_to_json(res.poly)}
 
 
+def _cert_fields(cert: FactorCertificate) -> dict:
+    """A certificate's fields derived from its type, in document order and
+    as cross-checked; the Okutsu frame is checked on its own."""
+    return {"degree": cert.degree, "e": cert.e, "f": cert.f,
+            "okutsu_depth": cert.okutsu_depth}
+
+
 def cert_to_json(cert: FactorCertificate) -> dict:
     return {
-        "degree": cert.degree,
-        "e": cert.e,
-        "f": cert.f,
-        "okutsu_depth": cert.okutsu_depth,
+        **_cert_fields(cert),
         "okutsu_frame": [qpoly_to_json(g) for g in cert.okutsu_frame],
         "slopes": [fraction_to_json(s) for s in cert.slopes],
         "approximation": qpoly_to_json(cert.approximation),
@@ -223,8 +229,8 @@ def _check_representative_size(chain: MacLaneChain, psi_top: Poly) -> None:
     an integer below p times p^k times keys of total degree at most D, with
     k at most its value f (e_r V_r + h_r) / e(mu_{r-1}); the l1 norm bounds
     the bits, as the parser bounds a power."""
-    r, f = chain.r, psi_top.degree
-    degree = chain.e(r) * chain.m(r) * f
+    r, f, top = chain.r, psi_top.degree, chain.at(chain.r)
+    degree = top.e * top.m * f
     k = f * chain.key_value(r) // chain.e_cum[r - 1] if r else 0
     keys = max((_size_bits(lev.phi.coeffs) for lev in chain.levels), default=0)
     bits = (k + 1) * chain.p.bit_length() + degree * keys + (degree + 1).bit_length()
@@ -241,18 +247,28 @@ def residual_from_json(field: Fq, doc) -> ResidualResult:
     return ResidualResult(s, u, poly)
 
 
+def _check_slopes(slopes: tuple[Fraction, ...], chain: MacLaneChain) -> None:
+    """Optimizing merges runs of consecutive levels, adding their slopes, so
+    the certificate's positive slopes must sum, run by run, to the type's."""
+    if any(s <= 0 for s in slopes):
+        raise ParseError("certificate slopes must be positive")
+    ends = list(accumulate(lev.nu for lev in chain.levels))
+    sums = list(accumulate(slopes))
+    if not set(ends) <= set(sums) or ends[-1:] != sums[-1:]:
+        raise ParseError("certificate slopes do not collapse to its type's slopes")
+
+
 def cert_from_json(doc) -> FactorCertificate:
     final_type = type_from_json(_need(doc, "type", dict))
+    slopes = tuple(fraction_from_json(s) for s in _need(doc, "slopes", list))
+    _check_slopes(slopes, final_type.chain)
     cert = FactorCertificate(
-        degree=_need(doc, "degree", int),
-        e=_need(doc, "e", int),
-        f=_need(doc, "f", int),
-        okutsu_depth=_need(doc, "okutsu_depth", int),
-        okutsu_frame=tuple(qpoly_from_json(g) for g in _need(doc, "okutsu_frame", list)),
-        slopes=tuple(fraction_from_json(s) for s in _need(doc, "slopes", list)),
-        approximation=qpoly_from_json(_need(doc, "approximation", list)),
-        final_type=final_type,
-    )
+        slopes, qpoly_from_json(_need(doc, "approximation", list)), final_type)
+    for key, want in _cert_fields(cert).items():
+        if _need(doc, key, int) != want:
+            raise ParseError(f"certificate field {key!r} is {doc[key]}, derived {want}")
+    if tuple(map(qpoly_from_json, _need(doc, "okutsu_frame", list))) != cert.okutsu_frame:
+        raise ParseError("certificate okutsu_frame differs from its type's Okutsu frame")
     if cert.degree != cert.approximation.degree:
         raise ParseError("certificate degree does not match its approximation")
     return cert

@@ -47,8 +47,8 @@ class Type:
 
     def degree(self) -> int:
         """Degree of the factors singled out: e(mu_r) * m_r-growth * f_top."""
-        r = self.chain.r
-        return self.chain.e(r) * self.chain.m(r) * self.psi_top.degree
+        top = self.chain.at(self.chain.r)
+        return top.e * top.m * self.psi_top.degree
 
 
 def ord_type(t: Type, g: Poly) -> int:

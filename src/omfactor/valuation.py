@@ -5,7 +5,9 @@ over the previous valuation and nu_i > 0 the relative slope. Each level
 caches the normalized slope pair (e_i, h_i) with gcd 1, the Bezout pair
 (l_i, l'_i) with l_i h_i + l'_i e_i = 1 and 0 <= l_i < e_i, the degree m_i,
 the normalized key value V_i, and the residual polynomial of phi_i through
-the prefix, which generates level i of the residue tower.
+the prefix, which generates level i of the residue tower. chain.at(i)
+reads level i for 0 <= i <= r, level 0 included: BASE, the Gauss
+valuation as the level of the key x with slope 0.
 
 Values are exact: mu_eval returns a Fraction (INF only for the zero
 polynomial) and v_norm returns the integer e(mu_i) * mu_i(g). Both are read
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import INF, Poly, Val
+from .arith import INF, Poly, Val, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt
 from .residual import ResidualResult, expansion_entries, ri
@@ -34,7 +36,7 @@ from .residual import ResidualResult, expansion_entries, ri
 class Level:
     phi: Poly
     nu: Fraction
-    psi_prev: Poly
+    psi_prev: Poly | None
     e: int
     h: int
     f_prev: int
@@ -42,6 +44,11 @@ class Level:
     V: int
     l: int
     lp: int
+
+
+# Level 0: the Gauss valuation, as the level of the key x with slope 0.
+BASE = Level(phi=qpoly([0, 1]), nu=Fraction(0), psi_prev=None, e=1, h=0, f_prev=1, m=1,
+             V=0, l=0, lp=1)
 
 
 @dataclass(frozen=True)
@@ -64,35 +71,25 @@ class MacLaneChain:
         """Residue-tower generator z_i, the class of y in field i+1."""
         return self.fields[i + 1].gen()
 
-    def e(self, i: int) -> int:
-        return 1 if i == 0 else self.levels[i - 1].e
-
-    def h(self, i: int) -> int:
-        return 0 if i == 0 else self.levels[i - 1].h
-
-    def l(self, i: int) -> int:
-        return 0 if i == 0 else self.levels[i - 1].l
-
-    def lp(self, i: int) -> int:
-        return 1 if i == 0 else self.levels[i - 1].lp
-
-    def V(self, i: int) -> int:
-        return 0 if i == 0 else self.levels[i - 1].V
-
-    def m(self, i: int) -> int:
-        return 1 if i == 0 else self.levels[i - 1].m
+    def at(self, i: int) -> Level:
+        """Level i for 0 <= i <= r; level 0 is BASE."""
+        if not 0 <= i <= len(self.levels):
+            raise PreconditionError(f"level index {i} out of range")
+        return self.levels[i - 1] if i else BASE
 
     def key_value(self, i: int) -> int:
         """Normalized value v_i(phi_i) = e_i V_i + h_i; 0 at level 0."""
-        return self.e(i) * self.V(i) + self.h(i)
+        lev = self.at(i)
+        return lev.e * lev.V + lev.h
 
     def next_key_value(self, d: int) -> int:
         """Value d e_r (e_r V_r + h_r) of a key with top residual of degree d."""
-        return d * self.e(self.r) * self.key_value(self.r)
+        return d * self.at(self.r).e * self.key_value(self.r)
 
     def residual_value(self, i: int, res: ResidualResult) -> int:
         """Normalized value v_i(g) = e_i u_i + h_i s_i of res = ri(chain, i, g)."""
-        return self.e(i) * res.u + self.h(i) * res.s
+        lev = self.at(i)
+        return lev.e * res.u + lev.h * res.s
 
     def steps(self) -> list[tuple[Poly, Fraction]]:
         return [(lev.phi, lev.nu) for lev in self.levels]
@@ -150,13 +147,13 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str, ResidualResult
     monic with a nonzero constant term, so extend rejects it only as reducible.
     """
     _check_key_poly_shape(phi)
-    r = chain.r
+    r, top = chain.r, chain.at(chain.r)
     res = ri(chain, r, phi)
-    if res.s > 0 and phi.degree == chain.m(r):
+    if res.s > 0 and phi.degree == top.m:
         return True, "key equivalent to the current key (improper step)", None, None
     if res.poly.degree == 0:
         return False, "residual polynomial is constant", res, None
-    if phi.degree != chain.e(r) * chain.m(r) * res.poly.degree:
+    if phi.degree != top.e * top.m * res.poly.degree:
         return False, "degree differs from e * m * deg(residual)", res, None
     if not res.poly.is_monic():
         raise InternalError("residual of a key polynomial must be monic")

@@ -79,6 +79,19 @@ def random_qpoly(rng: random.Random, max_deg: int, bound: int = 40,
     return qpoly(coeffs)
 
 
+def sweep_inputs(rng: random.Random, trials: int) -> list[tuple[Poly, int]]:
+    """The seeded baseline sweep's (f, p): monic f of degree 2..10 at p in
+    2, 3, 5, 7, with coefficients in -3..3 times p^0..p^6. Some are not
+    squarefree; factorize rejects those."""
+    out = []
+    for _ in range(trials):
+        p = rng.choice([2, 3, 5, 7])
+        d = rng.randint(2, 10)
+        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
+        out.append((qpoly(coeffs), p))
+    return out
+
+
 def random_fq_elt(rng: random.Random, field: Fq, nonzero: bool = False) -> FqElt:
     k = rng.randrange(1 if nonzero else 0, field.q)
     return field.from_index(k)

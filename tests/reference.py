@@ -76,7 +76,7 @@ def ri_eager(chain: MacLaneChain, i: int, g: Poly) -> tuple[int, int, Poly]:
     for s, a in enumerate(phi_expansion_by_divmod(g, lev.phi)):
         if not a.is_zero():
             s_a, u_a, poly_a = ri_eager(chain, i - 1, a)
-            v = chain.e(i - 1) * u_a + chain.h(i - 1) * s_a
+            v = chain.at(i - 1).e * u_a + chain.at(i - 1).h * s_a
             entries.append((s, v + s * lev.V, s_a, u_a, poly_a))
     t_min = min(lev.e * u_s + lev.h * s for s, u_s, *_ in entries)
     line = [entry for entry in entries if lev.e * entry[1] + lev.h * entry[0] == t_min]
@@ -84,7 +84,7 @@ def ri_eager(chain: MacLaneChain, i: int, g: Poly) -> tuple[int, int, Poly]:
     field, z = chain.fields[i], chain.z(i - 1)
     coeffs = [field.zero] * ((line[-1][0] - s_i) // lev.e + 1)
     for s, _, s_a, u_a, poly_a in line:
-        eps = z ** (chain.lp(i - 1) * s_a - chain.l(i - 1) * u_a)
+        eps = z ** (chain.at(i - 1).lp * s_a - chain.at(i - 1).l * u_a)
         coeffs[(s - s_i) // lev.e] = field.from_poly(poly_a) * eps
     return s_i, u_i, Poly(field, coeffs)
 

@@ -386,7 +386,7 @@ def test_small_values_attained_by_monomials() -> None:
     for chain in [fixture_chain3(), fixture_chain5()]:
         for i in range(chain.r + 1):
             e_cum = chain.e_cum[i]
-            cap = e_cum * chain.m(i) if i else 1
+            cap = e_cum * chain.at(i).m if i else 1
             attained = set()
             for b in range(6):
                 for j in range(cap):

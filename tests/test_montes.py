@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from genchains import fixture_poly, random_qpoly
+from genchains import fixture_poly, random_qpoly, sweep_inputs
 from omfactor import (
     ConfigError,
     Poly,
@@ -28,7 +29,7 @@ from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
 from omfactor.polygon import lower_hull
 from omfactor.residual import r0, ri
-from omfactor.serialize import format_trace
+from omfactor.serialize import canonical_json, cert_from_json, cert_to_json, format_trace
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -90,6 +91,23 @@ def test_certificate_types_have_ord_one() -> None:
         f = _random_squarefree(rng, p)
         for c in factorize(f, p):
             assert ord_type(c.final_type, f) == 1
+    # The seeded baseline sweep: each type has order 1 at its approximation
+    # and at f, fixes the approximation's degree e * f, and survives a
+    # round trip through its JSON document.
+    inputs = certs = 0
+    for f, p in sweep_inputs(random.Random(1), 300):
+        try:
+            found = factorize(f, p)
+        except PreconditionError:
+            continue
+        inputs += 1
+        for c in found:
+            t = c.final_type
+            assert ord_type(t, c.approximation) == 1 and ord_type(t, f) == 1
+            assert c.approximation.degree == t.degree() == c.e * c.f
+            assert cert_from_json(json.loads(canonical_json(cert_to_json(c)))) == c
+            certs += 1
+    assert (inputs, certs) == (293, 721)
 
 
 def _random_squarefree(rng: random.Random, p: int, max_deg: int = 8):
@@ -165,6 +183,14 @@ def test_certify_check_names() -> None:
     assert names[-1] == "approximation-product"
     assert "cert0-ord" in names and "cert1-ord" in names
     assert all(c.ok for c in report.checks)
+
+
+def test_certify_checks_the_prime() -> None:
+    f = fixture_poly(3)
+    result = run(f, 3)
+    assert certify(f, 3, result.certificates, result.floor).ok
+    report = certify(f, 5, result.certificates, result.floor)
+    assert [c.name for c in report.checks if not c.ok] == ["cert0-prime"]
 
 
 def test_input_validation() -> None:

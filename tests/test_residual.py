@@ -112,7 +112,7 @@ def test_ri_matches_the_eager_walk_below_the_key_degree() -> None:
     for chain in chains:
         p = chain.p
         for i in range(chain.r + 1):
-            m = chain.m(i)
+            m = chain.at(i).m
             gs = [qpoly([c]) for c in (1, -p, p ** 3, Fraction(p ** 2, 7))]
             for _ in range(3):
                 top = rng.choice([1, p, rng.randrange(1, 40)])
@@ -241,7 +241,7 @@ def test_graded_lift_normalizes_back() -> None:
             trunc = build_chain(chain.p, chain.steps()[:i])
             field = trunc.fields[i]
             for _ in range(4):
-                W = rng.randrange(trunc.V(i), trunc.V(i) + 10)
+                W = rng.randrange(trunc.at(i).V, trunc.at(i).V + 10)
                 beta = random_fq_elt(rng, field, nonzero=True)
                 lift = graded_lift(trunc, i, W, beta)
                 assert lift.degree < trunc.level(i).m

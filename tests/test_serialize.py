@@ -183,11 +183,25 @@ def test_type_tamper_rejected() -> None:
 
 
 def test_cert_tamper_rejected() -> None:
+    """The fields the type determines are compared with it on load, and the
+    slopes must sum, run by run, to the type's slopes."""
     cert = factorize(fixture_poly(3), 3)[0]
-    doc = json.loads(canonical_json(cert_to_json(cert)))
-    doc["degree"] = 5
-    with pytest.raises(ParseError):
-        cert_from_json(doc)
+    text = canonical_json(cert_to_json(cert))
+    assert cert_from_json(json.loads(text)) == cert
+    half, one, zero = ({"num": n, "den": d} for n, d in ((1, 2), (1, 1), (0, 1)))
+    tampers = [
+        {"degree": 5}, {"e": 4}, {"f": 1}, {"e": 4, "f": 1}, {"okutsu_depth": 1},
+        {"okutsu_frame": [["0", "1"]]},
+        {"okutsu_frame": [["0", "1"], ["12", "0", "1"]]},
+        {"slopes": [half, one, one]},
+        {"slopes": [one, one, one, half]},
+        {"slopes": [half, one, one, one, one]},
+        {"slopes": [half, one, one, one, zero]},
+    ]
+    for tamper in tampers:
+        doc = {**json.loads(text), **tamper}
+        with pytest.raises(ParseError):
+            cert_from_json(doc)
 
 
 def test_text_renderers_pinned() -> None:

@@ -22,6 +22,7 @@ from genchains import (
     random_type,
     shift_pair,
     stationary_pair,
+    sweep_inputs,
     unshifted_top_pair,
     ypoly,
 )
@@ -357,14 +358,10 @@ def _top_shift_pairs(rng: random.Random, count: int) -> list[tuple[Type, Type]]:
 
 def _sweep_certificate_pairs(trials: int) -> list[tuple[Type, Type]]:
     """Final types of the certificates of one factorization, pairwise."""
-    rng = random.Random(1)
     pairs = []
-    for _ in range(trials):
-        p = rng.choice([2, 3, 5, 7])
-        d = rng.randint(2, 10)
-        coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
+    for f, p in sweep_inputs(random.Random(1), trials):
         try:
-            certs = factorize(qpoly(coeffs), p)
+            certs = factorize(f, p)
         except PreconditionError:
             continue
         pairs += [(a.final_type, b.final_type)

@@ -36,7 +36,7 @@ from omfactor import (
     ri,
     v_norm,
 )
-from omfactor.valuation import expansion_points
+from omfactor.valuation import BASE, expansion_points
 from reference import is_irreducible, key_divides
 
 
@@ -173,7 +173,7 @@ def test_value_attainment_small_degrees() -> None:
     for chain in [fixture_chain3(), fixture_chain5()]:
         for i in range(chain.r + 1):
             e_cum = chain.e_cum[i]
-            cap = e_cum * chain.m(i) if i else 1
+            cap = e_cum * chain.at(i).m if i else 1
             attained = set()
             for b in range(6):
                 for j in range(cap):
@@ -323,7 +323,7 @@ def test_representative_value_from_the_level_recurrence() -> None:
     for depth in (0, 1, 2, 3) * 4:
         t = random_type(rng, depth=depth)
         chain, r = t.chain, t.chain.r
-        want = t.psi_top.degree * chain.e(r) * chain.key_value(r)
+        want = t.psi_top.degree * chain.at(r).e * chain.key_value(r)
         assert v_norm(chain, r, representative(t)) == want
 
 
@@ -430,6 +430,20 @@ def test_index_range_errors() -> None:
         mu_eval(chain, 5, qpoly([1]))
     with pytest.raises(PreconditionError):
         collapse_step(chain, {0})
+
+
+def test_level_zero_is_the_gauss_valuation() -> None:
+    """at(0) is BASE, the level of the key x with slope 0; at(i) is level(i)
+    above it, and graded_lift at level 0 is the constant beta p^W."""
+    chain = fixture_chain3()
+    assert chain.at(0) is BASE and BASE.psi_prev is None and BASE.phi == qpoly([0, 1])
+    assert (BASE.e, BASE.h, BASE.V, BASE.m, BASE.l, BASE.lp) == (1, 0, 0, 1, 0, 1)
+    assert all(chain.at(i) is chain.level(i) for i in range(1, chain.r + 1))
+    for i in (-1, chain.r + 1):
+        with pytest.raises(PreconditionError):
+            chain.at(i)
+    beta = chain.fields[0].coerce(2)
+    assert graded_lift(chain, 0, 3, beta) == qpoly([beta.lift_int() * 27])
 
 
 def test_collapse_step_keeps_the_prefix() -> None:
