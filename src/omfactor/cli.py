@@ -64,11 +64,9 @@ def _load_json(path: str):
 def _load_input_poly(args: argparse.Namespace) -> Poly:
     """Inline expression or file; a file may hold an expression or a JSON
     coefficient array (constant first)."""
-    has_poly = getattr(args, "poly", None) is not None
-    has_file = getattr(args, "file", None) is not None
-    if has_poly == has_file:
+    if (args.poly is None) == (args.file is None):
         raise ConfigError("provide exactly one of --poly and --file")
-    if has_poly:
+    if args.poly is not None:
         return parse_poly(args.poly)
     text = _read_text(args.file).strip()
     if text.startswith("["):

@@ -6,9 +6,9 @@ consumers without big-integer support), structural counters are plain JSON
 numbers, rationals are {"num", "den"} objects, and points are [s, num, den]
 triples. Emission builds every object in a fixed key order, so equal values
 always produce byte-identical documents. Parsing rebuilds chains from their
-(phi, nu) steps and certificates from their type, and cross-checks every
-stored derived field, so a tampered file is rejected instead of
-deserialized into an inconsistent object.
+(phi, nu) steps and certificates through their checking constructor, and
+cross-checks every stored derived field, so a tampered file is rejected
+instead of deserialized into an inconsistent object.
 
 Text conventions: residue-field elements render with balanced integer
 coordinates in the tower generators z0, z1, ...; a type renders as the tuple
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import accumulate
 
 from .arith import Poly, _check_size, _size_bits, decimal_str, format_poly, format_terms, qpoly
 from .errors import ConfigError, ParseError, PreconditionError
@@ -247,30 +246,19 @@ def residual_from_json(field: Fq, doc) -> ResidualResult:
     return ResidualResult(s, u, poly)
 
 
-def _check_slopes(slopes: tuple[Fraction, ...], chain: MacLaneChain) -> None:
-    """Optimizing merges runs of consecutive levels, adding their slopes, so
-    the certificate's positive slopes must sum, run by run, to the type's."""
-    if any(s <= 0 for s in slopes):
-        raise ParseError("certificate slopes must be positive")
-    ends = list(accumulate(lev.nu for lev in chain.levels))
-    sums = list(accumulate(slopes))
-    if not set(ends) <= set(sums) or ends[-1:] != sums[-1:]:
-        raise ParseError("certificate slopes do not collapse to its type's slopes")
-
-
 def cert_from_json(doc) -> FactorCertificate:
     final_type = type_from_json(_need(doc, "type", dict))
     slopes = tuple(fraction_from_json(s) for s in _need(doc, "slopes", list))
-    _check_slopes(slopes, final_type.chain)
-    cert = FactorCertificate(
-        slopes, qpoly_from_json(_need(doc, "approximation", list)), final_type)
+    try:
+        cert = FactorCertificate(
+            slopes, qpoly_from_json(_need(doc, "approximation", list)), final_type)
+    except PreconditionError as exc:
+        raise ParseError(f"serialized certificate is not valid: {exc}") from exc
     for key, want in _cert_fields(cert).items():
         if _need(doc, key, int) != want:
             raise ParseError(f"certificate field {key!r} is {doc[key]}, derived {want}")
     if tuple(map(qpoly_from_json, _need(doc, "okutsu_frame", list))) != cert.okutsu_frame:
         raise ParseError("certificate okutsu_frame differs from its type's Okutsu frame")
-    if cert.degree != cert.approximation.degree:
-        raise ParseError("certificate degree does not match its approximation")
     return cert
 
 

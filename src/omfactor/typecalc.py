@@ -4,9 +4,9 @@ the equivalence decision.
 A type pairs a chain with a monic irreducible polynomial psi_top over the
 top residue field (psi_top != y above order 0). It selects one branch of
 the factorization tree: ord_type counts how often psi_top divides the top
-residual polynomial. representative() walks its lifted polynomial once,
-to check that the residual is psi_top; optimize() reads the collapsed
-type's psi_top from the same walk over the merged chain.
+residual polynomial. is_representative() walks a monic polynomial of the
+type's degree once, to check its residual is psi_top; optimize() reads the
+collapsed type's psi_top from a representative's walk over the merged chain.
 
 Two types are equivalent when they induce the same valuation and select the
 same branch. The decision procedure optimizes both sides, matches slopes
@@ -73,17 +73,22 @@ def is_stationary_level(t: Type, i: int) -> bool:
     return t.chain.level(i).e == 1 and f_level(t, i) == 1
 
 
-def representative(t: Type) -> Poly:
-    """Monic integer polynomial of degree e_r m_r f_top with residual psi_top.
+def is_representative(t: Type, g: Poly) -> bool:
+    """Whether g is monic of the type's degree with residual (0, *, psi_top)."""
+    if not g.is_monic() or g.degree != t.degree():
+        return False
+    if t.chain.r == 0:
+        return True
+    res = ri(t.chain, t.chain.r, g)
+    return res.s == 0 and res.poly == t.psi_top
 
-    The defining property ri(chain, r, phi) = (0, *, psi_top) is verified
-    before returning.
-    """
+
+def representative(t: Type) -> Poly:
+    """Monic integer polynomial of degree e_r m_r f_top with residual psi_top,
+    checked by is_representative before returning."""
     phi = _lift_representative(t)
-    if t.chain.r:
-        res = ri(t.chain, t.chain.r, phi)
-        if res.s != 0 or res.poly != t.psi_top:
-            raise InternalError("representative residual differs from psi_top")
+    if not is_representative(t, phi):
+        raise InternalError("representative residual differs from psi_top")
     return phi
 
 

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,25 @@ def test_quartic_fixture_p3() -> None:
     assert c.approximation == f
     assert result.floor == 9
     assert certify(f, 3, certs, 9).ok
+    # No closing node has a polygon: the floor is 1.
+    assert run(qpoly([0, 1]), 2).floor == 1
+
+
+def test_certificate_checks_itself() -> None:
+    """Every certificate, replaced fields included, has an approximation that
+    represents its type and slopes that collapse to the type's."""
+    cert = factorize(fixture_poly(3), 3)[0]
+    half, one = Fraction(1, 2), Fraction(1)
+    bad = [
+        {"approximation": qpoly([6786, 0, 30, 0, 2])},
+        {"approximation": qpoly([1, 0, 0, 0, 1])},
+        {"slopes": (half, one, one)},
+        {"slopes": (half, one, one, one, Fraction(0))},
+    ]
+    for fields in bad:
+        with pytest.raises(PreconditionError):
+            replace(cert, **fields)
+    assert replace(cert, approximation=fixture_poly(3)) == cert
 
 
 def test_quartic_fixture_p5_split() -> None:
@@ -179,9 +199,8 @@ def test_certify_check_names() -> None:
     certs = factorize(f, 5)
     report = certify(f, 5, certs, 9)
     names = [c.name for c in report.checks]
-    assert names[0] == "degree-sum"
-    assert names[-1] == "approximation-product"
-    assert "cert0-ord" in names and "cert1-ord" in names
+    assert names == ["degree-sum", "cert0-prime", "cert0-ord", "cert1-prime", "cert1-ord",
+                     "approximation-product"]
     assert all(c.ok for c in report.checks)
 
 

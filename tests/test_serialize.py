@@ -183,8 +183,9 @@ def test_type_tamper_rejected() -> None:
 
 
 def test_cert_tamper_rejected() -> None:
-    """The fields the type determines are compared with it on load, and the
-    slopes must sum, run by run, to the type's slopes."""
+    """The fields the type determines are compared with it on load, the
+    slopes must sum, run by run, to the type's slopes, and the approximation
+    must be a representative of the type."""
     cert = factorize(fixture_poly(3), 3)[0]
     text = canonical_json(cert_to_json(cert))
     assert cert_from_json(json.loads(text)) == cert
@@ -197,6 +198,9 @@ def test_cert_tamper_rejected() -> None:
         {"slopes": [one, one, one, half]},
         {"slopes": [half, one, one, one, one]},
         {"slopes": [half, one, one, one, zero]},
+        {"approximation": ["6786", "0", "30", "0", "2"]},
+        {"approximation": ["1", "0", "0", "0", "1"]},
+        {"approximation": ["6786", "0", "30", "0", "1", "1"]},
     ]
     for tamper in tampers:
         doc = {**json.loads(text), **tamper}
