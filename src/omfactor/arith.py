@@ -439,7 +439,11 @@ class _Parser:
                 raise ParseError(f"exponent must be a nonnegative integer, got {tok!r}")
             n = _literal(tok)
             _check_size(n * max(base, default=-1), n * _size_bits(base.values()))
-            base = power(base, n, {0: 1}, _sparse_mul)
+            if len(base) == 1:  # (c x^k)^n = c^n x^(k n)
+                ((k, c),) = base.items()
+                base = {k * n: c ** n}
+            else:
+                base = power(base, n, {0: 1}, _sparse_mul)
         return base if sign == 1 else {k: -c for k, c in base.items()}
 
     def atom(self) -> dict[int, int]:

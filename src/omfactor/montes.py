@@ -21,7 +21,6 @@ the exact divisor as that side's approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -29,6 +28,7 @@ from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
+from .record import Record
 from .residual import graded_lift, line_residual, r0
 from .typecalc import Type, _lift_representative, is_representative, okutsu_data, optimize, ord_type
 from .valuation import augment, empty_chain, expansion_points
@@ -39,27 +39,24 @@ _MAX_NODES = 10000
 _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-@dataclass(frozen=True)
-class FactorCertificate:
+class FactorCertificate(Record):
     """A p-adic prime factor: slopes collapsing to the type's, a representative
-    of the type, and the optimized closing type, from which the rest derive."""
+    of the type, and the optimized closing type, from which the rest derive:
+    degree, e, f, okutsu_depth and okutsu_frame."""
 
-    slopes: tuple[Fraction, ...]
-    approximation: Poly
-    final_type: Type
-    degree: int = field(init=False)
-    e: int = field(init=False)
-    f: int = field(init=False)
-    okutsu_depth: int = field(init=False)
-    okutsu_frame: tuple[Poly, ...] = field(init=False)
+    __slots__ = ("slopes", "approximation", "final_type",
+                 "degree", "e", "f", "okutsu_depth", "okutsu_frame")
 
-    def __post_init__(self) -> None:
-        t = self.final_type
+    def __init__(self, slopes: tuple[Fraction, ...], approximation: Poly, final_type: Type) -> None:
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "approximation", approximation)
+        object.__setattr__(self, "final_type", final_type)
+        t = final_type
         ends = list(accumulate(lev.nu for lev in t.chain.levels))
-        sums = list(accumulate(self.slopes))
-        if min(self.slopes, default=1) <= 0 or not set(ends) <= set(sums) or ends[-1:] != sums[-1:]:
+        sums = list(accumulate(slopes))
+        if min(slopes, default=1) <= 0 or not set(ends) <= set(sums) or ends[-1:] != sums[-1:]:
             raise PreconditionError("certificate slopes do not collapse to its type's slopes")
-        if not is_representative(t, self.approximation):
+        if not is_representative(t, approximation):
             raise PreconditionError("approximation is not a representative of the type")
         degree, e = t.degree(), t.chain.e_cum[-1]
         depth, frame = okutsu_data(t)
@@ -69,60 +66,81 @@ class FactorCertificate:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class RootResidual:
-    poly: Poly
+class RootResidual(Record):
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Poly) -> None:
+        object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class BranchStart:
-    psi: Poly
-    omega: int
+class BranchStart(Record):
+    __slots__ = ("psi", "omega")
+
+    def __init__(self, psi: Poly, omega: int) -> None:
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "omega", omega)
 
 
-@dataclass(frozen=True)
-class NodePolygon:
+class NodePolygon(Record):
     """Polygon of the expansion by the level-`level` key (1-based)."""
 
-    level: int
-    phi: Poly
-    points: tuple[tuple[int, Fraction], ...]
-    vertices: tuple[tuple[int, Fraction], ...]
-    principal_length: int
+    __slots__ = ("level", "phi", "points", "vertices", "principal_length")
+
+    def __init__(self, level: int, phi: Poly, points: tuple[tuple[int, Fraction], ...],
+                 vertices: tuple[tuple[int, Fraction], ...], principal_length: int) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "principal_length", principal_length)
 
 
-@dataclass(frozen=True)
-class NodeResidual:
+class NodeResidual(Record):
     """Residual data on the side of slope -lam, after augmenting by lam."""
 
-    level: int
-    lam: Fraction
-    s: int
-    u: int
-    poly: Poly
+    __slots__ = ("level", "lam", "s", "u", "poly")
+
+    def __init__(self, level: int, lam: Fraction, s: int, u: int, poly: Poly) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class ExactDivisor:
-    phi: Poly
+class ExactDivisor(Record):
+    __slots__ = ("phi",)
+
+    def __init__(self, phi: Poly) -> None:
+        object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class NodeClose:
-    certificate: FactorCertificate
+class NodeClose(Record):
+    __slots__ = ("certificate",)
+
+    def __init__(self, certificate: FactorCertificate) -> None:
+        object.__setattr__(self, "certificate", certificate)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """The record of one walk of the tree, filled while the walk runs: the
     certificates in walk order, the trace events, the node count and the
     closing bound, the largest integer ordinate seen on a closing node's
-    polygon (0 if none: every ordinate is nonnegative)."""
+    polygon (0 if none: every ordinate is nonnegative). Mutable, so not
+    hashable."""
 
-    certificates: list[FactorCertificate] = field(default_factory=list)
-    events: list[object] = field(default_factory=list)
-    nodes: int = 0
-    closing_bound: int = 0
+    __slots__ = ("certificates", "events", "nodes", "closing_bound")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, certificates: list[FactorCertificate] | None = None,
+                 events: list[object] | None = None, nodes: int = 0,
+                 closing_bound: int = 0) -> None:
+        self.certificates = [] if certificates is None else certificates
+        self.events = [] if events is None else events
+        self.nodes = nodes
+        self.closing_bound = closing_bound
 
     @property
     def floor(self) -> int:
@@ -230,7 +248,7 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
                 if exact is not None and lam == exact_slope:
                     if cert.degree != exact.degree:
                         raise InternalError("exact divisor does not match its closing branch")
-                    cert = replace(cert, approximation=exact)
+                    cert = FactorCertificate(cert.slopes, exact, cert.final_type)
                 run.certificates.append(cert)
                 closed_here = True
             else:
@@ -267,17 +285,21 @@ def factorize(f: Poly, p: int) -> list[FactorCertificate]:
     return _run(f, p).certificates
 
 
-@dataclass(frozen=True)
-class CertCheck:
-    name: str
-    ok: bool
-    detail: str
+class CertCheck(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CertReport:
-    checks: tuple[CertCheck, ...]
-    floor: int
+class CertReport(Record):
+    __slots__ = ("checks", "floor")
+
+    def __init__(self, checks: tuple[CertCheck, ...], floor: int) -> None:
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "floor", floor)
 
     @property
     def ok(self) -> bool:

@@ -8,31 +8,35 @@ increasing slopes. Principal sides are the ones of negative slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
+from .record import Record
 
 Point = tuple[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A closed stretch of a support line on a polygon; left may equal right."""
 
-    left: Point
-    right: Point
-    slope: Fraction
+    __slots__ = ("left", "right", "slope")
+
+    def __init__(self, left: Point, right: Point, slope: Fraction) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "slope", slope)
 
     @property
     def length(self) -> int:
         return self.right[0] - self.left[0]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    vertices: tuple[Point, ...]
+class NewtonPolygon(Record):
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        object.__setattr__(self, "vertices", vertices)
 
     def sides(self) -> list[Component]:
         out = []

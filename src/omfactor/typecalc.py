@@ -18,24 +18,23 @@ the first chain then decides the branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, multiplicity_of
+from .record import Record
 from .residual import graded_lift, ri
 from .valuation import MacLaneChain, collapse_step
 
 
-@dataclass(frozen=True)
-class Type:
-    chain: MacLaneChain
-    psi_top: Poly
+class Type(Record):
+    __slots__ = ("chain", "psi_top")
 
-    def __post_init__(self) -> None:
+    def __init__(self, chain: MacLaneChain, psi_top: Poly) -> None:
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "psi_top", psi_top)
         # A type of order r defines the next residue field F_r[y]/(psi_top):
         # extend checks the modulus, and augment reuses the interned field.
-        self.chain.fields[self.chain.r].extend(self.psi_top)
+        chain.fields[chain.r].extend(psi_top)
 
     @property
     def order(self) -> int:
@@ -77,8 +76,6 @@ def is_representative(t: Type, g: Poly) -> bool:
     """Whether g is monic of the type's degree with residual (0, *, psi_top)."""
     if not g.is_monic() or g.degree != t.degree():
         return False
-    if t.chain.r == 0:
-        return True
     res = ri(t.chain, t.chain.r, g)
     return res.s == 0 and res.poly == t.psi_top
 
@@ -140,12 +137,15 @@ def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
     return r, [t_o.chain.level(i).phi for i in range(1, r + 1)]
 
 
-@dataclass(frozen=True)
-class EquivWitness:
-    equivalent: bool
-    failed: str | None
-    etas: tuple[FqElt, ...]
-    degenerate: bool
+class EquivWitness(Record):
+    __slots__ = ("equivalent", "failed", "etas", "degenerate")
+
+    def __init__(self, equivalent: bool, failed: str | None, etas: tuple[FqElt, ...],
+                 degenerate: bool) -> None:
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "etas", etas)
+        object.__setattr__(self, "degenerate", degenerate)
 
     def __bool__(self) -> bool:
         return self.equivalent

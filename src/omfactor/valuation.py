@@ -22,28 +22,31 @@ a node's Newton polygon from a key whose value the caller already knows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .arith import INF, Poly, Val, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt
+from .record import Record
 from .residual import ResidualResult, expansion_entries, ri
 
 
-@dataclass(frozen=True)
-class Level:
-    phi: Poly
-    nu: Fraction
-    psi_prev: Poly | None
-    e: int
-    h: int
-    f_prev: int
-    m: int
-    V: int
-    l: int
-    lp: int
+class Level(Record):
+    __slots__ = ("phi", "nu", "psi_prev", "e", "h", "f_prev", "m", "V", "l", "lp")
+
+    def __init__(self, phi: Poly, nu: Fraction, psi_prev: Poly | None, e: int, h: int,
+                 f_prev: int, m: int, V: int, l: int, lp: int) -> None:
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "psi_prev", psi_prev)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "f_prev", f_prev)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "lp", lp)
 
 
 # Level 0: the Gauss valuation, as the level of the key x with slope 0.
@@ -51,12 +54,15 @@ BASE = Level(phi=qpoly([0, 1]), nu=Fraction(0), psi_prev=None, e=1, h=0, f_prev=
              V=0, l=0, lp=1)
 
 
-@dataclass(frozen=True)
-class MacLaneChain:
-    p: int
-    levels: tuple[Level, ...]
-    fields: tuple[Fq, ...]
-    e_cum: tuple[int, ...]
+class MacLaneChain(Record):
+    __slots__ = ("p", "levels", "fields", "e_cum")
+
+    def __init__(self, p: int, levels: tuple[Level, ...], fields: tuple[Fq, ...],
+                 e_cum: tuple[int, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "e_cum", e_cum)
 
     @property
     def r(self) -> int:

@@ -21,12 +21,14 @@ from omfactor import (
     qpoly,
     vp,
 )
+from omfactor import arith
 from omfactor.arith import (
     content_vp,
     gcd_monic,
     is_prime,
     phi_expansion,
 )
+from omfactor.cli import main
 from genchains import random_qpoly
 from reference import compose, expansion_sum, phi_expansion_by_divmod
 from omfactor.finitefield import Fq
@@ -191,8 +193,6 @@ def test_content_vp() -> None:
 
 
 def test_content_vp_tests_primality_once(monkeypatch) -> None:
-    from omfactor import arith
-
     asked: list[int] = []
 
     def counting(n: int) -> bool:
@@ -303,6 +303,30 @@ def test_parse_size_limits() -> None:
         for text in ["x + " + "7" * (limit + 1), "x^" + "7" * (limit + 1)]:
             with pytest.raises(ParseError, match="too long"):
                 parse_poly(text)
+
+
+def test_parse_one_term_powers(capsys, monkeypatch) -> None:
+    """A base with one term is raised directly, (c x^k)^n = c^n x^(kn): the
+    same polynomial as the general product, x^0 and 0^0 stay 1, and x^1001
+    exits 2 before any power is computed."""
+    rng = random.Random(2503)
+    for _ in range(40):
+        c = rng.choice([-1, 1, rng.randrange(2, 51), -rng.randrange(2, 10**20)])
+        k, n = rng.randrange(30), rng.randrange(30)
+        product = "*".join([f"({c}*x^{k})"] * n) or "1"
+        got = parse_poly(f"({c}*x^{k})^{n}")
+        assert got == parse_poly(product) == qpoly([0] * (k * n) + [c**n]), (c, k, n)
+    assert parse_poly("(-3*x^2)^5") == parse_poly("(-3*x^2)*" * 4 + "(-3*x^2)")
+    assert parse_poly("(-3*x^2)^5") == qpoly([0] * 10 + [-243])
+    assert parse_poly("x^0").coeffs == parse_poly("0^0").coeffs == (1,)
+
+    def no_power(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(arith, "power", no_power)
+    for text in ["x^1001", "(x + 1)^1001"]:
+        assert main(["factor", "--prime", "3", "--poly", text]) == 2
+        assert capsys.readouterr().err == "error: polynomial degree 1001 exceeds the limit 1000\n"
 
 
 X = sympy.symbols("x")

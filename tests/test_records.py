@@ -1,0 +1,99 @@
+"""Records: immutable values built by their constructors, and an import of
+the command line that loads neither dataclasses nor inspect."""
+
+from __future__ import annotations
+
+import functools
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from genchains import fixture_poly
+from omfactor import certify, equivalent, lower_hull, parse_poly, run
+from omfactor.montes import (
+    BranchStart,
+    CertCheck,
+    CertReport,
+    ExactDivisor,
+    FactorCertificate,
+    NodeClose,
+    NodePolygon,
+    NodeResidual,
+    RootResidual,
+    RunResult,
+)
+from omfactor.polygon import Component, NewtonPolygon
+from omfactor.typecalc import EquivWitness, Type
+from omfactor.valuation import Level, MacLaneChain
+
+RECORDS = [Level, MacLaneChain, Type, EquivWitness, Component, NewtonPolygon,
+           FactorCertificate, CertCheck, CertReport, RootResidual, BranchStart,
+           NodePolygon, NodeResidual, ExactDivisor, NodeClose]
+
+
+@functools.cache
+def _samples() -> dict[type, list]:
+    """Instances of each record class, from the walks that build them."""
+    found: dict[type, list] = {}
+    for f, p in [(fixture_poly(3), 3), (fixture_poly(5), 5), (parse_poly("x^3 - 9*x"), 3)]:
+        result = run(f, p)
+        report = certify(f, p, result.certificates, result.floor)
+        hull = lower_hull([(0, 2 * p), (1, p), (3, 1), (4, 1)])
+        objs = [*result.events, *result.certificates, report, *report.checks, hull, *hull.sides()]
+        for cert in result.certificates:
+            t = cert.final_type
+            objs += [t, t.chain, *t.chain.levels, equivalent(t, t)]
+        for obj in objs:
+            found.setdefault(type(obj), []).append(obj)
+    return found
+
+
+def _args(obj) -> dict:
+    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_an_immutable_value(cls) -> None:
+    """Positional and keyword constructors build equal records with equal
+    hashes; records are equal exactly when their fields are; setting or
+    deleting a field raises."""
+    objs = _samples()[cls]
+    for obj in objs:
+        args = _args(obj)
+        by_position, by_keyword = cls(*args.values()), cls(**args)
+        assert by_position == by_keyword == obj
+        assert hash(by_position) == hash(by_keyword) == hash(obj)
+        assert repr(obj).startswith(f"{cls.__name__}({next(iter(args))}=")
+        for name, value in args.items():
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    for a in objs:
+        for b in objs:
+            assert (a == b) == (_args(a) == _args(b))
+    assert objs[0] != object()
+
+
+def test_run_result_is_mutable() -> None:
+    a, b = RunResult(), RunResult()
+    a.tick()
+    a.events.append(RootResidual(fixture_poly(3)))
+    assert (b.certificates, b.events, b.nodes, b.closing_bound) == ([], [], 0, 0)
+    assert a == RunResult([], [RootResidual(fixture_poly(3))], nodes=1) != b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_cli_import_loads_no_dataclasses() -> None:
+    """A fresh interpreter, since pytest itself loads both modules; -S keeps
+    site hooks, which may load them, out of the count."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, omfactor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout == "[]\n"

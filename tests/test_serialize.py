@@ -202,8 +202,12 @@ def test_cert_tamper_rejected() -> None:
         {"approximation": ["1", "0", "0", "0", "1"]},
         {"approximation": ["6786", "0", "30", "0", "1", "1"]},
     ]
-    for tamper in tampers:
-        doc = {**json.loads(text), **tamper}
+    docs = [{**json.loads(text), **tamper} for tamper in tampers]
+    # At order 0 the approximation must still reduce to psi_top mod p.
+    (cert0,) = factorize(qpoly([1, 1, 0, 1]), 5)
+    assert cert0.final_type.order == 0
+    docs.append({**cert_to_json(cert0), "approximation": ["0", "0", "0", "1"]})
+    for doc in docs:
         with pytest.raises(ParseError):
             cert_from_json(doc)
 
