@@ -6,9 +6,11 @@ The node takes a representative phi, builds the Newton polygon of f's
 phi-expansion under the node's valuation (valuation.expansion_points, with
 phi's value read from the level recurrence), and branches over the principal
 sides (negative slope) and the irreducible factors of each side's residual
-polynomial. phi is walked once per side, by that side's augment, whose
-residual on the new level is checked against psi_top. A branch with order
-1 closes into a certificate of the optimized closing type, which checks
+polynomial. A side of slope -lam augments t's chain by (phi, lam), or, if
+t's top level r is stationary (e_r = f_r = 1), replaces it by (phi, nu_r +
+lam), so every type the walk builds is optimal. phi is walked once per side,
+by that side's augment, and once more under a replaced top, to check psi_top.
+A branch with order 1 closes into a certificate of its type, which checks
 itself when built. The walk fills one RunResult: its certificates, trace
 events, node count and precision floor.
 
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 from .arith import INF, Poly, content_vp, gcd_monic, qpoly
 from .errors import InternalError, PreconditionError
@@ -30,7 +31,8 @@ from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
 from .record import Record
 from .residual import graded_lift, line_residual, r0
-from .typecalc import Type, _lift_representative, is_representative, okutsu_data, optimize, ord_type
+from .typecalc import (
+    Type, _lift_representative, is_representative, is_stationary_level, okutsu_data, ord_type)
 from .valuation import augment, empty_chain, expansion_points
 
 _MAX_NODES = 10000
@@ -40,27 +42,23 @@ _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 class FactorCertificate(Record):
-    """A p-adic prime factor: slopes collapsing to the type's, a representative
-    of the type, and the optimized closing type, from which the rest derive:
-    degree, e, f, okutsu_depth and okutsu_frame."""
+    """A p-adic prime factor: a representative of a type, and that type,
+    from which the rest derive: slopes, degree, e, f, okutsu_depth and
+    okutsu_frame."""
 
-    __slots__ = ("slopes", "approximation", "final_type",
-                 "degree", "e", "f", "okutsu_depth", "okutsu_frame")
+    __slots__ = ("approximation", "final_type",
+                 "slopes", "degree", "e", "f", "okutsu_depth", "okutsu_frame")
 
-    def __init__(self, slopes: tuple[Fraction, ...], approximation: Poly, final_type: Type) -> None:
-        object.__setattr__(self, "slopes", slopes)
+    def __init__(self, approximation: Poly, final_type: Type) -> None:
         object.__setattr__(self, "approximation", approximation)
         object.__setattr__(self, "final_type", final_type)
         t = final_type
-        ends = list(accumulate(lev.nu for lev in t.chain.levels))
-        sums = list(accumulate(slopes))
-        if min(slopes, default=1) <= 0 or not set(ends) <= set(sums) or ends[-1:] != sums[-1:]:
-            raise PreconditionError("certificate slopes do not collapse to its type's slopes")
         if not is_representative(t, approximation):
             raise PreconditionError("approximation is not a representative of the type")
         degree, e = t.degree(), t.chain.e_cum[-1]
         depth, frame = okutsu_data(t)
-        derived = {"degree": degree, "e": e, "f": degree // e,
+        derived = {"slopes": tuple(lev.nu for lev in t.chain.levels),
+                   "degree": degree, "e": e, "f": degree // e,
                    "okutsu_depth": depth, "okutsu_frame": tuple(frame)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -184,9 +182,7 @@ def _validate_input(f: Poly, p: int) -> None:
 
 
 def _close(t: Type, run: RunResult) -> FactorCertificate:
-    t_o = optimize(t)
-    cert = FactorCertificate(
-        tuple(lev.nu for lev in t.chain.levels), _lift_representative(t_o), t_o)
+    cert = FactorCertificate(_lift_representative(t), t)
     run.events.append(NodeClose(cert))
     return cert
 
@@ -212,33 +208,46 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
     phi = _lift_representative(t)
     exact: Poly | None = None
     exact_slope: Fraction | None = None
-    # phi is t's representative, or is equivalent to it after a perturbation,
-    # so the level recurrence fixes its value: no walk of phi is needed.
-    V = chain.next_key_value(t.f_top)
-    entries, pts = expansion_points(chain, phi, V, f)
+    # A stationary top level (e_r = f_r = 1) is replaced, not stacked on. phi
+    # is t's representative, or is equivalent to it after a perturbation, so
+    # the level recurrence fixes its value over the chain it extends: no walk.
+    lev = chain.at(r)
+    if r and is_stationary_level(t, r):
+        below, shift, V, psi_prev = chain.prefix(r - 1), lev.nu, lev.V, lev.psi_prev
+    else:
+        below, shift, V, psi_prev = chain, 0, chain.next_key_value(t.f_top), t.psi_top
+    k = below.r + 1  # the level the sides' key takes
+
+    def points(phi: Poly) -> tuple[list, list]:  # mu_r(phi) = mu_{r-1}(phi) + shift
+        entries, pts = expansion_points(below, phi, V, f)
+        return entries, [(s, u + s * shift) for s, u in pts]
+
+    entries, pts = points(phi)
     if pts[0][0] != 0:  # no point at s = 0: phi divides f exactly
         run.events.append(ExactDivisor(phi))
         exact = phi
         phi, exact_slope = _perturbed_representative(t, phi, pts)
-        entries, pts = expansion_points(chain, phi, V, f)
+        entries, pts = points(phi)
         if pts[0][0] != 0:
             raise InternalError("perturbed representative still divides the input")
+    if k == r and not is_representative(t, phi):  # the sides' walks stop below r
+        raise InternalError("representative residual differs from psi_top")
     hull = lower_hull(pts)
     principal = hull.principal_sides()
     length = sum(side.length for side in principal)
-    run.events.append(NodePolygon(r + 1, phi, tuple(pts), hull.vertices, length))
+    run.events.append(NodePolygon(k, phi, tuple(pts), hull.vertices, length))
     if length != omega:
         raise InternalError("principal polygon length disagrees with the branch order")
     closed_here = False
     for side in sorted(principal, key=lambda s: -s.slope):
         lam = -side.slope
-        chain2 = augment(chain, phi, lam)
-        top = chain2.level(r + 1)
+        chain2 = augment(below, phi, shift + lam)
+        top = chain2.level(k)
         # The key check's walk of phi checks the representative (s = 0 by degree).
-        if top.psi_prev != t.psi_top:
+        if top.psi_prev != psi_prev:
             raise InternalError("representative residual differs from psi_top")
-        res = line_residual(chain2, r + 1, entries)
-        run.events.append(NodeResidual(r + 1, lam, res.s, res.u, res.poly))
+        res = line_residual(chain2, k, entries)
+        run.events.append(NodeResidual(k, lam, res.s, res.u, res.poly))
         if side.length != top.e * res.poly.degree + res.s - side.left[0]:
             raise InternalError("side length disagrees with the residual degree")
         for psi2, w2 in fq_factor(res.poly):
@@ -248,7 +257,7 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
                 if exact is not None and lam == exact_slope:
                     if cert.degree != exact.degree:
                         raise InternalError("exact divisor does not match its closing branch")
-                    cert = FactorCertificate(cert.slopes, exact, cert.final_type)
+                    cert = FactorCertificate(exact, cert.final_type)
                 run.certificates.append(cert)
                 closed_here = True
             else:

@@ -102,7 +102,7 @@ def residual_to_json(res: ResidualResult) -> dict:
 
 def _cert_fields(cert: FactorCertificate) -> dict:
     """A certificate's fields derived from its type, in document order and
-    as cross-checked; the Okutsu frame is checked on its own."""
+    as cross-checked; the Okutsu frame and the slopes are checked apart."""
     return {"degree": cert.degree, "e": cert.e, "f": cert.f,
             "okutsu_depth": cert.okutsu_depth}
 
@@ -248,15 +248,15 @@ def residual_from_json(field: Fq, doc) -> ResidualResult:
 
 def cert_from_json(doc) -> FactorCertificate:
     final_type = type_from_json(_need(doc, "type", dict))
-    slopes = tuple(fraction_from_json(s) for s in _need(doc, "slopes", list))
     try:
-        cert = FactorCertificate(
-            slopes, qpoly_from_json(_need(doc, "approximation", list)), final_type)
+        cert = FactorCertificate(qpoly_from_json(_need(doc, "approximation", list)), final_type)
     except PreconditionError as exc:
         raise ParseError(f"serialized certificate is not valid: {exc}") from exc
     for key, want in _cert_fields(cert).items():
         if _need(doc, key, int) != want:
             raise ParseError(f"certificate field {key!r} is {doc[key]}, derived {want}")
+    if tuple(map(fraction_from_json, _need(doc, "slopes", list))) != cert.slopes:
+        raise ParseError("certificate slopes differ from its type's slopes")
     if tuple(map(qpoly_from_json, _need(doc, "okutsu_frame", list))) != cert.okutsu_frame:
         raise ParseError("certificate okutsu_frame differs from its type's Okutsu frame")
     return cert

@@ -97,6 +97,12 @@ class MacLaneChain(Record):
         lev = self.at(i)
         return lev.e * res.u + lev.h * res.s
 
+    def prefix(self, k: int) -> MacLaneChain:
+        """The chain of levels 1..k, sharing this chain's levels and fields."""
+        if not 0 <= k <= self.r:
+            raise PreconditionError(f"prefix length {k} out of range")
+        return MacLaneChain(self.p, self.levels[:k], self.fields[:k + 1], self.e_cum[:k + 1])
+
     def steps(self) -> list[tuple[Poly, Fraction]]:
         return [(lev.phi, lev.nu) for lev in self.levels]
 
@@ -248,5 +254,4 @@ def collapse_step(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
             nu = Fraction(0)
         elif lev.m != chain.level(i + 1).m:
             raise PreconditionError("collapse requires equal key degrees")
-    kept = MacLaneChain(chain.p, chain.levels[: lo - 1], chain.fields[:lo], chain.e_cum[:lo])
-    return _extend(kept, steps)
+    return _extend(chain.prefix(lo - 1), steps)

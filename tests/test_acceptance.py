@@ -105,28 +105,30 @@ def test_quartic_single_certificate_with_exact_trace() -> None:
     r0 = roots[0].poly
     assert r0 == ypoly(r0.ring, [0, 0, 0, 0, 1])
 
-    polygons = {ev.level: ev for ev in trace if isinstance(ev, NodePolygon)}
-    residuals = {ev.level: ev for ev in trace if isinstance(ev, NodeResidual)}
-    assert sorted(polygons) == [1, 2, 3, 4]
-    assert sorted(residuals) == [1, 2, 3, 4]
+    # Levels 2 and 3 are stationary, so the second and third nodes' sides
+    # replace the top level instead of stacking on it.
+    polygons = [ev for ev in trace if isinstance(ev, NodePolygon)]
+    residuals = [ev for ev in trace if isinstance(ev, NodeResidual)]
+    assert [ev.level for ev in polygons] == [1, 2, 2, 2]
+    assert [ev.level for ev in residuals] == [1, 2, 2, 2]
 
-    n1 = polygons[1]
+    n1 = polygons[0]
     assert n1.phi == qpoly([0, 1])
     assert list(n1.points) == [(0, 2), (2, 1), (4, 0)]
     assert list(n1.vertices) == [(0, 2), (4, 0)]
     assert n1.principal_length == 4
     (s0, u0), (s1, u1) = n1.vertices
     assert Fraction(u1 - u0, s1 - s0) == Fraction(-1, 2)
-    assert residuals[1].lam == Fraction(1, 2)
+    assert residuals[0].lam == Fraction(1, 2)
 
-    for level, expect in [(1, [-1, 1]), (2, [-1, 1]), (3, [1, 1])]:
-        res = residuals[level].poly
+    for k, expect in enumerate([[-1, 1], [-1, 1], [1, 1]]):
+        res = residuals[k].poly
         lin = ypoly(res.ring, expect)
         assert res == lin * lin
 
-    assert list(polygons[2].points) == [(0, 4), (1, 3), (2, 2)]
+    assert list(polygons[1].points) == [(0, 4), (1, 3), (2, 2)]
 
-    r4 = residuals[4].poly
+    r4 = residuals[3].poly
     assert r4 == ypoly(r4.ring, [1, 0, 1])
     assert is_irreducible(r4)
 

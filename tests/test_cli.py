@@ -41,22 +41,22 @@ side slope -1/2: R1(f) = y^2 + y + 1 (s = 0, u = 2)
 N2(x^2 - 3): points (0, 4), (1, 3), (2, 2)
   vertices (0, 4), (2, 2); principal length 2
 side slope -1: R2(f) = y^2 + y + 1 (s = 0, u = 8)
-N3(x^2 - 12): points (0, 6), (1, 5), (2, 4)
+N2(x^2 - 12): points (0, 6), (1, 5), (2, 4)
   vertices (0, 6), (2, 4); principal length 2
-side slope -1: R3(f) = y^2 - y + 1 (s = 0, u = 12)
-N4(x^2 + 15): points (0, 8), (2, 6)
+side slope -1: R2(f) = y^2 - y + 1 (s = 0, u = 12)
+N2(x^2 + 15): points (0, 8), (2, 6)
   vertices (0, 8), (2, 6); principal length 2
-side slope -1: R4(f) = y^2 + 1 (s = 0, u = 16)
+side slope -1: R2(f) = y^2 + 1 (s = 0, u = 16)
 close:
   degree 4, e = 2, f = 2
   okutsu depth 2, frame [x, x^2 + 15]
-  slopes [1/2, 1, 1, 1]
+  slopes [1/2, 3]
   approximation x^4 + 30*x^2 + 6786
   type (y; (x, 1/2, y - 1); (x^2 + 15, 3, y^2 + 1))
 certificate 1:
   degree 4, e = 2, f = 2
   okutsu depth 2, frame [x, x^2 + 15]
-  slopes [1/2, 1, 1, 1]
+  slopes [1/2, 3]
   approximation x^4 + 30*x^2 + 6786
   type (y; (x, 1/2, y - 1); (x^2 + 15, 3, y^2 + 1))
 precision floor 9

@@ -4,10 +4,12 @@ Each case runs cli.main in-process and compares stdout with a file under
 tests/data/golden/. The files were written by the code that predates the
 flat residue-field representation, so a change in how tower elements are
 stored, multiplied or rendered shows here as a diff. The cases cover the
-degree-16 p = 2 input (seventeen levels, nearly all of degree one), a p = 5
-input whose tower has a degree-2 level above degree-1 levels (its trace and
-type render z generators and nested coordinate arrays), and the README
-quartic. Two more cases, written by the code that predates the single
+degree-16 p = 2 input (seventeen nodes, thirteen of which replace a
+stationary top level), a p = 5 input whose tower has a degree-2 level
+above degree-1 levels (its trace and type render z generators and nested
+coordinate arrays), and the README quartic. The factor cases whose walk
+replaces a stationary top were rewritten by the code that first did so,
+since their certificate slopes and trace levels changed. Two more cases, written by the code that predates the single
 residual walk (one expansion of f per node key), pin the exact-divisor
 path: x^3 - 9x at p = 3 has the exact divisor x at level 1, on a polygon
 with two sides, and x^3 - 6x^2 - 32x + 32 at p = 2 has the exact divisor

@@ -20,11 +20,12 @@ from omfactor import (
     PreconditionError,
     certify,
     factorize,
+    optimize,
     ord_type,
     qpoly,
     run,
 )
-from omfactor import montes
+from omfactor import montes, valuation
 from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
 from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
@@ -44,7 +45,7 @@ def test_quartic_fixture_p3() -> None:
     assert (c.degree, c.e, c.f) == (4, 2, 2)
     assert c.okutsu_depth == 2
     assert [format_poly(g) for g in c.okutsu_frame] == ["x", "x^2 + 15"]
-    assert list(c.slopes) == [Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1)]
+    assert list(c.slopes) == [Fraction(1, 2), Fraction(3)]
     assert c.approximation == f
     assert result.floor == 9
     assert certify(f, 3, certs, 9).ok
@@ -54,20 +55,15 @@ def test_quartic_fixture_p3() -> None:
 
 def test_certificate_checks_itself() -> None:
     """Every certificate, rebuilt with other fields included, has an
-    approximation that represents its type and slopes that collapse to the
-    type's."""
+    approximation that represents its type."""
     cert = factorize(fixture_poly(3), 3)[0]
-    half, one = Fraction(1, 2), Fraction(1)
     bad = [
         {"approximation": qpoly([6786, 0, 30, 0, 2])},
         {"approximation": qpoly([1, 0, 0, 0, 1])},
-        {"slopes": (half, one, one)},
-        {"slopes": (half, one, one, one, Fraction(0))},
     ]
 
     def rebuilt(**fields) -> FactorCertificate:
-        given = {"slopes": cert.slopes, "approximation": cert.approximation,
-                 "final_type": cert.final_type}
+        given = {"approximation": cert.approximation, "final_type": cert.final_type}
         return FactorCertificate(**{**given, **fields})
 
     for fields in bad:
@@ -325,9 +321,9 @@ def test_trace_event_stream_shape() -> None:
     assert "BranchStart" in kinds
     assert kinds.count("NodeClose") == 1
     levels = [e.level for e in trace if isinstance(e, NodePolygon)]
-    assert levels == [1, 2, 3, 4]
+    assert levels == [1, 2, 2, 2]
     res_levels = [e.level for e in trace if isinstance(e, NodeResidual)]
-    assert res_levels == [1, 2, 3, 4]
+    assert res_levels == [1, 2, 2, 2]
     assert isinstance(trace[0], RootResidual)
     assert any(isinstance(e, BranchStart) and e.omega == 4 for e in trace)
     closes = [e for e in trace if isinstance(e, NodeClose)]
@@ -386,33 +382,86 @@ def test_input_expanded_once_per_node_key(monkeypatch, poly: str, p: int) -> Non
     ],
 )
 def test_node_key_walked_once_per_side(monkeypatch, poly: str, p: int) -> None:
-    """Each node's key is walked on the node's chain at its top level once
-    per principal side, by that side's augment, and never once more: the
-    key check's walk is also the representative check."""
+    """Each node's key is walked once per principal side, by that side's
+    augment, on the chain the side extends: the key check's walk is also the
+    representative check. Where the sides replace a stationary top, their
+    walks stop below it, and the key is walked once more, on the node's own
+    chain at its top level, to check psi_top."""
     chains: list = []
+    extended: dict = {}
     walks: list = []
-    branch = montes._branch
+    branch, augment = montes._branch, montes.augment
 
     def recording_branch(t, *args):
         chains.append(t.chain)
         return branch(t, *args)
+
+    def recording_augment(chain, phi, nu):
+        extended.setdefault(phi.coeffs, []).append(chain)
+        return augment(chain, phi, nu)
 
     def counting(chain, i, g):
         walks.append((chain, i, g))
         return ri(chain, i, g)
 
     monkeypatch.setattr(montes, "_branch", recording_branch)
+    monkeypatch.setattr(montes, "augment", recording_augment)
     for name, mod in list(sys.modules.items()):
         if name.startswith("omfactor") and getattr(mod, "ri", None) is ri:
             monkeypatch.setattr(mod, "ri", counting)
     trace = run(parse_poly(poly), p).events
     nodes = [e for e in trace if isinstance(e, NodePolygon)]
     assert nodes and len(nodes) == len(chains)
+    replaced = 0
     for chain, node in zip(chains, nodes):
-        assert node.level == chain.r + 1
         sides = len(lower_hull(list(node.points)).principal_sides())
-        n = sum(1 for c, i, g in walks if c is chain and i == chain.r and g == node.phi)
+        below = extended[node.phi.coeffs][0]
+        assert len(extended[node.phi.coeffs]) == sides
+        assert all(c is below for c in extended[node.phi.coeffs])
+        assert node.level == below.r + 1
+        n = sum(1 for c, i, g in walks if c is below and i == below.r and g == node.phi)
         assert n == sides
+        if below is not chain:
+            assert below.levels == chain.levels[:-1]
+            n = sum(1 for c, i, g in walks if c is chain and i == chain.r and g == node.phi)
+            assert n == 1
+            replaced += 1
+    # The degree-16 input replaces 13 stationary tops, and the level-2 exact
+    # divisor's node replaces one.
+    assert replaced == {"x^3 - 9*x": 0, "x^3 - 6*x^2 - 32*x + 32": 1}.get(poly, 13)
+
+
+def test_walk_builds_only_optimal_types(monkeypatch) -> None:
+    """No type the walk branches on or closes has a stationary level below
+    its top, and no factor run collapses a chain: over the degree-16 p = 2
+    input, every golden factor case and the seed-1 sweep."""
+    from test_golden_output import CASES, DEEP_P2
+
+    seen: list = []
+    collapsed: list = []
+    for name in ("_branch", "_close"):
+        wrapped = getattr(montes, name)
+        monkeypatch.setattr(montes, name, lambda t, *a, _w=wrapped: seen.append(t) or _w(t, *a))
+    collapse = valuation.collapse_step
+
+    def recording_collapse(*args):
+        collapsed.append(args)
+        return collapse(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("omfactor") and getattr(mod, "collapse_step", None) is collapse:
+            monkeypatch.setattr(mod, "collapse_step", recording_collapse)
+    inputs = [(parse_poly(DEEP_P2), 2)]
+    inputs += [(parse_poly(argv[4]), int(argv[2])) for argv in CASES.values() if argv[0] == "factor"]
+    inputs += sweep_inputs(random.Random(1), 300)
+    for f, p in inputs:
+        try:
+            run(f, p)
+        except PreconditionError:
+            continue
+    assert collapsed == []
+    assert max(t.order for t in seen) >= 4
+    assert all(optimize(t) is t for t in seen)
 
 
 # The README quartic at p = 3 as f(2x)/16: its coefficients have the p-unit
@@ -473,7 +522,7 @@ def test_p_unit_denominators_keep_their_output() -> None:
     assert text == (
         "  degree 4, e = 2, f = 2\n"
         "  okutsu depth 2, frame [x, x^2 + 24]\n"
-        "  slopes [1/2, 2, 1]\n"
+        "  slopes [1/2, 3]\n"
         "  approximation x^4 + 129*x^2 - 4041\n"
         "  type (y; (x, 1/2, y - 1); (x^2 + 24, 3, y^2 + y - 1))"
     )

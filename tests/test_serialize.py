@@ -183,9 +183,10 @@ def test_type_tamper_rejected() -> None:
 
 
 def test_cert_tamper_rejected() -> None:
-    """The fields the type determines are compared with it on load, the
-    slopes must sum, run by run, to the type's slopes, and the approximation
-    must be a representative of the type."""
+    """The fields the type determines, slopes included, are compared with it
+    on load, and the approximation must be a representative of the type. A
+    document whose slopes record the walk's path, as [1/2, 1, 1, 1] did for
+    this quartic, is rejected."""
     cert = factorize(fixture_poly(3), 3)[0]
     text = canonical_json(cert_to_json(cert))
     assert cert_from_json(json.loads(text)) == cert
@@ -198,6 +199,7 @@ def test_cert_tamper_rejected() -> None:
         {"slopes": [one, one, one, half]},
         {"slopes": [half, one, one, one, one]},
         {"slopes": [half, one, one, one, zero]},
+        {"slopes": [half, one, one, one]},
         {"approximation": ["6786", "0", "30", "0", "2"]},
         {"approximation": ["1", "0", "0", "0", "1"]},
         {"approximation": ["6786", "0", "30", "0", "1", "1"]},
@@ -229,6 +231,6 @@ def test_text_renderers_pinned() -> None:
     lines = format_cert(cert).splitlines()
     assert lines[0] == "degree 4, e = 2, f = 2"
     assert lines[1] == "okutsu depth 2, frame [x, x^2 + 15]"
-    assert lines[2] == "slopes [1/2, 1, 1, 1]"
+    assert lines[2] == "slopes [1/2, 3]"
     assert lines[3] == "approximation x^4 + 30*x^2 + 6786"
     assert lines[4] == "type (y; (x, 1/2, y - 1); (x^2 + 15, 3, y^2 + 1))"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,6 @@ from omfactor import (
     equivalent,
     factorize,
     graded_lift,
-    montes,
     okutsu_data,
     optimize,
     ord_type,
@@ -43,7 +44,7 @@ from omfactor import (
     representative,
     ri,
 )
-from omfactor.serialize import canonical_json, format_type, type_to_json
+from omfactor.serialize import canonical_json, format_type, type_from_json, type_to_json
 from omfactor.typecalc import f_level, is_stationary_level
 from reference import (
     compose,
@@ -55,17 +56,14 @@ from reference import (
     stationary_levels,
 )
 
-DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def _deep_raw_type(monkeypatch) -> Type:
-    """The 17-level closing type of the degree-16 p = 2 input, before
-    optimization."""
-    closing: list[Type] = []
-    wrapped = montes.optimize
-    monkeypatch.setattr(montes, "optimize", lambda t: closing.append(t) or wrapped(t))
-    factorize(parse_poly(DEEP_P2), 2)
-    return max(closing, key=lambda t: t.order)
+def _deep_raw_type() -> Type:
+    """The 17-level type on which the walk that stacked a level on every
+    stationary one closed the degree-16 p = 2 input, before optimization;
+    written by that walk to tests/data/deep_p2_raw_type.json."""
+    return type_from_json(json.loads((DATA / "deep_p2_raw_type.json").read_text()))
 
 
 def _stationary_types(seed: int, count: int) -> list[Type]:
@@ -173,9 +171,9 @@ def test_no_module_defines_a_tower_map() -> None:
             assert not hasattr(mod, name), f"omfactor.{info.name}.{name}"
 
 
-def test_optimized_psi_top_agrees_on_the_flat_tower(monkeypatch) -> None:
+def test_optimized_psi_top_agrees_on_the_flat_tower() -> None:
     # The flattened tower is built by tests/reference.py, not by _collapse.
-    types = [fixture_t4(), _deep_raw_type(monkeypatch)] + _stationary_types(181, 20)
+    types = [fixture_t4(), _deep_raw_type()] + _stationary_types(181, 20)
     for t in types:
         opt = optimize(t)
         assert opt.order < t.order
@@ -194,12 +192,8 @@ def _optimize_by_steps(t: Type) -> Type:
         t = nxt
 
 
-def test_optimize_equals_stepwise_fixed_point(monkeypatch) -> None:
-    closing: list[Type] = []
-    wrapped = montes.optimize
-    monkeypatch.setattr(montes, "optimize", lambda t: closing.append(t) or wrapped(t))
-    factorize(parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"), 2)
-    raw = max(closing, key=lambda t: t.order)
+def test_optimize_equals_stepwise_fixed_point() -> None:
+    raw = _deep_raw_type()
     # Two separated runs of stationary levels, where fixture_t4 has one run {2, 3}.
     assert (raw.order, stationary_levels(raw)) == (17, [3, *range(5, 17)])
     for t in (fixture_t4(), raw):

@@ -430,6 +430,9 @@ def test_index_range_errors() -> None:
         mu_eval(chain, 5, qpoly([1]))
     with pytest.raises(PreconditionError):
         collapse_step(chain, {0})
+    for k in (-1, 5):
+        with pytest.raises(PreconditionError):
+            chain.prefix(k)
 
 
 def test_level_zero_is_the_gauss_valuation() -> None:
@@ -453,6 +456,10 @@ def test_collapse_step_keeps_the_prefix() -> None:
         assert col.r == chain.r - 1
         assert all(a is b for a, b in zip(col.levels[: i - 2], chain.levels[: i - 2], strict=True))
         assert all(a is b for a, b in zip(col.fields[: i - 1], chain.fields[: i - 1], strict=True))
+    for k in range(chain.r + 1):
+        pre = chain.prefix(k)
+        assert (pre.levels, pre.fields, pre.e_cum) == (
+            chain.levels[:k], chain.fields[: k + 1], chain.e_cum[: k + 1])
 
 
 def test_collapse_requires_equal_degrees() -> None:
