@@ -50,33 +50,21 @@ class FactorCertificate(Record):
                  "slopes", "degree", "e", "f", "okutsu_depth", "okutsu_frame")
 
     def __init__(self, approximation: Poly, final_type: Type) -> None:
-        object.__setattr__(self, "approximation", approximation)
-        object.__setattr__(self, "final_type", final_type)
         t = final_type
         if not is_representative(t, approximation):
             raise PreconditionError("approximation is not a representative of the type")
         degree, e = t.degree(), t.chain.e_cum[-1]
         depth, frame = okutsu_data(t)
-        derived = {"slopes": tuple(lev.nu for lev in t.chain.levels),
-                   "degree": degree, "e": e, "f": degree // e,
-                   "okutsu_depth": depth, "okutsu_frame": tuple(frame)}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        super().__init__(approximation, t, tuple(lev.nu for lev in t.chain.levels),
+                         degree, e, degree // e, depth, tuple(frame))
 
 
 class RootResidual(Record):
     __slots__ = ("poly",)
 
-    def __init__(self, poly: Poly) -> None:
-        object.__setattr__(self, "poly", poly)
-
 
 class BranchStart(Record):
     __slots__ = ("psi", "omega")
-
-    def __init__(self, psi: Poly, omega: int) -> None:
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "omega", omega)
 
 
 class NodePolygon(Record):
@@ -84,40 +72,19 @@ class NodePolygon(Record):
 
     __slots__ = ("level", "phi", "points", "vertices", "principal_length")
 
-    def __init__(self, level: int, phi: Poly, points: tuple[tuple[int, Fraction], ...],
-                 vertices: tuple[tuple[int, Fraction], ...], principal_length: int) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "principal_length", principal_length)
-
 
 class NodeResidual(Record):
     """Residual data on the side of slope -lam, after augmenting by lam."""
 
     __slots__ = ("level", "lam", "s", "u", "poly")
 
-    def __init__(self, level: int, lam: Fraction, s: int, u: int, poly: Poly) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "poly", poly)
-
 
 class ExactDivisor(Record):
     __slots__ = ("phi",)
 
-    def __init__(self, phi: Poly) -> None:
-        object.__setattr__(self, "phi", phi)
-
 
 class NodeClose(Record):
     __slots__ = ("certificate",)
-
-    def __init__(self, certificate: FactorCertificate) -> None:
-        object.__setattr__(self, "certificate", certificate)
 
 
 class RunResult(Record):
@@ -297,18 +264,9 @@ def factorize(f: Poly, p: int) -> list[FactorCertificate]:
 class CertCheck(Record):
     __slots__ = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-
 
 class CertReport(Record):
     __slots__ = ("checks", "floor")
-
-    def __init__(self, checks: tuple[CertCheck, ...], floor: int) -> None:
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "floor", floor)
 
     @property
     def ok(self) -> bool:

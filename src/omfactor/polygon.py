@@ -22,11 +22,6 @@ class Component(Record):
 
     __slots__ = ("left", "right", "slope")
 
-    def __init__(self, left: Point, right: Point, slope: Fraction) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "slope", slope)
-
     @property
     def length(self) -> int:
         return self.right[0] - self.left[0]
@@ -34,9 +29,6 @@ class Component(Record):
 
 class NewtonPolygon(Record):
     __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[Point, ...]) -> None:
-        object.__setattr__(self, "vertices", vertices)
 
     def sides(self) -> list[Component]:
         out = []

@@ -1,16 +1,39 @@
 """Base of the package's immutable records.
 
-A record lists its fields in `__slots__` and sets them in its own
-`__init__` with `object.__setattr__`. It then compares and hashes by the
-tuple of its field values, in slot order, and prints as
+A record lists its fields in `__slots__`, and the base constructor sets
+them in slot order, positional arguments first, then keywords. It compares
+and hashes by the tuple of its field values, in slot order, and prints as
 `Name(field=value, ...)`. Records of different classes are never equal.
+
+A subclass defines `__init__` only to check or derive fields (`Type`,
+`FactorCertificate`), to give defaults (`RunResult`), or on a measured hot
+path (`ResidualResult`).
 """
 
 from __future__ import annotations
 
 
+# Bound once: a global read is cheaper than object's attribute on each store.
+_set = object.__setattr__
+
+
 class Record:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        if kwargs or len(args) < len(names):
+            try:
+                args += tuple([kwargs.pop(name) for name in names[len(args):]])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__} is missing field {missing}") from None
+            for name in kwargs:
+                why = "given twice" if name in names else "unknown"
+                raise TypeError(f"{type(self).__name__} field {name!r} is {why}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -30,8 +30,7 @@ class Type(Record):
     __slots__ = ("chain", "psi_top")
 
     def __init__(self, chain: MacLaneChain, psi_top: Poly) -> None:
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "psi_top", psi_top)
+        super().__init__(chain, psi_top)
         # A type of order r defines the next residue field F_r[y]/(psi_top):
         # extend checks the modulus, and augment reuses the interned field.
         chain.fields[chain.r].extend(psi_top)
@@ -139,13 +138,6 @@ def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
 
 class EquivWitness(Record):
     __slots__ = ("equivalent", "failed", "etas", "degenerate")
-
-    def __init__(self, equivalent: bool, failed: str | None, etas: tuple[FqElt, ...],
-                 degenerate: bool) -> None:
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "failed", failed)
-        object.__setattr__(self, "etas", etas)
-        object.__setattr__(self, "degenerate", degenerate)
 
     def __bool__(self) -> bool:
         return self.equivalent

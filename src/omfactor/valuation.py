@@ -35,19 +35,6 @@ from .residual import ResidualResult, expansion_entries, ri
 class Level(Record):
     __slots__ = ("phi", "nu", "psi_prev", "e", "h", "f_prev", "m", "V", "l", "lp")
 
-    def __init__(self, phi: Poly, nu: Fraction, psi_prev: Poly | None, e: int, h: int,
-                 f_prev: int, m: int, V: int, l: int, lp: int) -> None:
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "psi_prev", psi_prev)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "f_prev", f_prev)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "lp", lp)
-
 
 # Level 0: the Gauss valuation, as the level of the key x with slope 0.
 BASE = Level(phi=qpoly([0, 1]), nu=Fraction(0), psi_prev=None, e=1, h=0, f_prev=1, m=1,
@@ -56,13 +43,6 @@ BASE = Level(phi=qpoly([0, 1]), nu=Fraction(0), psi_prev=None, e=1, h=0, f_prev=
 
 class MacLaneChain(Record):
     __slots__ = ("p", "levels", "fields", "e_cum")
-
-    def __init__(self, p: int, levels: tuple[Level, ...], fields: tuple[Fq, ...],
-                 e_cum: tuple[int, ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "e_cum", e_cum)
 
     @property
     def r(self) -> int:
@@ -206,18 +186,7 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     if V_new != chain.next_key_value(d):
         raise InternalError("key value disagrees with the level recurrence")
 
-    level = Level(
-        phi=phi,
-        nu=nu,
-        psi_prev=res.poly,
-        e=e_new,
-        h=h_new,
-        f_prev=d,
-        m=phi.degree,
-        V=V_new,
-        l=l_new,
-        lp=lp_new,
-    )
+    level = Level(phi, nu, res.poly, e_new, h_new, d, phi.degree, V_new, l_new, lp_new)
     return MacLaneChain(
         chain.p,
         chain.levels + (level,),

@@ -14,25 +14,19 @@ import pytest
 
 from genchains import fixture_poly
 from omfactor import certify, equivalent, lower_hull, parse_poly, run
-from omfactor.montes import (
-    BranchStart,
-    CertCheck,
-    CertReport,
-    ExactDivisor,
-    FactorCertificate,
-    NodeClose,
-    NodePolygon,
-    NodeResidual,
-    RootResidual,
-    RunResult,
-)
-from omfactor.polygon import Component, NewtonPolygon
-from omfactor.typecalc import EquivWitness, Type
-from omfactor.valuation import Level, MacLaneChain
+from omfactor.montes import CertCheck, RootResidual, RunResult
+from omfactor.record import Record
+from omfactor.residual import ri
 
-RECORDS = [Level, MacLaneChain, Type, EquivWitness, Component, NewtonPolygon,
-           FactorCertificate, CertCheck, CertReport, RootResidual, BranchStart,
-           NodePolygon, NodeResidual, ExactDivisor, NodeClose]
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# Every record but the mutable RunResult, so a new record is tested here too.
+RECORDS = sorted(set(_subclasses(Record)) - {RunResult}, key=lambda cls: cls.__name__)
 
 
 @functools.cache
@@ -46,14 +40,18 @@ def _samples() -> dict[type, list]:
         objs = [*result.events, *result.certificates, report, *report.checks, hull, *hull.sides()]
         for cert in result.certificates:
             t = cert.final_type
-            objs += [t, t.chain, *t.chain.levels, equivalent(t, t)]
+            objs += [t, t.chain, *t.chain.levels, equivalent(t, t), ri(t.chain, t.chain.r, f)]
         for obj in objs:
             found.setdefault(type(obj), []).append(obj)
     return found
 
 
 def _args(obj) -> dict:
-    return {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    """The constructor's arguments: the slots under the base constructor,
+    the parameters under a record's own."""
+    cls = type(obj)
+    names = cls.__slots__ if cls.__init__ is Record.__init__ else inspect.signature(cls).parameters
+    return {name: getattr(obj, name) for name in names}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -77,6 +75,18 @@ def test_record_is_an_immutable_value(cls) -> None:
         for b in objs:
             assert (a == b) == (_args(a) == _args(b))
     assert objs[0] != object()
+
+
+def test_base_constructor_rejects_bad_arguments() -> None:
+    """Too many positional arguments, a missing field, an unknown keyword and
+    a field given both by position and by keyword each raise TypeError."""
+    assert CertCheck("degree-sum", True, detail="ok") == CertCheck("degree-sum", True, "ok")
+    for args, kwargs in [(("degree-sum", True, "ok", "extra"), {}),
+                         (("degree-sum", True), {}),
+                         (("degree-sum", True, "ok"), {"level": 1}),
+                         (("degree-sum", True, "ok"), {"name": "degree-sum"})]:
+        with pytest.raises(TypeError):
+            CertCheck(*args, **kwargs)
 
 
 def test_run_result_is_mutable() -> None:
