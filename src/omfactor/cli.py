@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import INF, Poly, format_poly, parse_poly
-from .errors import ConfigError, InternalError, ParseError, PreconditionError
+from .errors import ConfigError, OmError, ParseError
 from .montes import _run, certify
 from .residual import ri
 from .serialize import (
@@ -257,15 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ConfigError) as exc:
+    except OmError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except InternalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

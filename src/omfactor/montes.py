@@ -10,14 +10,14 @@ polynomial. A side of slope -lam augments t's chain by (phi, lam), or, if
 t's top level r is stationary (e_r = f_r = 1), replaces it by (phi, nu_r +
 lam), so every type the walk builds is optimal. phi is walked once per side,
 by that side's augment, and once more under a replaced top, to check psi_top.
-A branch with order 1 closes into a certificate of its type, which checks
-itself when built. The walk fills one RunResult: its certificates, trace
-events, node count and precision floor.
+A branch with order 1 closes in _close, the one place a certificate is built;
+it checks itself, and its NodeClose event and its entry in the certificates
+go into the walk's one RunResult together, with the node count and floor.
 
 If phi divides f exactly, phi is itself a p-adic prime factor; the driver
 swaps in an equivalent representative perturbed beyond every other branch
-separation, which isolates the factor on its own steep side, and reports
-the exact divisor as that side's approximation.
+separation, which isolates the factor on its own steep side, and closes
+that side with the exact divisor as its approximation.
 """
 
 from __future__ import annotations
@@ -148,10 +148,11 @@ def _validate_input(f: Poly, p: int) -> None:
         raise PreconditionError("input must be squarefree")
 
 
-def _close(t: Type, run: RunResult) -> FactorCertificate:
-    cert = FactorCertificate(_lift_representative(t), t)
+def _close(t: Type, run: RunResult, approximation: Poly | None = None) -> None:
+    """Close a branch of order 1: approximation is the exact divisor it isolates, if any."""
+    cert = FactorCertificate(_lift_representative(t) if approximation is None else approximation, t)
     run.events.append(NodeClose(cert))
-    return cert
+    run.certificates.append(cert)
 
 
 def _perturbed_representative(
@@ -161,8 +162,8 @@ def _perturbed_representative(
     deep enough that the divisor gets its own polygon side. Takes the points
     of f by phi; returns the new key and the slope reserved for the divisor."""
     chain, r = t.chain, t.chain.r
-    hull = lower_hull(pts)
-    lam_max = max((-side.slope for side in hull.principal_sides()), default=Fraction(0))
+    s0, u0 = pts[0]  # the steepest side starts at the first point
+    lam_max = max([(u0 - u) / (s - s0) for s, u in pts[1:]] + [0])
     nu_star = Fraction(math.floor(lam_max) + 1)
     W = chain.next_key_value(t.f_top) + int(nu_star) * chain.e_cum[r]
     return phi + graded_lift(chain, r, W, chain.fields[r].one), nu_star
@@ -205,8 +206,7 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
     run.events.append(NodePolygon(k, phi, tuple(pts), hull.vertices, length))
     if length != omega:
         raise InternalError("principal polygon length disagrees with the branch order")
-    closed_here = False
-    for side in sorted(principal, key=lambda s: -s.slope):
+    for side in reversed(principal):
         lam = -side.slope
         chain2 = augment(below, phi, shift + lam)
         top = chain2.level(k)
@@ -220,17 +220,13 @@ def _branch(t: Type, f: Poly, omega: int, run: RunResult) -> None:
         for psi2, w2 in fq_factor(res.poly):
             t2 = Type(chain2, psi2)
             if w2 == 1:
-                cert = _close(t2, run)
-                if exact is not None and lam == exact_slope:
-                    if cert.degree != exact.degree:
-                        raise InternalError("exact divisor does not match its closing branch")
-                    cert = FactorCertificate(exact, cert.final_type)
-                run.certificates.append(cert)
-                closed_here = True
+                divisor = exact if lam == exact_slope else None
+                if divisor is not None and divisor.degree != t2.degree():
+                    raise InternalError("exact divisor does not match its closing branch")
+                _close(t2, run, divisor)
+                run.record_closing(hull)
             else:
                 _branch(t2, f, w2, run)
-    if closed_here:
-        run.record_closing(hull)
 
 
 def _run(f: Poly, p: int) -> RunResult:
@@ -243,7 +239,7 @@ def _run(f: Poly, p: int) -> RunResult:
         t = Type(base, psi0)
         run.events.append(BranchStart(psi0, w))
         if w == 1:
-            run.certificates.append(_close(t, run))
+            _close(t, run)
         else:
             _branch(t, f, w, run)
     if sum(c.degree for c in run.certificates) != f.degree:

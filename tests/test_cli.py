@@ -16,6 +16,7 @@ from fractions import Fraction
 from omfactor import cli, finitefield, montes
 from omfactor.arith import QQ, Poly, format_poly, parse_poly
 from omfactor.cli import main
+from omfactor.errors import ConfigError, InternalError, OmError, ParseError, PreconditionError
 from omfactor.montes import factorize
 from omfactor.serialize import (
     canonical_json,
@@ -326,6 +327,11 @@ def test_exit_code_three_on_precondition_failures(capsys) -> None:
         code, _, err = run_cli(capsys, ["factor", "--prime", "3", "--poly", poly])
         assert code == 3, poly
         assert err.startswith("error: ")
+
+
+def test_exit_codes_live_on_the_error_classes() -> None:
+    codes = [E.exit_code for E in (ConfigError, ParseError, PreconditionError, InternalError, OmError)]
+    assert codes == [2, 2, 3, 4, 4]
 
 
 def test_exit_code_four_on_internal_errors(capsys, monkeypatch) -> None:

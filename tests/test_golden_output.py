@@ -13,7 +13,10 @@ since their certificate slopes and trace levels changed. Two more cases, written
 residual walk (one expansion of f per node key), pin the exact-divisor
 path: x^3 - 9x at p = 3 has the exact divisor x at level 1, on a polygon
 with two sides, and x^3 - 6x^2 - 32x + 32 at p = 2 has the exact divisor
-x + 4 at level 2, where the perturbed key comes from a graded lift. The
+x + 4 at level 2, where the perturbed key comes from a graded lift; the
+latter's file was rewritten by the code that builds each certificate once,
+where its branch closes, so its close block shows the divisor x + 4 as the
+approximation, not the lifted representative x + 132. The
 last two cases, written by the code that stored every rational coefficient
 as a Fraction, pin the wide integer paths: a degree-48 Eisenstein input at
 p = 2 and a product of ten linear factors at p = 11. The optimize cases,

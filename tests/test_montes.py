@@ -28,10 +28,12 @@ from omfactor import (
 from omfactor import montes, valuation
 from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
 from omfactor.finitefield import Fq, modular_gcd
-from omfactor.montes import _SQUAREFREE_PRIMES, ExactDivisor, NodePolygon, _is_squarefree
+from omfactor.montes import (
+    _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _is_squarefree)
 from omfactor.polygon import lower_hull
 from omfactor.residual import r0, ri
 from omfactor.serialize import canonical_json, cert_from_json, cert_to_json, format_trace
+from reference import compose
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -195,6 +197,98 @@ def test_exact_divisor_deep() -> None:
     prod = certs[0].approximation * certs[1].approximation
     assert prod == h
     assert certify(h, 3, certs, result.floor).ok
+
+
+EXACT_INPUTS = [(qpoly([0, -9, 0, 1]), 3), (parse_poly("x^3 - 6*x^2 - 32*x + 32"), 2)]
+
+
+def _exact_closes(events: list) -> list[tuple[Poly, Poly]]:
+    """For each exact-divisor node of a run: the divisor, and the
+    approximation of the branch that closes on the node's steepest side
+    (the side reserved for the divisor). The node's closes are those whose
+    type tops out at the node's level with the node's key."""
+    out = []
+    for i, event in enumerate(events):
+        if isinstance(event, ExactDivisor):
+            node = next(e for e in events[i:] if isinstance(e, NodePolygon))
+            here = [e.certificate for e in events[i:] if isinstance(e, NodeClose)
+                    and e.certificate.final_type.chain.r == node.level
+                    and e.certificate.final_type.chain.level(node.level).phi == node.phi]
+            out.append((event.phi, max(here, key=lambda c: c.slopes[-1]).approximation))
+    return out
+
+
+def test_close_events_are_the_returned_certificates() -> None:
+    """The trace and the result are one account of the walk: every NodeClose
+    event carries the certificate at the same index of the run's
+    certificates, and an exact-divisor branch closes with the divisor as its
+    approximation. Over every golden factor case, the two exact-divisor
+    inputs and the seed-1 sweep. This pins the walk's own record; a lift
+    after the walk (ROADMAP item 1) may rewrite approximations."""
+    from test_golden_output import CASES
+
+    inputs = [(parse_poly(argv[4]), int(argv[2])) for argv in CASES.values() if argv[0] == "factor"]
+    inputs += EXACT_INPUTS + sweep_inputs(random.Random(1), 300)
+    closes = exact = 0
+    for f, p in inputs:
+        try:
+            result = run(f, p)
+        except PreconditionError:
+            continue
+        closed = [e.certificate for e in result.events if isinstance(e, NodeClose)]
+        assert closed == result.certificates
+        assert all(a is b for a, b in zip(closed, result.certificates))
+        for divisor, approximation in _exact_closes(result.events):
+            assert approximation == divisor
+            exact += 1
+        closes += len(closed)
+    assert (exact, closes) == (49, 772)  # 45 exact-divisor nodes and 721 closes in the sweep
+
+
+def test_one_certificate_built_per_factor(monkeypatch) -> None:
+    """On the exact-divisor inputs, a run constructs exactly one
+    FactorCertificate for each certificate it returns."""
+    built: list = []
+    init = FactorCertificate.__init__
+
+    def counting(self, *args) -> None:
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FactorCertificate, "__init__", counting)
+    for f, p in EXACT_INPUTS:
+        built.clear()
+        certs = run(f, p).certificates
+        assert len(built) == len(certs) == 3
+
+
+def _ef(f: Poly, p: int) -> list[tuple[int, int]]:
+    return sorted((c.e, c.f) for c in factorize(f, p))
+
+
+def test_ef_multiset_survives_p_adic_automorphisms() -> None:
+    """Metamorphic oracle, as a plain seeded loop: a Z_p-automorphism of
+    Z_p[x] keeps the (e, f) multiset of the p-adic factors. Over the valid
+    seed-1 sweep inputs f of degree n, three transforms with a seeded c, k
+    and u: the shift f(x + c), the p-scaling p^(nk) f(x / p^k) for k in
+    {1, 2}, and the unit scaling u^(-n) f(u x) for a p-adic unit u."""
+    rng = random.Random(28)
+    checks = 0
+    for f, p in sweep_inputs(random.Random(1), 300):
+        try:
+            want = _ef(f, p)
+        except PreconditionError:
+            continue
+        n, coeffs = f.degree, f.coeffs
+        c, k = rng.randint(-50, 50), rng.choice([1, 2])
+        u = Fraction(rng.choice([v for v in range(2, 30) if v % p]))
+        shifted = compose(f, qpoly([c, 1]))
+        p_scaled = qpoly([a * p ** (k * (n - i)) for i, a in enumerate(coeffs)])
+        u_scaled = qpoly([a * u ** (i - n) for i, a in enumerate(coeffs)])
+        for g in (shifted, p_scaled, u_scaled):
+            assert _ef(g, p) == want, (format_poly(f), p, format_poly(g))
+            checks += 1
+    assert checks == 3 * 293
 
 
 def test_certify_check_names() -> None:
