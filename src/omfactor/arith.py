@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
 from .errors import ConfigError, ParseError, PreconditionError
+from .record import Record, _set
 
 INF = float("inf")
 
@@ -95,8 +96,8 @@ class RationalRing:
 QQ = RationalRing()
 
 
-class Poly:
-    """Immutable dense polynomial over a ring adapter.
+class Poly(Record):
+    """Dense polynomial over a ring adapter: a record of ring and coeffs.
 
     The ring adapter provides `zero`, `one` and `coerce`, and `exact`, the
     element type that is stored without coercion; elements implement the
@@ -112,11 +113,8 @@ class Poly:
         cs = [c if type(c) is exact else coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("Poly is immutable")
+        _set(self, "ring", ring)
+        _set(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -140,16 +138,6 @@ class Poly:
 
     def __iter__(self) -> Iterator:
         return iter(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ring is other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -230,9 +218,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __repr__(self) -> str:
-        return f"Poly({self.ring!r}, {list(self.coeffs)!r})"
 
 
 def power(x, n: int, one, mul):

@@ -47,7 +47,10 @@ class FqElt:
     absolute degree 1, else a tuple of deg_abs ints below p. Over the
     immediate base, the coefficient of y^j is the j-th chunk of
     base.deg_abs coordinates, laid out the same way one level down, so base
-    coordinates are innermost; flat_key() is rep in balanced form."""
+    coordinates are innermost; flat_key() is rep in balanced form. Not a
+    Record: on its base (2-core Xeon, Python 3.11), a build took 0.8 against
+    0.4 us and a comparison 2.5 against 0.26 us, about 60 us more on a
+    0.43 ms type_docs op."""
 
     __slots__ = ("field", "rep")
 

@@ -5,9 +5,11 @@ them in slot order, positional arguments first, then keywords. It compares
 and hashes by the tuple of its field values, in slot order, and prints as
 `Name(field=value, ...)`. Records of different classes are never equal.
 
-A subclass defines `__init__` only to check or derive fields (`Type`,
-`FactorCertificate`), to give defaults (`RunResult`), or on a measured hot
-path (`ResidualResult`).
+A subclass defines `__init__`, storing through `_set`, only to check or
+derive fields (`Type`, `FactorCertificate`), to normalize them (`Poly`), to
+give defaults (`RunResult`), or on a measured hot path (`ResidualResult`).
+`finitefield.FqElt`, built and compared on every tower operation, stays
+outside: the base made its build 2x and its comparison 10x slower.
 """
 
 from __future__ import annotations

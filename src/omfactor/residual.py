@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 from .arith import INF, Poly, _content_vp, phi_expansion, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, FqElt
-from .record import Record
+from .record import Record, _set
 
 if TYPE_CHECKING:
     from .valuation import MacLaneChain
@@ -41,14 +41,14 @@ class ResidualResult(Record):
     # Not the base constructor: one is built per walk step, and the base's
     # argument handling made an in-process deep_tower run about 8 % slower.
     def __init__(self, s: int, u: int, poly: Poly | Callable[[], Poly]) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "_poly", poly)
+        _set(self, "s", s)
+        _set(self, "u", u)
+        _set(self, "_poly", poly)
 
     @property
     def poly(self) -> Poly:
         if not isinstance(self._poly, Poly):
-            object.__setattr__(self, "_poly", self._poly())
+            _set(self, "_poly", self._poly())
         return self._poly
 
     def _values(self) -> tuple:

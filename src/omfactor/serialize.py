@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 
 from .arith import Poly, _check_size, _size_bits, decimal_str, format_poly, format_terms, qpoly
-from .errors import ConfigError, ParseError, PreconditionError
+from .errors import ConfigError, InternalError, ParseError, PreconditionError
 from .finitefield import Fq, FqElt
 from .montes import (
     BranchStart,
@@ -49,7 +49,7 @@ def qpoly_to_json(g: Poly) -> list[str]:
     out = []
     for c in g.coeffs:
         if c.denominator != 1:
-            raise ParseError("only integer polynomials serialize to JSON")
+            raise PreconditionError("only integer polynomials serialize to JSON")
         out.append(decimal_str(c.numerator))
     return out
 
@@ -344,7 +344,7 @@ def format_trace_event(event: object) -> list[str]:
     if isinstance(event, NodeClose):
         cert = event.certificate
         return ["close:"] + format_cert(cert, "  ").split("\n")
-    raise ParseError(f"unknown trace event {event!r}")
+    raise InternalError(f"unknown trace event {event!r}")
 
 
 def format_trace(events: list) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import sys
@@ -266,6 +267,19 @@ def _ef(f: Poly, p: int) -> list[tuple[int, int]]:
     return sorted((c.e, c.f) for c in factorize(f, p))
 
 
+@functools.cache
+def _valid_sweep() -> list[tuple[Poly, int, list[tuple[int, int]]]]:
+    """The seed-1 sweep inputs that factorize accepts, with their (e, f)
+    multisets."""
+    out = []
+    for f, p in sweep_inputs(random.Random(1), 300):
+        try:
+            out.append((f, p, _ef(f, p)))
+        except PreconditionError:
+            continue
+    return out
+
+
 def test_ef_multiset_survives_p_adic_automorphisms() -> None:
     """Metamorphic oracle, as a plain seeded loop: a Z_p-automorphism of
     Z_p[x] keeps the (e, f) multiset of the p-adic factors. Over the valid
@@ -274,11 +288,7 @@ def test_ef_multiset_survives_p_adic_automorphisms() -> None:
     {1, 2}, and the unit scaling u^(-n) f(u x) for a p-adic unit u."""
     rng = random.Random(28)
     checks = 0
-    for f, p in sweep_inputs(random.Random(1), 300):
-        try:
-            want = _ef(f, p)
-        except PreconditionError:
-            continue
+    for f, p, want in _valid_sweep():
         n, coeffs = f.degree, f.coeffs
         c, k = rng.randint(-50, 50), rng.choice([1, 2])
         u = Fraction(rng.choice([v for v in range(2, 30) if v % p]))
@@ -289,6 +299,27 @@ def test_ef_multiset_survives_p_adic_automorphisms() -> None:
             assert _ef(g, p) == want, (format_poly(f), p, format_poly(g))
             checks += 1
     assert checks == 3 * 293
+
+
+def test_ef_multiset_of_a_product_is_the_union() -> None:
+    """Metamorphic oracle, as a plain seeded loop: the p-adic factors of f g
+    are those of f and of g. Each valid seed-1 sweep input is paired with
+    the next one at the same p; products that are not squarefree are
+    skipped."""
+    inputs = _valid_sweep()
+    checks = skipped = 0
+    for i, (f, p, ef_f) in enumerate(inputs):
+        g, ef_g = next(((g, ef) for g, q, ef in inputs[i + 1:] if q == p), (None, None))
+        if g is None:
+            continue
+        try:
+            got = _ef(f * g, p)
+        except PreconditionError:
+            skipped += 1
+            continue
+        assert got == sorted(ef_f + ef_g), (format_poly(f), format_poly(g), p)
+        checks += 1
+    assert (checks, skipped) == (283, 6)
 
 
 def test_certify_check_names() -> None:

@@ -40,7 +40,8 @@ def _samples() -> dict[type, list]:
         objs = [*result.events, *result.certificates, report, *report.checks, hull, *hull.sides()]
         for cert in result.certificates:
             t = cert.final_type
-            objs += [t, t.chain, *t.chain.levels, equivalent(t, t), ri(t.chain, t.chain.r, f)]
+            objs += [t, t.chain, *t.chain.levels, equivalent(t, t), ri(t.chain, t.chain.r, f),
+                     cert.approximation, t.psi_top]
         for obj in objs:
             found.setdefault(type(obj), []).append(obj)
     return found

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from genchains import fixture_poly, fixture_t4, random_qpoly, random_type
-from omfactor import ParseError, factorize, qpoly, ri
+from omfactor import InternalError, ParseError, PreconditionError, factorize, qpoly, ri
 from omfactor.serialize import (
     canonical_json,
     cert_from_json,
@@ -20,6 +20,7 @@ from omfactor.serialize import (
     format_fraction,
     format_points,
     format_residual,
+    format_trace,
     format_type,
     fraction_from_json,
     fraction_to_json,
@@ -49,14 +50,21 @@ def test_qpoly_round_trip() -> None:
 
 
 def test_qpoly_rejects_rationals() -> None:
-    """Decimal strings are an optional - and ASCII digits, as in the text
-    format; bare JSON ints stay accepted."""
-    with pytest.raises(ParseError):
+    """Writing a non-integer polynomial is the caller's error, not a parse
+    error. Decimal strings are an optional - and ASCII digits, as in the
+    text format; bare JSON ints stay accepted."""
+    with pytest.raises(PreconditionError):
         qpoly_to_json(qpoly([Fraction(1, 2), 1]))
     for bad in ["1.5", True, "\u0663", " 1_0 ", "+1", "-", "", "--1", "\u00b2"]:
         with pytest.raises(ParseError):
             qpoly_from_json([bad, "1"])
     assert qpoly_from_json(["-12", 0, 7, "1"]) == qpoly([-12, 0, 7, 1])
+
+
+def test_unknown_trace_event_is_an_internal_error() -> None:
+    """Events come from the driver, so one the writer does not know is a bug."""
+    with pytest.raises(InternalError):
+        format_trace([object()])
 
 
 def test_qpoly_json_under_the_parser_limits() -> None:
