@@ -36,8 +36,6 @@ from .errors import ConfigError, InternalError, PreconditionError
 
 def balanced_int(rep: int, p: int) -> int:
     """Representative of rep mod p in the balanced range (p = 2 uses {0, 1})."""
-    if p == 2:
-        return rep % 2
     half = (p - 1) // 2
     return (rep + half) % p - half
 
@@ -50,7 +48,9 @@ class FqElt:
     coordinates are innermost; flat_key() is rep in balanced form. Not a
     Record: on its base (2-core Xeon, Python 3.11), a build took 0.8 against
     0.4 us and a comparison 2.5 against 0.26 us, about 60 us more on a
-    0.43 ms type_docs op."""
+    0.43 ms type_docs op. So nothing guards its slots at run time; instead
+    nothing in the package assigns or deletes field or rep outside
+    __init__, which tests/test_records.py checks on the source."""
 
     __slots__ = ("field", "rep")
 
@@ -264,13 +264,13 @@ class Fq:
         return FqElt(self, self._pad(v % self.p))
 
     def from_poly(self, g: Poly | list[FqElt]) -> FqElt:
-        """Class modulo the modulus of g, a Poly over the immediate base or a
-        sequence of its elements, constant term first."""
+        """Class modulo the modulus of g, read as a sequence of elements of
+        the immediate base, constant term first: a Poly over the base
+        iterates its coefficients, so it is one."""
         base = self.base
-        cs = g.coeffs if isinstance(g, Poly) else g
-        if base is None or any(type(c) is not FqElt or c.field is not base for c in cs):
+        if base is None or any(type(c) is not FqElt or c.field is not base for c in g):
             raise PreconditionError("from_poly expects elements of the immediate base field")
-        return FqElt(self, self._reduce([c.rep for c in cs]))
+        return FqElt(self, self._reduce([c.rep for c in g]))
 
     # Tower structure.
 

@@ -90,27 +90,21 @@ class NodeClose(Record):
 class RunResult(Record):
     """The record of one walk of the tree, filled while the walk runs: the
     certificates in walk order, the trace events, the node count and the
-    closing bound, the largest integer ordinate seen on a closing node's
-    polygon (0 if none: every ordinate is nonnegative). Mutable, so not
-    hashable."""
+    precision floor, one more than the largest integer ordinate seen on a
+    closing node's polygon (1 if none: every ordinate is nonnegative).
+    Mutable, so not hashable."""
 
-    __slots__ = ("certificates", "events", "nodes", "closing_bound")
+    __slots__ = ("certificates", "events", "nodes", "floor")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, certificates: list[FactorCertificate] | None = None,
-                 events: list[object] | None = None, nodes: int = 0,
-                 closing_bound: int = 0) -> None:
+                 events: list[object] | None = None, nodes: int = 0, floor: int = 1) -> None:
         self.certificates = [] if certificates is None else certificates
         self.events = [] if events is None else events
         self.nodes = nodes
-        self.closing_bound = closing_bound
-
-    @property
-    def floor(self) -> int:
-        """Precision floor: one more than the closing bound."""
-        return 1 + self.closing_bound
+        self.floor = floor
 
     def tick(self) -> None:
         self.nodes += 1
@@ -118,8 +112,7 @@ class RunResult(Record):
             raise InternalError("branch tree exceeded the node budget")
 
     def record_closing(self, hull: NewtonPolygon) -> None:
-        top = max(math.ceil(u) for _, u in hull.vertices)
-        self.closing_bound = max(self.closing_bound, top)
+        self.floor = max(self.floor, 1 + max(math.ceil(u) for _, u in hull.vertices))
 
 
 def _is_squarefree(f: Poly) -> bool:

@@ -44,7 +44,7 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

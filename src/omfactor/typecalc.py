@@ -153,8 +153,8 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
     Both sides are optimized first. Levels must match in slope data and key
     degree; key differences must have value >= the key value, producing the
     residue shifts eta_i. The chains then induce the same valuation, so the
-    second representative's top residual over the first chain must be the
-    first psi_top. The witness records the shifts, the first failed
+    second type's representative must be a representative of the first
+    (is_representative). The witness records the shifts, the first failed
     condition, and whether a failure came from a shift that relabels the
     residual branch (psi_top vanishing at -eta_r).
     """
@@ -189,8 +189,7 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
     # The levels now induce the same valuation, so B's representative is a
     # key over A's chain, and its residual there is psi_top exactly when
     # both types select the same branch.
-    res = ri(A, r, _lift_representative(tb_o))
-    if res.s != 0 or res.poly != ta_o.psi_top:
+    if not is_representative(ta_o, _lift_representative(tb_o)):
         degen = r > 0 and ta_o.psi_top.evaluate(-etas[r - 1]) == A.fields[r].zero
         return _fail("psi_top", etas, degen)
     return EquivWitness(True, None, tuple(etas), False)

@@ -87,13 +87,6 @@ class MacLaneChain(Record):
         return [(lev.phi, lev.nu) for lev in self.levels]
 
 
-def _check_key_poly_shape(phi: Poly) -> None:
-    if phi.degree < 1 or not phi.is_monic():
-        raise PreconditionError("key polynomial must be monic of degree >= 1")
-    if any(c.denominator != 1 for c in phi.coeffs):
-        raise PreconditionError("key polynomial must have integer coefficients")
-
-
 def empty_chain(p: int) -> MacLaneChain:
     return MacLaneChain(p, (), (Fq.prime(p),), (1,))
 
@@ -138,7 +131,10 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str, ResidualResult
     it decided R irreducible. Past the constant and degree checks, R is
     monic with a nonzero constant term, so extend rejects it only as reducible.
     """
-    _check_key_poly_shape(phi)
+    if phi.degree < 1 or not phi.is_monic():
+        raise PreconditionError("key polynomial must be monic of degree >= 1")
+    if any(c.denominator != 1 for c in phi.coeffs):
+        raise PreconditionError("key polynomial must have integer coefficients")
     r, top = chain.r, chain.at(chain.r)
     res = ri(chain, r, phi)
     if res.s > 0 and phi.degree == top.m:

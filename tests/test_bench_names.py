@@ -6,12 +6,16 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from omfactor import cli, montes, valuation
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -72,3 +76,15 @@ def test_traced_names_are_on_the_command_path(monkeypatch, capsys) -> None:
     assert counts["key_check"] == counts["augment"] > 0
     assert counts["collapse_step"] > 0
     assert counts["expansion_points"] >= counts["_branch"] > 0
+
+
+def test_type_docs_workload_builds_on_the_library(tmp_path) -> None:
+    """The type_docs workload writes its documents with the library itself
+    (chains, levels, key values, representatives, graded lifts), so a
+    reshaped library surface would leave that benchmark without ops."""
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "typedocs.py"),
+                          str(ROOT / "src"), "1", str(tmp_path)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    kinds = Counter(op["argv"][0] for op in json.loads(out.stdout))
+    assert all(kinds[cmd] > 0 for cmd in ("optimize", "representative", "equiv", "eval")), kinds

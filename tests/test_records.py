@@ -1,8 +1,10 @@
-"""Records: immutable values built by their constructors, and an import of
-the command line that loads neither dataclasses nor inspect."""
+"""Records: immutable values built by their constructors, field elements
+that nothing in the package reassigns, and an import of the command line
+that loads neither dataclasses nor inspect."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import inspect
 import os
@@ -94,10 +96,40 @@ def test_run_result_is_mutable() -> None:
     a, b = RunResult(), RunResult()
     a.tick()
     a.events.append(RootResidual(fixture_poly(3)))
-    assert (b.certificates, b.events, b.nodes, b.closing_bound) == ([], [], 0, 0)
+    assert (b.certificates, b.events, b.nodes, b.floor) == ([], [], 0, 1)
     assert a == RunResult([], [RootResidual(fixture_poly(3))], nodes=1) != b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_no_source_assigns_a_field_element_slot() -> None:
+    """FqElt has no run-time guard, so the source is checked instead: outside
+    FqElt.__init__, nothing in src/omfactor assigns or deletes an attribute
+    named rep or field, or names one in setattr, object.__setattr__ or _set."""
+    slots, setters = {"rep", "field"}, {"setattr", "__setattr__", "_set"}
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "omfactor").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "FqElt":
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        allowed = {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = node.attr in slots
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                hit = name in setters and any(
+                    isinstance(arg, ast.Constant) and arg.value in slots for arg in node.args)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_cli_import_loads_no_dataclasses() -> None:
