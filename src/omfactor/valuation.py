@@ -18,6 +18,11 @@ irreducible; augment reads psi_prev and V from that walk, checks V against
 the recurrence next_key_value, and keeps the field. collapse_step merges
 stationary levels in one rebuild, and expansion_points gives the points of
 a node's Newton polygon from a key whose value the caller already knows.
+
+build_chain validates each chain once per process: it memoizes every
+prefix it builds, keyed by (p, steps), at most _CHAIN_CACHE_MAX of them,
+oldest evicted first. The chains it returns may be shared; chains, levels
+and interned fields are immutable.
 """
 
 from __future__ import annotations
@@ -191,15 +196,29 @@ def augment(chain: MacLaneChain, phi: Poly, nu: Fraction) -> MacLaneChain:
     )
 
 
-def _extend(chain: MacLaneChain, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
-    for phi, nu in steps:
-        chain = augment(chain, phi, nu)
-    return chain
+# Memo of build_chain's validated prefixes; past the cap the oldest is evicted.
+_CHAIN_CACHE_MAX = 4096
+_chain_cache: dict[tuple, MacLaneChain] = {}
 
 
 def build_chain(p: int, steps: Sequence[tuple[Poly, Fraction]]) -> MacLaneChain:
-    """Build a chain from (phi, nu) steps, validating every level."""
-    return _extend(empty_chain(p), steps)
+    """Build a chain from (phi, nu) steps, validating every level once per
+    process: a prefix that an earlier call validated is read from the memo,
+    and the chain returned may be shared with that call. A step that fails
+    validation raises on every call and stores nothing at or past its level."""
+    steps = tuple([(phi, Fraction(nu)) for phi, nu in steps])
+    k, chain = len(steps), None
+    while k and (chain := _chain_cache.get((p, steps[:k]))) is None:
+        k -= 1
+    if chain is None:
+        chain = empty_chain(p)
+    while k < len(steps):
+        chain = augment(chain, *steps[k])
+        k += 1
+        if len(_chain_cache) >= _CHAIN_CACHE_MAX:
+            del _chain_cache[next(iter(_chain_cache))]
+        _chain_cache[(p, steps[:k])] = chain
+    return chain
 
 
 def collapse_step(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
@@ -219,4 +238,7 @@ def collapse_step(chain: MacLaneChain, dropped: set[int]) -> MacLaneChain:
             nu = Fraction(0)
         elif lev.m != chain.level(i + 1).m:
             raise PreconditionError("collapse requires equal key degrees")
-    return _extend(chain.prefix(lo - 1), steps)
+    chain = chain.prefix(lo - 1)
+    for phi, nu in steps:
+        chain = augment(chain, phi, nu)
+    return chain

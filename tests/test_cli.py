@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from omfactor import cli, finitefield, montes
+from omfactor import cli, finitefield, montes, valuation
 from omfactor.arith import QQ, Poly, format_poly, parse_poly
 from omfactor.cli import main
 from omfactor.errors import ConfigError, InternalError, OmError, ParseError, PreconditionError
@@ -201,6 +201,7 @@ def test_command_paths_run_no_poly_arithmetic_over_fq(capsys, monkeypatch) -> No
                  "scale", "monic", "derivative"):
         monkeypatch.setattr(Poly, name, counting(name))
     monkeypatch.setattr(finitefield, "_factor_cache", {})  # no answer from earlier tests
+    monkeypatch.setattr(valuation, "_chain_cache", {})
     golden = ["deep_p2_factor_trace.txt", "tower_p5_factor_trace.txt",
               "tower_f64_p2_factor_trace.txt", "x100_plus_1_p3_factor.txt",
               "t4_type_optimize.txt", "top_shift_equiv.txt", "degenerate_equiv.txt",
@@ -238,6 +239,8 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
     bad_json.write_text("{nope")
     deep_json = tmp_path / "deep.json"
     deep_json.write_text("[" * 100000 + "]" * 100000)
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe")
     cases = [
         ["factor", "--prime", "4", "--poly", "x"],
         ["factor", "--prime", "3", "--poly", "x +"],
@@ -255,6 +258,8 @@ def test_exit_code_two_on_parse_and_config_errors(capsys, tmp_path) -> None:
         ["factor", "--prime", "3", "--poly", "(" * 400 + "x" + ")" * 400],
         ["factor", "--prime", "3", "--file", str(deep_json)],
         ["optimize", "--file", str(deep_json)],
+        ["factor", "--prime", "3", "--file", str(not_utf8)],
+        ["optimize", "--file", str(not_utf8)],
         ["eval", "--poly", "x"],
         ["eval", "--file", str(bad_json), "--poly", "x"],
         ["optimize"],
