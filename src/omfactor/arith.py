@@ -11,6 +11,7 @@ non-rational value ever produced; no coefficient is ever a float.
 from __future__ import annotations
 
 import decimal
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -286,7 +287,7 @@ def phi_expansion(coeffs: tuple, phi: Poly) -> list[tuple]:
         return [coeffs] if coeffs else []
     low = [(j, b) for j, b in enumerate(phi.coeffs[:m]) if b]
     rest, out = list(coeffs), []
-    for lo in range(0, n - m, m):
+    for lo in range(0, n - m if low else 0, m):  # phi = x^m divides by shifting alone
         for k in range(n - 1, lo + m - 1, -1):
             c = rest[k]
             if c:
@@ -332,25 +333,18 @@ def _literal(tok: str) -> int:
         raise ParseError(f"integer literal of {len(tok)} digits is too long") from exc
 
 
+# One token after optional whitespace (str.isspace): a run of ASCII digits,
+# or any other single character, which _tokenize then checks.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\S))")
+
+
 def _tokenize(text: str) -> list[str]:
     toks: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _TOKEN_OPS:
+    for digits, ch in _TOKEN.findall(text):
+        if digits:
+            toks.append(digits)
+        elif ch in _TOKEN_OPS or ch.isalpha():
             toks.append(ch)
-            i += 1
-        elif "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        elif ch.isalpha():
-            toks.append(ch)
-            i += 1
         else:
             raise ParseError(f"unexpected character {ch!r} in polynomial")
     return toks
@@ -406,9 +400,14 @@ class _Parser:
         while self.peek() == "*":
             self.next()
             rhs = self.factor()
-            _check_size(max(acc, default=-1) + max(rhs, default=-1),
-                        _size_bits(acc.values()) + _size_bits(rhs.values()))
-            acc = _sparse_mul(acc, rhs)
+            if len(acc) == len(rhs) == 1:  # two monomials: _sparse_mul's bound, direct
+                ((i, x),), ((j, y),) = acc.items(), rhs.items()
+                _check_size(i + j, x.bit_length() + y.bit_length() + 2)
+                acc = {i + j: x * y}
+            else:
+                _check_size(max(acc, default=-1) + max(rhs, default=-1),
+                            _size_bits(acc.values()) + _size_bits(rhs.values()))
+                acc = _sparse_mul(acc, rhs)
         return acc
 
     def factor(self) -> dict[int, int]:

@@ -360,15 +360,19 @@ def _pmul(F: Fq, a: list, b: list) -> list:
 
 
 def _pdivmod(F: Fq, a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of a by a monic b."""
+    """Quotient and remainder of a by a nonzero b. A non-monic b scales only
+    the quotient digits, by the inverse of its leading coefficient."""
     db, dq = len(b) - 1, len(a) - len(b)
     if dq < 0:
         return [], a
     flat, zero, low = F.deg_abs == 1, F.zero.rep, b[:db]
+    inv = None if b[-1] == F.one.rep else F._inv(b[-1])
     rem, quo = list(a), [zero] * (dq + 1)
     for k in range(dq, -1, -1):
         c = rem[k + db] % F.p if flat else rem[k + db]
         if c != zero:
+            if inv is not None:
+                c = c * inv % F.p if flat else F._kernel._mul(c, inv)
             quo[k] = c
             rem[k:k + db] = _axpy(F, rem[k:k + db], -c if flat else F._sub(zero, c), low)
     return quo, _trim(F, _reduced(F, rem[:db]))
@@ -384,7 +388,7 @@ def _pmonic(F: Fq, a: list) -> list:
 def _pgcd(F: Fq, a: list, b: list) -> list:
     """Monic gcd."""
     while b:
-        a, b = b, _pdivmod(F, a, _pmonic(F, b))[1]
+        a, b = b, _pdivmod(F, a, b)[1]
     return _pmonic(F, a)
 
 
@@ -440,24 +444,30 @@ def _candidate(F: Fq, k: int, degree_bound: int) -> list:
 
 def _split_equal_degree(F: Fq, h: list, d: int) -> list[list]:
     """Factors of monic h, all irreducible of degree d, via deterministic
-    splitting."""
+    splitting. One sweep of candidates serves every part: a candidate that
+    leaves a polynomial whole leaves each of its factors whole, so the parts
+    that candidate k splits off go on from candidate k + 1."""
     if len(h) == d + 1:
         return [h]
-    q = F.q
+    q, parts, out = F.q, [h], []
     # Candidates of degree 1 to 2d - 1. Those of degree < 2d reach every
     # residue pair modulo two factors of h, so a valid h splits before the end.
     for k in range(q, q ** (2 * d)):
-        r = _candidate(F, k, 2 * d)
-        if F.p == 2:
-            t, acc = [], _pdivmod(F, r, h)[1]
-            for _ in range(F.deg_abs * d):
-                t = _psub(F, t, acc)  # in characteristic 2, t + acc
-                acc = _pdivmod(F, _pmul(F, acc, acc), h)[1]
-        else:
-            t = _psub(F, _ppowmod(F, r, (q ** d - 1) // 2, h), [F.one.rep])
-        g = _pgcd(F, h, t)
-        if 1 < len(g) < len(h):
-            return _split_equal_degree(F, g, d) + _split_equal_degree(F, _pdivmod(F, h, g)[0], d)
+        r, rest = _candidate(F, k, 2 * d), []
+        for h in parts:
+            if F.p == 2:
+                t, acc = [], _pdivmod(F, r, h)[1]
+                for _ in range(F.deg_abs * d):
+                    t = _psub(F, t, acc)  # in characteristic 2, t + acc
+                    acc = _pdivmod(F, _pmul(F, acc, acc), h)[1]
+            else:
+                t = _psub(F, _ppowmod(F, r, (q ** d - 1) // 2, h), [F.one.rep])
+            g = _pgcd(F, h, t)
+            for part in [g, _pdivmod(F, h, g)[0]] if 1 < len(g) < len(h) else [h]:
+                (out if len(part) == d + 1 else rest).append(part)
+        if not rest:
+            return out
+        parts = rest
     raise InternalError("no candidate splits a product of equal-degree factors")
 
 

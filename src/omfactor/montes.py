@@ -30,7 +30,7 @@ from .errors import InternalError, PreconditionError
 from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
 from .record import Record
-from .residual import graded_lift, line_residual, r0
+from .residual import ResidualResult, graded_lift, line_residual, r0, ri
 from .typecalc import (
     Type, _lift_representative, is_representative, is_stationary_level, okutsu_data, ord_type)
 from .valuation import augment, empty_chain, expansion_points
@@ -270,10 +270,15 @@ def certify(f: Poly, p: int, certs: list[FactorCertificate], floor: int) -> Cert
     checks.append(
         CertCheck("degree-sum", total == f.degree, f"{total} vs deg f = {f.degree}")
     )
+    residuals: dict[int, ResidualResult] = {}  # f's top residual, by chain object
     for k, cert in enumerate(certs):
-        q = cert.final_type.chain.p
+        chain = cert.final_type.chain
+        q = chain.p
         checks.append(CertCheck(f"cert{k}-prime", q == p, f"type prime {q} vs p = {p}"))
-        o = ord_type(cert.final_type, f)
+        res = residuals.get(id(chain))
+        if res is None and f:  # ord_type itself rejects a zero f
+            res = residuals[id(chain)] = ri(chain, chain.r, f)
+        o = ord_type(cert.final_type, f, res)
         checks.append(CertCheck(f"cert{k}-ord", o == 1, f"ord = {o}"))
     prod = qpoly([1])
     for cert in certs:

@@ -22,7 +22,7 @@ from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, multiplicity_of
 from .record import Record
-from .residual import graded_lift, ri
+from .residual import ResidualResult, graded_lift, ri
 from .valuation import MacLaneChain, collapse_step
 
 
@@ -49,11 +49,13 @@ class Type(Record):
         return top.e * top.m * self.psi_top.degree
 
 
-def ord_type(t: Type, g: Poly) -> int:
-    """Multiplicity of psi_top in the top residual polynomial of g."""
+def ord_type(t: Type, g: Poly, res: ResidualResult | None = None) -> int:
+    """Multiplicity of psi_top in the top residual polynomial of g; res, if
+    given, is ri(t.chain, t.chain.r, g), which is then not walked again."""
     if g.is_zero():
         raise PreconditionError("order of the zero polynomial")
-    res = ri(t.chain, t.chain.r, g)
+    if res is None:
+        res = ri(t.chain, t.chain.r, g)
     return multiplicity_of(t.psi_top, res.poly)
 
 

@@ -10,8 +10,11 @@ the tower with every degree-one level collapsed, the residual transport
 law under a key shift, the equivalence decision by transporting the whole
 residual tower through the tower homomorphism the key shifts induce, and
 factorization and the irreducibility test over a tower field run on
-generic Poly arithmetic). Polynomial composition and the lambda-components
-and shears of a polygon, which only tests use, live here too.
+generic Poly arithmetic, the Euclidean gcd with the divisor made monic on
+each step, the certify report with one walk of f per certificate, and the
+parser's tokens read one character at a time). Polynomial composition and
+the lambda-components and shears of a polygon, which only tests use, live
+here too.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from omfactor.arith import INF, Poly, content_vp, gcd_monic
-from omfactor.errors import InternalError, PreconditionError
+from omfactor.arith import INF, Poly, content_vp, gcd_monic, qpoly
+from omfactor.errors import InternalError, ParseError, PreconditionError
 from omfactor.finitefield import Fq, FqElt, factor_sort_key, multiplicity_of
+from omfactor.montes import CertCheck, CertReport, FactorCertificate
 from omfactor.polygon import Component, NewtonPolygon
 from omfactor.residual import ri
-from omfactor.typecalc import EquivWitness, Type, _collapse, is_stationary_level, optimize
+from omfactor.typecalc import (
+    EquivWitness, Type, _collapse, is_stationary_level, optimize, ord_type)
 from omfactor.valuation import MacLaneChain, expansion_points, v_norm
 
 
@@ -396,3 +401,60 @@ def apply_affinity(polygon: NewtonPolygon, lam0: Fraction) -> NewtonPolygon:
     """Shear (s, u) -> (s, u - lam0 * s); hulls map to hulls."""
     lam0 = Fraction(lam0)
     return NewtonPolygon(tuple((s, u - lam0 * s) for s, u in polygon.vertices))
+
+
+def gcd_by_monic_steps(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over a field by Euclid's algorithm, dividing by the monic
+    associate of the divisor on each step."""
+    while not b.is_zero():
+        a, b = b, a % b.monic()
+    return a if a.is_zero() else a.monic()
+
+
+def certify_per_certificate(f: Poly, p: int, certs: list[FactorCertificate],
+                            floor: int) -> CertReport:
+    """montes.certify with ord_type(t, f) for each certificate, so f is
+    walked once per certificate."""
+    total = sum(c.degree for c in certs)
+    checks = [CertCheck("degree-sum", total == f.degree, f"{total} vs deg f = {f.degree}")]
+    for k, cert in enumerate(certs):
+        q = cert.final_type.chain.p
+        checks.append(CertCheck(f"cert{k}-prime", q == p, f"type prime {q} vs p = {p}"))
+        o = ord_type(cert.final_type, f)
+        checks.append(CertCheck(f"cert{k}-ord", o == 1, f"ord = {o}"))
+    prod = qpoly([1])
+    for cert in certs:
+        prod = prod * cert.approximation
+    gap = content_vp(f - prod, p)
+    ok = gap == INF or gap >= floor
+    shown = "inf" if gap == INF else str(gap)
+    checks.append(CertCheck("approximation-product", ok, f"v0(f - prod) = {shown} >= {floor}"))
+    return CertReport(tuple(checks), floor)
+
+
+def tokenize_by_chars(text: str) -> list[str]:
+    """The parser's tokens, read one character at a time: whitespace
+    (str.isspace) is skipped, a run of ASCII digits is one token, and each
+    of +-*^() and each letter (str.isalpha) is one; any other character is
+    a ParseError."""
+    toks: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*^()":
+            toks.append(ch)
+            i += 1
+        elif "0" <= ch <= "9":
+            j = i
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        elif ch.isalpha():
+            toks.append(ch)
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r} in polynomial")
+    return toks

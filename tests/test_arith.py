@@ -30,7 +30,7 @@ from omfactor.arith import (
 )
 from omfactor.cli import main
 from genchains import random_qpoly
-from reference import compose, expansion_sum, phi_expansion_by_divmod
+from reference import compose, expansion_sum, phi_expansion_by_divmod, tokenize_by_chars
 from omfactor.finitefield import Fq
 
 
@@ -245,6 +245,12 @@ def test_phi_expansion_matches_repeated_division(monkeypatch) -> None:
             coeffs = [Fraction(c, rng.choice([1, 2, 3, 7, 12])) for c in coeffs]
         cases.append((qpoly(coeffs), phi))
     cases.append((qpoly([Fraction(3, 2), 4]), qpoly([1, 1, 1])))
+    # phi = x and phi = x^3, which divide by shifting alone.
+    for m in (1, 3):
+        for deg in (-1, 0, m - 1, m, 2 * m + 1, 17):
+            coeffs = [rng.randrange(-50, 51) for _ in range(deg + 1)]
+            coeffs[-1:] = [Fraction(7, 12)] if coeffs else []
+            cases.append((qpoly(coeffs), qpoly([0] * m + [1])))
     want = [[a.coeffs for a in phi_expansion_by_divmod(g, phi)] for g, phi in cases]
 
     def no_division(a, b):
@@ -281,6 +287,27 @@ def test_parse_expression_grammar() -> None:
     assert parse_poly("x^1000 + x^1000") == qpoly([0] * 1000 + [2])
     assert parse_poly("2^41") == qpoly([2**41])
     assert parse_poly("(" * 100 + "x" + ")" * 100) == qpoly([0, 1])
+    # Leading, trailing, tab and U+2003 (em space) whitespace is skipped.
+    for text in [" x^2 + 1", "x^2 + 1 ", "x ", "  x^2+1  ", "\tx^2\t+\t1\t",
+                 "\u2003x^2\u2003+\u20031\u2003", "x^2 +\n1\r\n"]:
+        assert parse_poly(text) == qpoly([0, 1] if text.strip() == "x" else [1, 0, 1]), text
+
+
+def test_tokenize_matches_the_character_loop() -> None:
+    """The one-pattern tokenizer gives the tokens, or the ParseError
+    message, of the character-at-a-time loop for every code point of the
+    Basic Multilingual Plane, alone and in three contexts."""
+
+    def outcome(tokenize, text: str):
+        try:
+            return ("tokens", tokenize(text))
+        except ParseError as exc:
+            return ("error", str(exc))
+
+    for code in range(0x10000):
+        ch = chr(code)
+        for text in (ch, f"x{ch}1", f" {ch} ", f"12{ch}34"):
+            assert outcome(arith._tokenize, text) == outcome(tokenize_by_chars, text), hex(code)
 
 
 def test_parse_rejects_garbage() -> None:

@@ -9,11 +9,14 @@ import pytest
 import oracles
 from omfactor import Fq, fq_factor
 from omfactor.errors import InternalError, PreconditionError
-from omfactor.finitefield import Poly, _split_equal_degree, balanced_int, multiplicity_of
+from omfactor.finitefield import (
+    FqElt, Poly, _pdivmod, _pgcd, _split_equal_degree, balanced_int, factor_sort_key,
+    multiplicity_of,
+)
 from genchains import random_fq_elt, random_irreducible, random_type, ypoly
 from reference import (
-    elements, flatten_field, fq_factor_by_poly, is_irreducible, lift_from, map_poly,
-    multiplicity_by_divmod, tower_map, tower_moduli,
+    elements, flatten_field, fq_factor_by_poly, gcd_by_monic_steps, is_irreducible, lift_from,
+    map_poly, multiplicity_by_divmod, tower_map, tower_moduli,
 )
 from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
 
@@ -419,6 +422,108 @@ def test_split_equal_degree_is_bounded() -> None:
     of degree < 2d and raises, instead of looping."""
     with pytest.raises(InternalError):
         _split_equal_degree(Fq.prime(3), [1, 0, 1], 1)
+
+
+def _distinct_irreducibles(field: Fq, deg: int) -> list[Poly]:
+    """Every monic irreducible of the given degree over a small field."""
+    out = []
+    for k in range(field.q ** deg):
+        low = [field.from_index(k // field.q ** i % field.q) for i in range(deg)]
+        g = Poly(field, low + [field.one])
+        if is_irreducible(g):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("p, ext, deg, count", [
+    (11, None, 1, 10), (13, None, 1, 13), (31, None, 1, 12),
+    (3, None, 2, 3), (3, [1, 0, 1], 2, 6), (2, None, 4, 3), (2, [1, 1, 1], 2, 6),
+])
+def test_equal_degree_split_tries_each_candidate_once(monkeypatch, p, ext, deg, count) -> None:
+    """One candidate sweep serves every part of an equal-degree split, each
+    part from the candidate after the one that split it off, so one
+    fq_factor call tries no candidate index twice. Seeded
+    products of distinct irreducibles of one degree, over prime fields,
+    F_9 and F_4 (the characteristic-2 trace path, as over F_2), factor as
+    they were built, as the Poly reference does and, over a prime field,
+    as sympy does. F_2 has one irreducible quadratic, so it gets quartics."""
+    from omfactor import finitefield
+
+    base = Fq.prime(p)
+    field = base if ext is None else base.extend(ypoly(base, ext))
+    pool = _distinct_irreducibles(field, deg)
+    rng = random.Random(1000 * p + 10 * deg + field.deg_abs)
+    real, tried = finitefield._candidate, []
+
+    def recording(F, k, degree_bound):
+        tried.append(k)
+        return real(F, k, degree_bound)
+
+    monkeypatch.setattr(finitefield, "_candidate", recording)
+    for _ in range(4):
+        factors = sorted(rng.sample(pool, min(count, len(pool))), key=factor_sort_key)
+        g = Poly(field, [field.one])
+        for h in factors:
+            g = g * h
+        monkeypatch.setattr(finitefield, "_factor_cache", {})
+        tried.clear()
+        got = fq_factor(g)
+        assert tried and len(tried) == len(set(tried)), tried
+        assert got == [(h, 1) for h in factors] == fq_factor_by_poly(g)
+        if ext is None:
+            want = oracles.modp_factor_coeffs([c.lift_int() for c in g.coeffs], p)
+            assert sorted((tuple(c.lift_int() for c in h.coeffs), m) for h, m in got) == want
+
+
+def _kernel_fields() -> list[Fq]:
+    """F_7, F_(2^31 - 1), F_9, F_4, and a degree-one level over F_9."""
+    f9 = small_tower(3)
+    return [Fq.prime(7), Fq.prime(2147483647), f9, small_tower(2),
+            f9.extend(ypoly(f9, [f9.gen(), f9.one]))]
+
+
+def _vectors(rng: random.Random, field: Fq, deg: int, lead=None) -> list:
+    """Coefficient vectors of a random polynomial of exact degree deg."""
+    lead = random_fq_elt(rng, field, nonzero=True) if lead is None else lead
+    return [random_fq_elt(rng, field).rep for _ in range(deg)] + [lead.rep]
+
+
+def _as_poly(field: Fq, vectors: list) -> Poly:
+    return Poly(field, [FqElt(field, c) for c in vectors])
+
+
+def test_pdivmod_by_a_non_monic_divisor() -> None:
+    """Division by a divisor whose leading coefficient is not 1 gives
+    quo * b + rem = a with deg rem < deg b, over prime and tower fields."""
+    rng = random.Random(71)
+    for field in _kernel_fields():
+        for _ in range(25):
+            lead = field.from_index(rng.randrange(2, field.q) if field.q > 2 else 1)
+            b = _vectors(rng, field, rng.randrange(0, 5), lead)
+            a = _vectors(rng, field, rng.randrange(0, 11)) if rng.random() < 0.9 else []
+            quo, rem = _pdivmod(field, a, b)
+            assert len(rem) < len(b)
+            assert not rem or rem[-1] != field.zero.rep
+            assert (_as_poly(field, quo) * _as_poly(field, b) + _as_poly(field, rem)
+                    == _as_poly(field, a))
+
+
+def test_pgcd_matches_the_gcd_with_monic_divisors() -> None:
+    """The kernel's gcd, which divides by non-monic remainders as they come,
+    is the monic gcd that making each divisor monic first gives: seeded
+    pairs with a common factor, either side non-monic or zero."""
+    rng = random.Random(73)
+    for field in _kernel_fields():
+        for _ in range(20):
+            common = _as_poly(field, _vectors(rng, field, rng.randrange(0, 4)))
+            a = common * _as_poly(field, _vectors(rng, field, rng.randrange(0, 5)))
+            b = common * _as_poly(field, _vectors(rng, field, rng.randrange(0, 5)))
+            if rng.random() < 0.15:
+                b = Poly(field, [])
+            want = gcd_by_monic_steps(a, b)
+            got = _pgcd(field, [c.rep for c in a.coeffs], [c.rep for c in b.coeffs])
+            assert _as_poly(field, got) == want
+            assert want.is_monic() and (common.degree < 1 or want.degree >= common.degree)
 
 
 def test_flatten_collapses_linear_levels() -> None:

@@ -35,7 +35,7 @@ from omfactor.polygon import lower_hull
 from omfactor.residual import r0, ri
 from omfactor.serialize import canonical_json, cert_from_json, cert_to_json, format_trace
 from omfactor.typecalc import is_stationary_level
-from reference import compose
+from reference import certify_per_certificate, compose
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -371,6 +371,60 @@ def test_certify_check_names() -> None:
     assert names == ["degree-sum", "cert0-prime", "cert0-ord", "cert1-prime", "cert1-ord",
                      "approximation-product"]
     assert all(c.ok for c in report.checks)
+
+
+def test_certify_walks_f_once_per_chain(monkeypatch) -> None:
+    """A product of 10 distinct linear factors at p = 11 closes 10
+    certificates of order 0 on one chain: certify walks f once and still
+    asks ord_type once per certificate."""
+    from omfactor import typecalc
+
+    f = qpoly([1])
+    for a in range(1, 11):
+        f = f * qpoly([-a - 11 * (a % 3), 1])
+    result = run(f, 11)
+    assert len(result.certificates) == 10
+    assert len({id(c.final_type.chain) for c in result.certificates}) == 1
+    walks, orders = [], []
+    real_ri, real_ord = montes.ri, montes.ord_type
+
+    def walk(chain, i, g):
+        walks.append(g)
+        return real_ri(chain, i, g)
+
+    def order(t, g, *res):
+        orders.append(t)
+        return real_ord(t, g, *res)
+
+    monkeypatch.setattr(montes, "ri", walk)
+    monkeypatch.setattr(typecalc, "ri", walk)
+    monkeypatch.setattr(montes, "ord_type", order)
+    report = certify(f, 11, result.certificates, result.floor)
+    assert report.ok
+    assert walks == [f] and len(orders) == 10
+
+
+def test_certify_report_matches_one_walk_per_certificate() -> None:
+    """certify's report, every check's name, ok and detail, is the one that
+    walking f once for each certificate gives: over every golden factor case,
+    the exact-divisor inputs and the seed-1 sweep."""
+    from test_golden_output import CASES
+
+    inputs = [(parse_poly(argv[4]), int(argv[2])) for argv in CASES.values() if argv[0] == "factor"]
+    inputs += EXACT_INPUTS + sweep_inputs(random.Random(1), 300)
+    reports = 0
+    for f, p in inputs:
+        try:
+            result = run(f, p)
+        except PreconditionError:
+            continue
+        got = certify(f, p, result.certificates, result.floor)
+        want = certify_per_certificate(f, p, result.certificates, result.floor)
+        assert [(c.name, c.ok, c.detail) for c in got.checks] == \
+            [(c.name, c.ok, c.detail) for c in want.checks]
+        assert got.floor == want.floor
+        reports += 1
+    assert reports > 200
 
 
 def test_certify_checks_the_prime() -> None:
