@@ -18,6 +18,11 @@ If phi divides f exactly, phi is itself a p-adic prime factor; the driver
 swaps in an equivalent representative perturbed beyond every other branch
 separation, which isolates the factor on its own steep side, and closes
 that side with the exact divisor as its approximation.
+
+Before the walk, f is proved squarefree: by one integer gcd of F(xi) and
+F'(xi) for the scaled integral F, while its coefficients are small
+enough, else modulo word-size primes; only the exact gcd over the
+rationals rejects an input.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ _MAX_NODES = 10000
 
 # The three largest primes below 2^31, for the modular squarefree test.
 _SQUAREFREE_PRIMES = (2147483647, 2147483629, 2147483587)
+# Largest bit length of B for the evaluation squarefree proof: past it the
+# integer gcd costs more than the modular one.
+_EVAL_MAX_BITS = 256
 
 
 class FactorCertificate(Record):
@@ -118,11 +126,43 @@ class RunResult(Record):
 def _is_squarefree(f: Poly) -> bool:
     """Whether the monic rational f has no repeated factor.
 
-    For a prime q dividing no coefficient denominator, f monic makes
+    First an evaluation proof, as in GCDHEU (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7, 1989). With D the lcm of the denominators and
+    n = deg f, F_i = D^(n-i) f_i gives F(x) = D^n f(x/D): monic, integral,
+    and squarefree exactly when f is. Let B = 1 + max_{i<n} |F_i|,
+    xi = 2^(bitlen(B) + 32) + 1 and gamma = gcd(F(xi), F'(xi)). The gcd
+    d = gcd(F, F') is monic, so integral by Gauss's lemma, and d(xi)
+    divides gamma. Every root of F has modulus < B (Cauchy's bound), so
+    xi is no root and gamma >= 1, and a nonconstant d has
+    |d(xi)| >= xi - B. Hence gamma < xi - B proves d = 1. The integer gcd
+    is quadratic in the bit length, so the proof is tried only while
+    bitlen(B) <= _EVAL_MAX_BITS.
+
+    Otherwise, for a prime q dividing no coefficient denominator, f monic makes
     Res(f, f') mod q equal to Res(f mod q, (f mod q)'), so f mod q coprime to
     its derivative proves disc f != 0. If no prime proves it, the exact gcd
     over the rationals decides; every non-squarefree f reaches it.
     """
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    # F_{n-1}, ..., F_0, with scale = D^(n-i) until it reaches limit: from
+    # there a nonzero F_i has |F_i| >= D^(n-i-1) >= 2^_EVAL_MAX_BITS.
+    F, scale, limit = [], 1, D << _EVAL_MAX_BITS
+    for c in reversed(f.coeffs[:-1]):
+        if scale < limit:
+            scale *= D
+        if c and scale >= limit:
+            break
+        F.append(c.numerator * (scale // c.denominator))
+    else:
+        B = 1 + max(map(abs, F), default=0)
+        if B.bit_length() <= _EVAL_MAX_BITS:
+            xi = (1 << (B.bit_length() + 32)) + 1
+            value, slope = 1, 0
+            for c in F:
+                slope = slope * xi + value
+                value = value * xi + c
+            if math.gcd(value, slope) < xi - B:
+                return True
     df = f.derivative()
     for q in _SQUAREFREE_PRIMES:
         if any(c.denominator % q == 0 for c in f.coeffs):

@@ -1,17 +1,21 @@
 """Seeded constructions shared by the test modules.
 
 Builders for the worked four-level chain over p = 3 and its p = 5 sibling,
-random integer polynomials, random types grown level by level through
-their representatives, chains with an injected stationary level paired
-with their collapsed form, and key shift pairs at the last level or below
-it. Every generator takes an explicit random.Random so tests stay
-reproducible.
+random integer polynomials, products of constructed p-adic irreducibles
+of known ramification and residue degree, random types grown level by
+level through their representatives, chains with an injected stationary
+level paired with their collapsed form, and key shift pairs at the last
+level or below it. Every generator takes an explicit random.Random so
+tests stay reproducible.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
+
+import oracles
 
 from omfactor import (
     PreconditionError,
@@ -89,6 +93,31 @@ def sweep_inputs(rng: random.Random, trials: int) -> list[tuple[Poly, int]]:
         d = rng.randint(2, 10)
         coeffs = [rng.randint(-3, 3) * p ** rng.randint(0, 6) for _ in range(d)] + [1]
         out.append((qpoly(coeffs), p))
+    return out
+
+
+def constructed_products(rng: random.Random, count: int
+                         ) -> list[tuple[Poly, int, list[tuple[int, int]]]]:
+    """`count` products (f, p, want) of one to three distinct
+    g = h^e + p^a*u at p in 2, 3, 5: h monic of degree 1-3 and irreducible
+    mod p (sympy decides), 1 <= e <= 4, 1 <= a <= 7 with gcd(a, e) = 1, u a
+    unit. Each g is irreducible over Z_p with ramification e and residue
+    degree deg h; want lists the (e, deg h) of the factors."""
+    out = []
+    for _ in range(count):
+        p, k = rng.choice([2, 3, 5]), rng.randint(1, 3)
+        f, want, seen = qpoly([1]), [], set()
+        while len(want) < k:
+            deg, e, a = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 7)
+            h = [rng.randrange(p) for _ in range(deg)] + [1]
+            if (gcd(a, e) != 1 or (tuple(h), Fraction(a, e)) in seen
+                    or oracles.modp_factors(h, p) != [(deg, 1)]):
+                continue
+            seen.add((tuple(h), Fraction(a, e)))
+            u = rng.choice([c for c in range(1 - p, p) if c % p])
+            f = f * (qpoly(h) ** e + qpoly([p ** a * u]))
+            want.append((e, deg))
+        out.append((f, p, want))
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import oracles
@@ -46,6 +45,7 @@ from omfactor.valuation import (
 )
 
 from genchains import (
+    constructed_products,
     fixture_chain3,
     fixture_chain5,
     fixture_poly,
@@ -433,20 +433,7 @@ def test_constructed_products_factor_with_the_constructed_e_and_f() -> None:
     Z_p with ramification e and residue degree f. Distinct (h mod p, a/e)
     make the g distinct, so their product is squarefree and its p-adic
     factors are the g themselves."""
-    rng = random.Random(2014)
-    for _ in range(40):
-        p, k = rng.choice([2, 3, 5]), rng.randint(1, 3)
-        f, want, seen = qpoly([1]), [], set()
-        while len(want) < k:
-            deg, e, a = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 7)
-            h = [rng.randrange(p) for _ in range(deg)] + [1]
-            if (gcd(a, e) != 1 or (tuple(h), Fraction(a, e)) in seen
-                    or oracles.modp_factors(h, p) != [(deg, 1)]):
-                continue
-            seen.add((tuple(h), Fraction(a, e)))
-            u = rng.choice([c for c in range(1 - p, p) if c % p])
-            f = f * (qpoly(h) ** e + qpoly([p ** a * u]))
-            want.append((e, deg))
+    for f, p, want in constructed_products(random.Random(2014), 40):
         assert sorted((c.e, c.f) for c in factorize(f, p)) == sorted(want), (p, f)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from genchains import fixture_poly, random_qpoly, sweep_inputs
+from genchains import constructed_products, fixture_poly, random_qpoly, sweep_inputs
 from omfactor import (
     ConfigError,
     FactorCertificate,
@@ -30,7 +30,7 @@ from omfactor import montes, valuation
 from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
 from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import (
-    _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _is_squarefree)
+    _EVAL_MAX_BITS, _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _is_squarefree)
 from omfactor.polygon import lower_hull
 from omfactor.residual import r0, ri
 from omfactor.serialize import canonical_json, cert_from_json, cert_to_json, format_trace
@@ -466,34 +466,116 @@ def _gcd_rings(monkeypatch) -> list:
     return rings
 
 
-def test_is_squarefree_matches_sympy() -> None:
+def test_is_squarefree_matches_sympy(monkeypatch) -> None:
+    """_is_squarefree agrees with sympy up to degree 60 on random h, g^2 h
+    and Eisenstein shapes, with coefficients on both sides of the evaluation
+    proof's size bound and with denominators; both paths are taken."""
+    rings = _gcd_rings(monkeypatch)
     rng = random.Random(47)
-    for trial in range(60):
-        h = random_qpoly(rng, 6, monic=True)
-        g = random_qpoly(rng, 3, monic=True)
-        f = g * g * h if trial % 2 else h
+    paths = Counter()
+    for trial in range(90):
+        bound = 2 ** rng.choice([6, 200, 300])
+        shape = trial % 3
+        if shape == 2:  # Eisenstein at p: irreducible, so squarefree
+            p = rng.choice([2, 3, 5, 7])
+            n = rng.randint(1, 60)
+            f = qpoly([p * rng.choice([1, -1]) * (1 + p * rng.randrange(bound))]
+                      + [p * rng.randint(-bound, bound) for _ in range(n - 1)] + [1])
+        elif shape == 1:  # g^2 h: the exact gcd decides, slowly past degree 30
+            wide = trial % 30 == 1
+            g = random_qpoly(rng, 15 if wide else 8, 60, monic=True)
+            f = g * g * random_qpoly(rng, 30 if wide else 14, 60, monic=True)
+        else:
+            f = random_qpoly(rng, 60, bound, monic=True)
         if f.degree < 1:
             continue
-        if trial % 3 == 0:  # f(d*x)/d^n: monic, denominators powers of d
+        if trial % 4 == 0:  # f(d*x)/d^n: monic, denominators powers of d
             d = rng.choice([2, 9, _SQUAREFREE_PRIMES[rng.randrange(3)]])
             f = qpoly([c * Fraction(d) ** (k - f.degree) for k, c in enumerate(f.coeffs)])
         expected = len(oracles.sympy_gcd(list(f), list(f.derivative()))) == 1
+        rings.clear()
         assert _is_squarefree(f) == expected, format_poly(f)
+        paths["modular" if rings else "evaluation"] += 1
+        if not expected:
+            assert rings[-1] is QQ
+    assert paths["evaluation"] > 20 and paths["modular"] > 20, paths
+
+
+def _wide_family(rng: random.Random) -> list[tuple[Poly, int]]:
+    """Eisenstein inputs of degree 24-48 at p in 2..7 and products of 10-24
+    distinct linear factors at p in 11..31, shaped like the wide benchmark
+    inputs."""
+    out = []
+    for p, n in [(2, 48), (3, 44), (5, 40), (7, 36), (2, 40), (3, 34), (5, 30), (7, 24)]:
+        c0 = p * rng.choice([c for c in range(1, 2 * p) if c % p])
+        out.append((qpoly([c0] + [p * rng.randint(-p, p) for _ in range(n - 1)] + [1]), p))
+    for p, k in [(11, 10), (13, 13), (17, 16), (19, 19), (23, 22), (29, 24), (31, 24)]:
+        f = qpoly([1])
+        for r in rng.sample(range(p), k):
+            f = f * qpoly([-r - p * rng.randint(-2, 2), 1])
+        out.append((f, p))
+    return out
+
+
+def test_valid_generated_inputs_need_no_euclidean_gcd(monkeypatch) -> None:
+    """Every squarefree input of the seed-1 sweep, the wide family, the
+    constructed products and the nested-tower slice is proved squarefree
+    by the evaluation alone: no modular_gcd and no gcd_monic call. The
+    rejected sweep inputs still get their verdict from the exact gcd."""
+    inputs = (sweep_inputs(random.Random(1), 300) + _wide_family(random.Random(59))
+              + [(f, p) for f, p, _ in constructed_products(random.Random(2014), 40)]
+              + _nested_towers(random.Random(1), 20))
+    rings = _gcd_rings(monkeypatch)
+    verdicts = Counter()
+    for f, p in inputs:
+        rings.clear()
+        ok = _is_squarefree(f)
+        verdicts[ok] += 1
+        if ok:
+            assert rings == [], (format_poly(f), p)
+        else:
+            assert rings[-1] is QQ, (format_poly(f), p)
+    assert verdicts == {True: 293 + 15 + 40 + 20, False: 7}
+
+
+def test_squarefree_evaluation_size_bound(monkeypatch) -> None:
+    """The evaluation runs while B = 1 + max |F_i| has at most
+    _EVAL_MAX_BITS bits; one bit more takes the modular path."""
+    rings = _gcd_rings(monkeypatch)
+    c = 2 ** _EVAL_MAX_BITS - 2  # B = 2^bits - 1
+    assert _is_squarefree(qpoly([0, -c, 1]))
+    assert rings == []
+    assert _is_squarefree(qpoly([0, -(c + 1), 1]))  # B = 2^bits
+    assert rings == [Fq.prime(_SQUAREFREE_PRIMES[0])]
+    rings.clear()
+    # The bound is on the scaled coefficients: x^2 - (c/11) x scales to x^2 - c x.
+    assert c % 11 and (c + 1) % 11  # so 11 is the lcm of the denominators
+    assert _is_squarefree(qpoly([0, Fraction(-c, 11), 1]))
+    assert rings == []
+    assert _is_squarefree(qpoly([0, Fraction(-(c + 1), 11), 1]))
+    assert rings == [Fq.prime(_SQUAREFREE_PRIMES[0])]
+    rings.clear()
+    # D = 2^(bits/2) makes F = x^3 + D^2: one bit past, found before F_0 is built.
+    assert _is_squarefree(qpoly([Fraction(1, 2 ** (_EVAL_MAX_BITS // 2)), 0, 0, 1]))
+    assert rings == [Fq.prime(_SQUAREFREE_PRIMES[0])]
 
 
 def test_squarefree_falls_through_bad_primes(monkeypatch) -> None:
+    """Inputs past the evaluation's size bound go through the test primes
+    in order, then the exact gcd."""
     q1, q2, q3 = _SQUAREFREE_PRIMES
+    big = 2 ** (_EVAL_MAX_BITS + 44)
     rings = _gcd_rings(monkeypatch)
-    # x*(x - q1) is x^2 mod q1, squarefree mod q2.
-    assert _is_squarefree(qpoly([0, -q1, 1]))
+    # x*(x - q1*big) is x^2 mod q1, squarefree mod q2.
+    assert _is_squarefree(qpoly([0, -q1 * big, 1]))
     assert rings == [Fq.prime(q1), Fq.prime(q2)]
     rings.clear()
     # Not squarefree mod any test prime: the exact gcd decides.
-    assert _is_squarefree(qpoly([0, -q1 * q2 * q3, 1]))
+    assert _is_squarefree(qpoly([0, -q1 * q2 * q3 * big, 1]))
     assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), QQ]
     rings.clear()
     # A denominator divisible by q1 skips q1.
-    f = qpoly([0, Fraction(1, q1), 1])
+    f = qpoly([0, Fraction(big, q1), 1])
     assert [c.degree for c in factorize(f, 3)] == [1, 1]
     assert rings == [Fq.prime(q2)]
     rings.clear()
@@ -509,7 +591,7 @@ def test_wide_input_needs_no_rational_gcd(monkeypatch) -> None:
     rings = _gcd_rings(monkeypatch)
     certs = run(f, 2).certificates
     assert [c.degree for c in certs] == [48]
-    assert rings == [Fq.prime(_SQUAREFREE_PRIMES[0])]
+    assert rings == []
 
 
 def test_p_integral_rational_coefficients_accepted() -> None:
