@@ -238,15 +238,6 @@ def qpoly(coeffs: Iterable[int | Fraction]) -> Poly:
     return Poly(QQ, coeffs)
 
 
-def gcd_monic(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a coefficient field."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
 def content_vp(g: Poly, p: int) -> int | float:
     """Minimum p-adic valuation over the coefficients of a rational polynomial."""
     if g.is_zero():

@@ -4,7 +4,8 @@ Commands: factor, equiv, eval, optimize, representative. Output is
 deterministic: identical inputs produce byte-identical text or JSON.
 Exit codes: 0 success, 2 parse or configuration error, 3 precondition
 failure reported by the library, 4 internal error (a failed consistency
-check or the exhausted node budget).
+check or the exhausted node budget). Each type or chain document text is
+decoded and validated once per process (_load_doc).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .arith import INF, Poly, format_poly, parse_poly
 from .errors import ConfigError, OmError, ParseError
@@ -36,13 +36,14 @@ from .serialize import (
     type_from_json,
     type_to_json,
 )
-from .typecalc import Type, equivalent, optimize, representative
+from .typecalc import equivalent, optimize, representative
 from .valuation import v_norm
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -59,8 +60,27 @@ def _parse_json(text: str, path: str):
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _load_json(path: str):
-    return _parse_json(_read_text(path), path)
+# Memo of validated documents, keyed by (reader, text); past the cap the
+# oldest is evicted.
+_DOC_CACHE_MAX = 4096
+_doc_cache: dict[tuple, object] = {}
+
+
+def _load_doc(path: str, reader):
+    """reader (type_from_json or chain_from_json) applied to the JSON document
+    at path. The file is read on every call; a text this process already
+    validated with the same reader is served from the memo, with no decoding
+    and no check, and the value returned may be shared with that call. A
+    document that fails raises on every call and stores nothing."""
+    text = _read_text(path)
+    key = (reader, text)
+    value = _doc_cache.get(key)
+    if value is None:
+        value = reader(_parse_json(text, path))
+        if len(_doc_cache) >= _DOC_CACHE_MAX:
+            del _doc_cache[next(iter(_doc_cache))]
+        _doc_cache[key] = value
+    return value
 
 
 def _load_input_poly(args: argparse.Namespace) -> Poly:
@@ -74,10 +94,6 @@ def _load_input_poly(args: argparse.Namespace) -> Poly:
     if text.startswith("["):
         return qpoly_from_json(_parse_json(text, args.file))
     return parse_poly(text)
-
-
-def _load_type(path: str) -> Type:
-    return type_from_json(_load_json(path))
 
 
 def _print(text: str) -> None:
@@ -119,8 +135,8 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    ta = _load_type(args.type_a)
-    tb = _load_type(args.type_b)
+    ta = _load_doc(args.type_a, type_from_json)
+    tb = _load_doc(args.type_b, type_from_json)
     if ta.chain.p != tb.chain.p:
         raise ConfigError("types are defined over different primes")
     opt_a, opt_b = optimize(ta), optimize(tb)
@@ -154,7 +170,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval requires --file with a chain document")
     if args.poly is None:
         raise ConfigError("eval requires --poly")
-    chain = chain_from_json(_load_json(args.file))
+    chain = _load_doc(args.file, chain_from_json)
     g = parse_poly(args.poly)
     levels = args.level if args.level else list(range(chain.r + 1))
     rows = []
@@ -185,7 +201,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.file is None:
         raise ConfigError("optimize requires --file with a type document")
-    t = optimize(_load_type(args.file))
+    t = optimize(_load_doc(args.file, type_from_json))
     if args.json:
         _print(canonical_json(type_to_json(t)))
     else:
@@ -196,7 +212,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_representative(args: argparse.Namespace) -> int:
     if args.file is None:
         raise ConfigError("representative requires --file with a type document")
-    rep = representative(_load_type(args.file))
+    rep = representative(_load_doc(args.file, type_from_json))
     if args.json:
         _print(canonical_json({"poly": qpoly_to_json(rep)}))
     else:

@@ -21,8 +21,8 @@ that side with the exact divisor as its approximation.
 
 Before the walk, f is proved squarefree: by one integer gcd of F(xi) and
 F'(xi) for the scaled integral F, while its coefficients are small
-enough, else modulo word-size primes; only the exact gcd over the
-rationals rejects an input.
+enough, else modulo word-size primes; only the exact gcd degree, from a
+primitive remainder sequence over the integers, rejects an input.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import INF, Poly, content_vp, gcd_monic, qpoly
+from .arith import INF, Poly, content_vp, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import Fq, fq_factor, modular_gcd
 from .polygon import NewtonPolygon, lower_hull
@@ -141,7 +141,7 @@ def _is_squarefree(f: Poly) -> bool:
     Otherwise, for a prime q dividing no coefficient denominator, f monic makes
     Res(f, f') mod q equal to Res(f mod q, (f mod q)'), so f mod q coprime to
     its derivative proves disc f != 0. If no prime proves it, the exact gcd
-    over the rationals decides; every non-squarefree f reaches it.
+    degree decides (_gcd_degree); every non-squarefree f reaches it.
     """
     D = math.lcm(*(c.denominator for c in f.coeffs))
     # F_{n-1}, ..., F_0, with scale = D^(n-i) until it reaches limit: from
@@ -169,7 +169,33 @@ def _is_squarefree(f: Poly) -> bool:
             continue
         if len(modular_gcd(Fq.prime(q), f, df)) == 1:
             return True
-    return gcd_monic(f, df).degree == 0
+    return _gcd_degree(f) == 0
+
+
+def _gcd_degree(f: Poly) -> int:
+    """deg gcd(f, f') for a rational f of degree >= 1, by the primitive
+    pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1) of D f and
+    its derivative, D the lcm of the denominators: every remainder is divided
+    by its content, which keeps the coefficient growth polynomial."""
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    a = [c.numerator * (D // c.denominator) for c in reversed(f.coeffs)]
+    b = [c * k for c, k in zip(a, range(f.degree, 0, -1))]
+    while len(b) > 1:
+        a, b = b, _primitive_prem(a, b)
+    return 0 if b else len(a) - 1
+
+
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the remainder of lc(b)^k a by b, for integer
+    coefficient lists with the leading coefficient first; [] for zero."""
+    lc, n = b[0], len(b)
+    while len(a) >= n:
+        q = a[0]
+        a = [lc * x - q * y for x, y in zip(a[1:n], b[1:])] + [lc * x for x in a[n:]]
+        while a and not a[0]:
+            del a[0]
+    g = math.gcd(*a)
+    return [x // g for x in a]
 
 
 def _validate_input(f: Poly, p: int) -> None:

@@ -10,11 +10,11 @@ the tower with every degree-one level collapsed, the residual transport
 law under a key shift, the equivalence decision by transporting the whole
 residual tower through the tower homomorphism the key shifts induce, and
 factorization and the irreducibility test over a tower field run on
-generic Poly arithmetic, the Euclidean gcd with the divisor made monic on
-each step, the certify report with one walk of f per certificate, and the
-parser's tokens read one character at a time). Polynomial composition and
-the lambda-components and shears of a polygon, which only tests use, live
-here too.
+generic Poly arithmetic, the Euclidean gcd over a field, the Euclidean gcd
+with the divisor made monic on each step, the certify report with one walk
+of f per certificate, and the parser's tokens read one character at a
+time). Polynomial composition and the lambda-components and shears of a
+polygon, which only tests use, live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from omfactor.arith import INF, Poly, content_vp, gcd_monic, qpoly
+from omfactor.arith import INF, Poly, content_vp, qpoly
 from omfactor.errors import InternalError, ParseError, PreconditionError
 from omfactor.finitefield import Fq, FqElt, factor_sort_key, multiplicity_of
 from omfactor.montes import CertCheck, CertReport, FactorCertificate
@@ -31,6 +31,15 @@ from omfactor.residual import ri
 from omfactor.typecalc import (
     EquivWitness, Type, _collapse, is_stationary_level, optimize, ord_type)
 from omfactor.valuation import MacLaneChain, expansion_points, v_norm
+
+
+def gcd_monic(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over a coefficient field, by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    return a.monic()
 
 
 def expansion_sum(coeffs: list[Poly], phi: Poly) -> Poly:

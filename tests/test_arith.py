@@ -24,13 +24,13 @@ from omfactor import (
 from omfactor import arith
 from omfactor.arith import (
     content_vp,
-    gcd_monic,
     is_prime,
     phi_expansion,
 )
 from omfactor.cli import main
 from genchains import random_qpoly
-from reference import compose, expansion_sum, phi_expansion_by_divmod, tokenize_by_chars
+from reference import (
+    compose, expansion_sum, gcd_monic, phi_expansion_by_divmod, tokenize_by_chars)
 from omfactor.finitefield import Fq
 
 

@@ -202,6 +202,7 @@ def test_command_paths_run_no_poly_arithmetic_over_fq(capsys, monkeypatch) -> No
         monkeypatch.setattr(Poly, name, counting(name))
     monkeypatch.setattr(finitefield, "_factor_cache", {})  # no answer from earlier tests
     monkeypatch.setattr(valuation, "_chain_cache", {})
+    monkeypatch.setattr(cli, "_doc_cache", {})
     golden = ["deep_p2_factor_trace.txt", "tower_p5_factor_trace.txt",
               "tower_f64_p2_factor_trace.txt", "x100_plus_1_p3_factor.txt",
               "t4_type_optimize.txt", "top_shift_equiv.txt", "degenerate_equiv.txt",
@@ -509,6 +510,77 @@ def test_representative_command(capsys, tmp_path) -> None:
     assert code == 0
     doc = json.loads(out)
     assert doc == {"poly": ["6786", "0", "30", "0", "1"]}
+
+
+def _count_reads(monkeypatch) -> Counter:
+    """Start from an empty document memo and count the CLI's reader calls."""
+    counts: Counter = Counter()
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def counted(doc):
+            counts[name] += 1
+            return real(doc)
+
+        return counted
+
+    for name in ("type_from_json", "chain_from_json"):
+        monkeypatch.setattr(cli, name, counting(name))
+    monkeypatch.setattr(cli, "_doc_cache", {})
+    return counts
+
+
+def test_doc_memo_validates_a_repeated_document_once(capsys, tmp_path, monkeypatch) -> None:
+    """equiv T T reads T's text twice and validates it once; a later command
+    on the same text validates nothing, and reading it as a chain is an
+    entry of its own."""
+    counts = _count_reads(monkeypatch)
+    path = write_type(tmp_path, fixture_t4())
+    code, out, _ = run_cli(capsys, ["equiv", path, path])
+    assert (code, out.split("\n")[0]) == (0, "equivalent")
+    assert counts == Counter(type_from_json=1)
+    assert run_cli(capsys, ["representative", "--file", path]) == (0, QUARTIC + "\n", "")
+    assert counts == Counter(type_from_json=1)
+    for _ in range(2):
+        assert run_cli(capsys, ["eval", "--file", path, "--poly", "x", "--level", "0"])[0] == 0
+    assert counts == Counter(type_from_json=1, chain_from_json=1)
+    assert len(cli._doc_cache) == 2
+
+
+def test_doc_memo_rereads_an_edited_file(capsys, tmp_path, monkeypatch) -> None:
+    counts = _count_reads(monkeypatch)
+    path = write_type(tmp_path, fixture_t4())
+    code, out, _ = run_cli(capsys, ["optimize", "--file", path])
+    assert (code, out) == (0, "(y; (x, 1/2, y - 1); (x^2 + 15, 3, y^2 + 1))\n")
+    one_level_p2_type(tmp_path, Fraction(1, 2), "type.json")
+    code, out, _ = run_cli(capsys, ["optimize", "--file", path])
+    assert (code, out) == (0, "(y; (x, 1/2, y + 1))\n")
+    assert counts == Counter(type_from_json=2)
+
+
+def test_doc_memo_stores_no_failing_document(capsys, tmp_path, monkeypatch) -> None:
+    counts = _count_reads(monkeypatch)
+    doc = type_to_json(fixture_t4())
+    doc["levels"][1]["psi"] = [["1"], ["1"]]
+    path = tmp_path / "bad.json"
+    path.write_text(canonical_json(doc))
+    for _ in range(2):
+        code, out, err = run_cli(capsys, ["optimize", "--file", str(path)])
+        assert (code, out, err) == (2, "", "error: level 2 psi does not match the chain\n")
+    assert counts == Counter(type_from_json=2)
+    assert cli._doc_cache == {}
+
+
+def test_doc_memo_evicts_the_oldest_first(capsys, tmp_path, monkeypatch) -> None:
+    counts = _count_reads(monkeypatch)
+    monkeypatch.setattr(cli, "_DOC_CACHE_MAX", 2)
+    paths = [one_level_p2_type(tmp_path, Fraction(k, 2), f"t{k}.json") for k in (1, 3, 5)]
+    texts = [(tmp_path / f"t{k}.json").read_text() for k in (1, 3, 5)]
+    for path in paths + [paths[0]]:
+        assert run_cli(capsys, ["representative", "--file", path])[0] == 0
+    assert counts == Counter(type_from_json=4)
+    assert [text for _, text in cli._doc_cache] == [texts[2], texts[0]]
 
 
 def test_integers_past_the_str_digit_limit_print_exactly(capsys, tmp_path) -> None:

@@ -32,9 +32,11 @@ on generic Poly arithmetic, pin fq_factor on a large residual polynomial:
 ten irreducible factors of degree 2 to 20. The F_64 cases at p = 2, written
 by the code that reduced tower products with a loop of their own, pin a
 tower product over a base that is not a prime field: the level-2 field is
-F_64 = F_4[y]/(y^3 + z0). Each case starts from an empty chain memo, and
-each case that reads type documents (optimize, equiv, eval) runs twice,
-so that its second run reads its chains from build_chain's memo.
+F_64 = F_4[y]/(y^3 + z0). The representative cases were written by the
+code that read each document afresh on every call. Each case starts from an
+empty chain memo and an empty document memo, and each case that reads type
+documents (optimize, representative, equiv, eval) runs twice, so that its
+second run reads its document from the CLI's document memo.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from omfactor import valuation
-from omfactor.cli import main
+from omfactor import cli, valuation
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
@@ -96,6 +97,8 @@ CASES = {
     "t4_type_optimize.txt": ["optimize", "--file", T4_TYPE],
     "t4_type_optimize.json": ["optimize", "--file", T4_TYPE, "--json"],
     "t4_type_equiv.json": ["equiv", T4_TYPE, T4_TYPE, "--json"],
+    "p5_type_representative.txt": ["representative", "--file", P5_TYPE],
+    "t4_type_representative.json": ["representative", "--file", T4_TYPE, "--json"],
     "top_shift_equiv.txt": ["equiv", *TOP_SHIFT],
     "top_shift_equiv.json": ["equiv", *TOP_SHIFT, "--json"],
     "degenerate_equiv.txt": ["equiv", *DEGENERATE],
@@ -108,10 +111,11 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(capsys, monkeypatch, name: str) -> None:
     monkeypatch.setattr(valuation, "_chain_cache", {})
-    reads_types = CASES[name][0] in ("optimize", "equiv", "eval")
+    monkeypatch.setattr(cli, "_doc_cache", {})
+    reads_types = CASES[name][0] in ("optimize", "representative", "equiv", "eval")
     for _ in range(2 if reads_types else 1):
-        code = main(CASES[name])
+        code = cli.main(CASES[name])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text()
-    assert bool(valuation._chain_cache) == reads_types
+    assert bool(valuation._chain_cache) == bool(cli._doc_cache) == reads_types

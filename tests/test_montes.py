@@ -27,15 +27,16 @@ from omfactor import (
     run,
 )
 from omfactor import montes, valuation
-from omfactor.arith import QQ, content_vp, format_poly, gcd_monic, parse_poly, phi_expansion
+from omfactor.arith import QQ, content_vp, format_poly, parse_poly, phi_expansion
 from omfactor.finitefield import Fq, modular_gcd
 from omfactor.montes import (
-    _EVAL_MAX_BITS, _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _is_squarefree)
+    _EVAL_MAX_BITS, _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _gcd_degree,
+    _is_squarefree)
 from omfactor.polygon import lower_hull
 from omfactor.residual import r0, ri
 from omfactor.serialize import canonical_json, cert_from_json, cert_to_json, format_trace
 from omfactor.typecalc import is_stationary_level
-from reference import certify_per_certificate, compose
+from reference import certify_per_certificate, compose, gcd_monic
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -448,21 +449,25 @@ def test_input_validation() -> None:
         factorize(qpoly([5]), 3)
 
 
+# Marks the exact gcd over the integers in the lists _gcd_rings records.
+Z = "Z"
+
+
 def _gcd_rings(monkeypatch) -> list:
     """Record the coefficient ring of every gcd the driver makes: the prime
-    field of each modular_gcd call, QQ for each exact gcd_monic call."""
+    field of each modular_gcd call, Z for each exact _gcd_degree call."""
     rings: list = []
 
     def modular(field, a, b):
         rings.append(field)
         return modular_gcd(field, a, b)
 
-    def exact(a, b):
-        rings.append(a.ring)
-        return gcd_monic(a, b)
+    def exact(f):
+        rings.append(Z)
+        return _gcd_degree(f)
 
     monkeypatch.setattr(montes, "modular_gcd", modular)
-    monkeypatch.setattr(montes, "gcd_monic", exact)
+    monkeypatch.setattr(montes, "_gcd_degree", exact)
     return rings
 
 
@@ -481,7 +486,7 @@ def test_is_squarefree_matches_sympy(monkeypatch) -> None:
             n = rng.randint(1, 60)
             f = qpoly([p * rng.choice([1, -1]) * (1 + p * rng.randrange(bound))]
                       + [p * rng.randint(-bound, bound) for _ in range(n - 1)] + [1])
-        elif shape == 1:  # g^2 h: the exact gcd decides, slowly past degree 30
+        elif shape == 1:  # g^2 h: the exact gcd decides
             wide = trial % 30 == 1
             g = random_qpoly(rng, 15 if wide else 8, 60, monic=True)
             f = g * g * random_qpoly(rng, 30 if wide else 14, 60, monic=True)
@@ -497,7 +502,7 @@ def test_is_squarefree_matches_sympy(monkeypatch) -> None:
         assert _is_squarefree(f) == expected, format_poly(f)
         paths["modular" if rings else "evaluation"] += 1
         if not expected:
-            assert rings[-1] is QQ
+            assert rings[-1] is Z
     assert paths["evaluation"] > 20 and paths["modular"] > 20, paths
 
 
@@ -520,7 +525,7 @@ def _wide_family(rng: random.Random) -> list[tuple[Poly, int]]:
 def test_valid_generated_inputs_need_no_euclidean_gcd(monkeypatch) -> None:
     """Every squarefree input of the seed-1 sweep, the wide family, the
     constructed products and the nested-tower slice is proved squarefree
-    by the evaluation alone: no modular_gcd and no gcd_monic call. The
+    by the evaluation alone: no modular_gcd and no _gcd_degree call. The
     rejected sweep inputs still get their verdict from the exact gcd."""
     inputs = (sweep_inputs(random.Random(1), 300) + _wide_family(random.Random(59))
               + [(f, p) for f, p, _ in constructed_products(random.Random(2014), 40)]
@@ -534,7 +539,7 @@ def test_valid_generated_inputs_need_no_euclidean_gcd(monkeypatch) -> None:
         if ok:
             assert rings == [], (format_poly(f), p)
         else:
-            assert rings[-1] is QQ, (format_poly(f), p)
+            assert rings[-1] is Z, (format_poly(f), p)
     assert verdicts == {True: 293 + 15 + 40 + 20, False: 7}
 
 
@@ -572,7 +577,7 @@ def test_squarefree_falls_through_bad_primes(monkeypatch) -> None:
     rings.clear()
     # Not squarefree mod any test prime: the exact gcd decides.
     assert _is_squarefree(qpoly([0, -q1 * q2 * q3 * big, 1]))
-    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), QQ]
+    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), Z]
     rings.clear()
     # A denominator divisible by q1 skips q1.
     f = qpoly([0, Fraction(big, q1), 1])
@@ -582,7 +587,41 @@ def test_squarefree_falls_through_bad_primes(monkeypatch) -> None:
     # Every non-squarefree input reaches the exact gcd.
     with pytest.raises(PreconditionError, match="squarefree"):
         factorize(qpoly([1, 2, 1]), 3)
-    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), QQ]
+    assert rings == [Fq.prime(q1), Fq.prime(q2), Fq.prime(q3), Z]
+
+
+def test_gcd_degree_matches_sympy_past_the_evaluation_bound(monkeypatch) -> None:
+    """Seeded monic inputs whose coefficients are past the evaluation's size
+    bound, squarefree h and g^k h, integral and with denominators prime to
+    p: _gcd_degree is the degree of sympy's gcd(f, f'), and _is_squarefree
+    agrees, with each non-squarefree verdict from the exact gcd."""
+    rings = _gcd_rings(monkeypatch)
+    rng = random.Random(61)
+    verdicts = Counter()
+    for trial in range(24):
+        p = rng.choice([2, 3, 5, 7])
+        h = random_qpoly(rng, 20, 2 ** (_EVAL_MAX_BITS + 44), monic=True)
+        g = qpoly([rng.randint(-2 ** 100, 2 ** 100) for _ in range(rng.randint(1, 6))] + [1])
+        f = h if trial % 2 else g ** (2 + trial % 3) * h
+        if trial % 4 >= 2:  # f(d*x)/d^n, with d a power of a prime other than p
+            d = rng.choice([q for q in (2, 3, 5, 7, 11) if q != p]) ** rng.randint(1, 3)
+            f = qpoly([c * Fraction(d) ** (k - f.degree) for k, c in enumerate(f.coeffs)])
+        if f.degree < 1:
+            continue
+        want = len(oracles.sympy_gcd(list(f), list(f.derivative()))) - 1
+        assert _gcd_degree(f) == want, format_poly(f)
+        rings.clear()
+        assert _is_squarefree(f) == (want == 0), format_poly(f)
+        assert rings and all(c.denominator % p for c in f.coeffs)
+        if want:
+            assert rings[-1] is Z
+        verdicts[want == 0] += 1
+    # The shape of a slow rejection before the integer gcd: g^2 h of degree
+    # 40 with 100-bit g and h.
+    g = qpoly([rng.randint(-2 ** 100, 2 ** 100) for _ in range(6)] + [1])
+    h = qpoly([rng.randint(-2 ** 100, 2 ** 100) for _ in range(28)] + [1])
+    assert _gcd_degree(g * g * h) == 6
+    assert verdicts[True] >= 8 and verdicts[False] >= 8, verdicts
 
 
 def test_wide_input_needs_no_rational_gcd(monkeypatch) -> None:

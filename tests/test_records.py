@@ -1,6 +1,6 @@
 """Records: immutable values built by their constructors, field elements
 that nothing in the package reassigns, and an import of the command line
-that loads neither dataclasses nor inspect."""
+that loads none of dataclasses, inspect and pathlib."""
 
 from __future__ import annotations
 
@@ -133,10 +133,11 @@ def test_no_source_assigns_a_field_element_slot() -> None:
 
 
 def test_cli_import_loads_no_dataclasses() -> None:
-    """A fresh interpreter, since pytest itself loads both modules; -S keeps
+    """A fresh interpreter, since pytest itself loads these modules; -S keeps
     site hooks, which may load them, out of the count."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, omfactor.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import sys, omfactor.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout == "[]\n"
