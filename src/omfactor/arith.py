@@ -356,10 +356,9 @@ def _sparse_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 class _Parser:
-    def __init__(self, toks: list[str], var: str) -> None:
+    def __init__(self, toks: list[str]) -> None:
         self.toks = toks
         self.pos = 0
-        self.var = var
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -425,7 +424,7 @@ class _Parser:
         tok = self.next()
         if tok.isdigit():
             return {0: c} if (c := _literal(tok)) else {}
-        if tok == self.var:
+        if tok == "x":
             return {1: 1}
         if tok == "(":
             inner = self.expr()
@@ -435,24 +434,24 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
-def parse_poly(text: str, var: str = "x") -> Poly:
-    """Parse an integer polynomial expression in the given variable."""
+def parse_poly(text: str) -> Poly:
+    """Parse an integer polynomial expression in x."""
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty polynomial")
     try:
-        return _Parser(toks, var).parse()
+        return _Parser(toks).parse()
     except RecursionError:
         raise ParseError("polynomial is nested too deeply") from None
 
 
-def format_poly(g: Poly, var: str = "x") -> str:
+def format_poly(g: Poly) -> str:
     """Render a rational polynomial as text.
 
     Integer polynomials round-trip through parse_poly; non-integer rational
     coefficients render as num/den, which the integer grammar does not accept.
     """
-    return format_terms(g, decimal_str, var)
+    return format_terms(g, decimal_str, "x")
 
 
 def decimal_str(q: int | Fraction) -> str:

@@ -107,12 +107,11 @@ class RunResult(Record):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, certificates: list[FactorCertificate] | None = None,
-                 events: list[object] | None = None, nodes: int = 0, floor: int = 1) -> None:
-        self.certificates = [] if certificates is None else certificates
-        self.events = [] if events is None else events
-        self.nodes = nodes
-        self.floor = floor
+    def __init__(self) -> None:
+        self.certificates: list[FactorCertificate] = []
+        self.events: list[object] = []
+        self.nodes = 0
+        self.floor = 1
 
     def tick(self) -> None:
         self.nodes += 1

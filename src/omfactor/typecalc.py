@@ -125,17 +125,25 @@ def optimize(t: Type) -> Type:
     return _collapse(t, st) if st else t
 
 
+def okutsu_core(t: Type) -> Type:
+    """Strongly optimal core: optimize(t), less a stationary top level, whose
+    residual psi_prev becomes the core's psi_top. A factor fixes its core up
+    to equivalence."""
+    t_o = optimize(t)
+    chain, r = t_o.chain, t_o.chain.r
+    if r >= 1 and is_stationary_level(t_o, r):
+        return Type(chain.prefix(r - 1), chain.level(r).psi_prev)
+    return t_o
+
+
 def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
-    """Okutsu depth and frame: keys of the strongly optimal core.
+    """Okutsu depth and frame: order and keys of the core (okutsu_core).
 
     A stationary top level contributes its refinement to the approximation
     but not to the frame.
     """
-    t_o = optimize(t)
-    r = t_o.chain.r
-    if r >= 1 and is_stationary_level(t_o, r):
-        r -= 1
-    return r, [t_o.chain.level(i).phi for i in range(1, r + 1)]
+    core = okutsu_core(t).chain
+    return core.r, [lev.phi for lev in core.levels]
 
 
 class EquivWitness(Record):

@@ -282,7 +282,6 @@ def test_parse_expression_grammar() -> None:
     assert parse_poly("(x - 1)*(x + 1)") == qpoly([-1, 0, 1])
     assert parse_poly("-x") == qpoly([0, -1])
     assert parse_poly("2^3") == qpoly([8])
-    assert parse_poly("y^2 + 1", var="y") == qpoly([1, 0, 1])
     assert parse_poly("x^1000 + 1") == qpoly([1] + [0] * 999 + [1])
     assert parse_poly("x^1000 + x^1000") == qpoly([0] * 1000 + [2])
     assert parse_poly("2^41") == qpoly([2**41])

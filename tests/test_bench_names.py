@@ -68,7 +68,6 @@ def test_traced_names_are_on_the_command_path(monkeypatch, capsys) -> None:
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(valuation, "_chain_cache", {})  # optimize validates its chain
     monkeypatch.setattr(cli, "_doc_cache", {})
     deep = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
     golden = Path(__file__).resolve().parent / "data" / "golden" / "t4_type.json"

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from omfactor import cli, finitefield, montes, valuation
+from omfactor import cli, finitefield, montes
 from omfactor.arith import QQ, Poly, format_poly, parse_poly
 from omfactor.cli import main
 from omfactor.errors import ConfigError, InternalError, OmError, ParseError, PreconditionError
@@ -201,7 +201,6 @@ def test_command_paths_run_no_poly_arithmetic_over_fq(capsys, monkeypatch) -> No
                  "scale", "monic", "derivative"):
         monkeypatch.setattr(Poly, name, counting(name))
     monkeypatch.setattr(finitefield, "_factor_cache", {})  # no answer from earlier tests
-    monkeypatch.setattr(valuation, "_chain_cache", {})
     monkeypatch.setattr(cli, "_doc_cache", {})
     golden = ["deep_p2_factor_trace.txt", "tower_p5_factor_trace.txt",
               "tower_f64_p2_factor_trace.txt", "x100_plus_1_p3_factor.txt",

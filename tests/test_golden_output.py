@@ -34,9 +34,9 @@ by the code that reduced tower products with a loop of their own, pin a
 tower product over a base that is not a prime field: the level-2 field is
 F_64 = F_4[y]/(y^3 + z0). The representative cases were written by the
 code that read each document afresh on every call. Each case starts from an
-empty chain memo and an empty document memo, and each case that reads type
-documents (optimize, representative, equiv, eval) runs twice, so that its
-second run reads its document from the CLI's document memo.
+empty document memo, and each case that reads type documents (optimize,
+representative, equiv, eval) runs twice, so that its second run reads its
+document from the CLI's document memo.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from omfactor import cli, valuation
+from omfactor import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
@@ -110,7 +110,6 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(capsys, monkeypatch, name: str) -> None:
-    monkeypatch.setattr(valuation, "_chain_cache", {})
     monkeypatch.setattr(cli, "_doc_cache", {})
     reads_types = CASES[name][0] in ("optimize", "representative", "equiv", "eval")
     for _ in range(2 if reads_types else 1):
@@ -118,4 +117,4 @@ def test_cli_output_matches_golden(capsys, monkeypatch, name: str) -> None:
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text()
-    assert bool(valuation._chain_cache) == bool(cli._doc_cache) == reads_types
+    assert bool(cli._doc_cache) == reads_types

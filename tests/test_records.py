@@ -1,19 +1,23 @@
 """Records: immutable values built by their constructors, field elements
-that nothing in the package reassigns, and an import of the command line
-that loads none of dataclasses, inspect and pathlib."""
+that nothing in the package reassigns, an import of the command line
+that loads none of dataclasses, inspect and pathlib, and the package's
+caches, exactly the ones README lists."""
 
 from __future__ import annotations
 
 import ast
 import functools
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import omfactor
 from genchains import fixture_poly
 from omfactor import certify, equivalent, lower_hull, parse_poly, run
 from omfactor.montes import CertCheck, RootResidual, RunResult
@@ -97,7 +101,10 @@ def test_run_result_is_mutable() -> None:
     a.tick()
     a.events.append(RootResidual(fixture_poly(3)))
     assert (b.certificates, b.events, b.nodes, b.floor) == ([], [], 0, 1)
-    assert a == RunResult([], [RootResidual(fixture_poly(3))], nodes=1) != b
+    want = RunResult()
+    want.nodes = 1
+    want.events.append(RootResidual(fixture_poly(3)))
+    assert a == want != b
     with pytest.raises(TypeError):
         hash(a)
 
@@ -141,3 +148,21 @@ def test_cli_import_loads_no_dataclasses() -> None:
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_caches_are_the_ones_readme_lists() -> None:
+    """Every module-level or class-level dict, and every slot, named *_cache
+    in the package, and every functools cache: the fq_factor memo and the
+    CLI's document memo, each with a bound test, and Fq's interning tables.
+    A new memo needs a README entry and a bound test, then a name here."""
+    found = set()
+    for info in pkgutil.iter_modules(omfactor.__path__):
+        module = importlib.import_module(f"omfactor.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") or name.endswith("_cache") and isinstance(value, dict):
+                found.add(f"{info.name}.{name}")
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                found.update(f"{info.name}.{name}.{attr}" for attr in vars(value)
+                             if attr.endswith("_cache") or hasattr(getattr(value, attr), "cache_info"))
+    assert found == {"finitefield._factor_cache", "cli._doc_cache",
+                     "finitefield.Fq._prime_cache", "finitefield.Fq._ext_cache"}

@@ -45,7 +45,7 @@ from omfactor import (
     ri,
 )
 from omfactor.serialize import canonical_json, format_type, type_from_json, type_to_json
-from omfactor.typecalc import f_level, is_stationary_level
+from omfactor.typecalc import f_level, is_stationary_level, okutsu_core
 from reference import (
     compose,
     equivalent_by_transport,
@@ -234,6 +234,9 @@ def test_okutsu_truncates_stationary_top() -> None:
     top = chain2.fields[2]
     linear_top = Type(chain2, ypoly(top, [1, 1]))
     assert okutsu_data(linear_top) == (0, [])
+    # optimize merges level 1 into level 2, whose stationary top the core drops.
+    core = okutsu_core(linear_top)
+    assert core.order == 0 and core.psi_top == optimize(linear_top).chain.level(1).psi_prev
     quad_top = Type(chain2, random_irreducible(random.Random(3), top, 2, proper=True))
     depth, frame = okutsu_data(quad_top)
     assert depth == 1

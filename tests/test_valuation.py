@@ -372,7 +372,6 @@ def test_augment_builds_each_level_with_one_extend(monkeypatch) -> None:
 
     monkeypatch.setattr(finitefield, "fq_factor", counting_factor)
     monkeypatch.setattr(Fq, "extend", counting_extend)
-    monkeypatch.setattr(valuation, "_chain_cache", {})
     for r in range(chain.r):
         lev = chain.levels[r]
         trunc = build_chain(3, chain.steps()[:r])
@@ -422,80 +421,34 @@ def test_build_chain_round_trips_steps() -> None:
     assert [again.level(i) for i in range(1, 5)] == [chain.level(i) for i in range(1, 5)]
 
 
-def _count_augments(monkeypatch) -> list:
-    """Start from an empty chain memo and record every augment call."""
+def test_build_chain_reads_an_int_slope_as_its_fraction() -> None:
+    phi = qpoly([3, 1])
+    as_int = build_chain(3, [(phi, 2)])
+    assert as_int == build_chain(3, [(phi, Fraction(2))])
+    assert type(as_int.level(1).nu) is Fraction
+
+
+def test_build_chain_validates_every_level_on_every_call(monkeypatch) -> None:
+    """A failing step raises on every call, after the levels below it are
+    validated again."""
+    steps = fixture_chain3().steps()
+    bad = steps[:2] + [(qpoly([24, 0, 1]), Fraction(1))] + steps[3:]
     calls = []
     real = valuation.augment
 
     def counting(chain, phi, nu):
-        calls.append((chain.r, phi, nu))
+        calls.append(chain.r)
         return real(chain, phi, nu)
 
-    monkeypatch.setattr(valuation, "_chain_cache", {})
     monkeypatch.setattr(valuation, "augment", counting)
-    return calls
-
-
-def test_build_chain_memo_returns_the_validated_chain(monkeypatch) -> None:
-    steps = fixture_chain3().steps()
-    calls = _count_augments(monkeypatch)
-    first = build_chain(3, steps)
-    assert len(calls) == len(steps)
-    calls.clear()
-    assert build_chain(3, steps) is first
-    assert calls == []
-    # Every prefix was stored on the way up.
-    assert all(build_chain(3, steps[:k]).levels == first.levels[:k] for k in range(len(steps)))
-    assert calls == []
-
-
-def test_build_chain_memo_augments_only_past_the_cached_prefix(monkeypatch) -> None:
-    steps = fixture_chain3().steps()
-    calls = _count_augments(monkeypatch)
-    for r in range(1, len(steps) + 1):
-        short = build_chain(3, steps[:r - 1])
-        calls.clear()
-        chain = build_chain(3, steps[:r])
-        assert [(k, phi) for k, phi, _ in calls] == [(r - 1, steps[r - 1][0])]
-        assert chain.levels[:r - 1] == short.levels
-
-
-def test_build_chain_memo_evicts_the_oldest_first(monkeypatch) -> None:
-    steps = fixture_chain3().steps()
-    calls = _count_augments(monkeypatch)
-    monkeypatch.setattr(valuation, "_CHAIN_CACHE_MAX", 2)
-    build_chain(3, steps[:3])
-    assert list(valuation._chain_cache) == [(3, tuple(steps[:k])) for k in (2, 3)]
-    build_chain(3, steps)
-    assert len(calls) == 4
-    assert list(valuation._chain_cache) == [(3, tuple(steps[:k])) for k in (3, 4)]
-    calls.clear()
-    build_chain(3, steps[:2])  # evicted: both levels are validated again
-    assert len(calls) == 2
-
-
-def test_build_chain_memo_stores_no_failed_level(monkeypatch) -> None:
-    steps = fixture_chain3().steps()
-    calls = _count_augments(monkeypatch)
-    bad = steps[:2] + [(qpoly([24, 0, 1]), Fraction(1))] + steps[3:]
-    for levels in ([0, 1, 2], [2]):
+    for _ in range(2):
         calls.clear()
         with pytest.raises(PreconditionError, match="improper step"):
             build_chain(3, bad)
-        assert [k for k, _, _ in calls] == levels
-    assert list(valuation._chain_cache) == [(3, tuple(steps[:k])) for k in (1, 2)]
-    with pytest.raises(PreconditionError, match="slope must be positive"):
-        build_chain(3, steps[:1] + [(steps[1][0], Fraction(0))])
-    assert len(valuation._chain_cache) == 2
-
-
-def test_build_chain_memo_normalizes_the_slope(monkeypatch) -> None:
-    calls = _count_augments(monkeypatch)
-    phi = qpoly([3, 1])
-    as_int = build_chain(3, [(phi, 2)])
-    assert build_chain(3, [(phi, Fraction(2))]) is as_int
-    [(_, ((_, nu),))] = valuation._chain_cache
-    assert len(calls) == 1 and type(nu) is Fraction
+        assert calls == [0, 1, 2]
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="slope must be positive"):
+            build_chain(3, steps[:1] + [(steps[1][0], Fraction(0))])
 
 
 def test_index_range_errors() -> None:
