@@ -23,7 +23,7 @@ from .typecalc import (
     EquivWitness,
     Type,
     equivalent,
-    okutsu_data,
+    okutsu_core,
     optimize,
     ord_type,
     representative,
@@ -70,7 +70,7 @@ __all__ = [
     "EquivWitness",
     "Type",
     "equivalent",
-    "okutsu_data",
+    "okutsu_core",
     "optimize",
     "ord_type",
     "representative",

@@ -220,6 +220,11 @@ def cmd_representative(args: argparse.Namespace) -> int:
     return 0
 
 
+# argparse reads a separate argument that starts with "-" and has no space
+# as an option, so "--poly -x" fails; "--poly=-x" does not.
+_POLY_HELP = "inline polynomial expression in x; write --poly=EXPR if EXPR starts with -"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="omfactor",
@@ -229,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_factor = sub.add_parser("factor", help="factor a monic squarefree polynomial")
     p_factor.add_argument("--prime", type=int, required=True)
-    p_factor.add_argument("--poly", help="inline polynomial expression in x")
+    p_factor.add_argument("--poly", help=_POLY_HELP)
     p_factor.add_argument("--file", help="file with an expression or JSON coefficients")
     p_factor.add_argument("--json", action="store_true")
     p_factor.add_argument("--trace", action="store_true")
@@ -244,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a chain on a polynomial")
     p_eval.add_argument("--file", help="chain JSON document")
-    p_eval.add_argument("--poly", help="inline polynomial expression in x")
+    p_eval.add_argument("--poly", help=_POLY_HELP)
     p_eval.add_argument("--level", type=int, action="append")
     p_eval.add_argument("--residual", action="store_true")
     p_eval.add_argument("--json", action="store_true")

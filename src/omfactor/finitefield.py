@@ -488,14 +488,6 @@ def _factor_squarefree(F: Fq, w: list) -> list[list]:
     return out
 
 
-def modular_gcd(field: Fq, a: Poly, b: Poly) -> list:
-    """Monic gcd of rational polynomials a and b reduced into the prime
-    field, as a coefficient list; p divides no denominator."""
-    p = field.p
-    a, b = ([c.numerator * pow(c.denominator, -1, p) % p for c in g.coeffs] for g in (a, b))
-    return _pgcd(field, _trim(field, a), _trim(field, b))
-
-
 def factor_sort_key(g: Poly):
     return (g.degree, tuple(c.flat_key() for c in g.coeffs))
 

@@ -11,8 +11,8 @@ t's top level r is stationary (e_r = f_r = 1), replaces it by (phi, nu_r +
 lam), so every type the walk builds is optimal. phi is walked once per side,
 by that side's augment, and once more under a replaced top, to check psi_top.
 A branch with order 1 closes in _close, the one place a certificate is built;
-it checks itself, and its NodeClose event and its entry in the certificates
-go into the walk's one RunResult together, with the node count and floor.
+it checks itself, and its NodeClose event goes into the walk's one
+RunResult, whose certificates are read from those events.
 
 If phi divides f exactly, phi is itself a p-adic prime factor; the driver
 swaps in an equivalent representative perturbed beyond every other branch
@@ -32,12 +32,12 @@ from fractions import Fraction
 
 from .arith import INF, Poly, content_vp, qpoly
 from .errors import InternalError, PreconditionError
-from .finitefield import Fq, fq_factor, modular_gcd
+from .finitefield import Fq, _pgcd, fq_factor
 from .polygon import NewtonPolygon, lower_hull
 from .record import Record
 from .residual import ResidualResult, graded_lift, line_residual, r0, ri
 from .typecalc import (
-    Type, _lift_representative, is_representative, is_stationary_level, okutsu_data, ord_type)
+    Type, _lift_representative, is_representative, is_stationary_level, okutsu_core, ord_type)
 from .valuation import augment, empty_chain, expansion_points
 
 _MAX_NODES = 10000
@@ -51,8 +51,8 @@ _EVAL_MAX_BITS = 256
 
 class FactorCertificate(Record):
     """A p-adic prime factor: a representative of a type, and that type,
-    from which the rest derive: slopes, degree, e, f, okutsu_depth and
-    okutsu_frame."""
+    from which the rest derive: slopes, degree, e, f, and okutsu_depth and
+    okutsu_frame, the order and keys of the type's okutsu_core."""
 
     __slots__ = ("approximation", "final_type",
                  "slopes", "degree", "e", "f", "okutsu_depth", "okutsu_frame")
@@ -62,9 +62,9 @@ class FactorCertificate(Record):
         if not is_representative(t, approximation):
             raise PreconditionError("approximation is not a representative of the type")
         degree, e = t.degree(), t.chain.e_cum[-1]
-        depth, frame = okutsu_data(t)
+        core = okutsu_core(t).chain
         super().__init__(approximation, t, tuple(lev.nu for lev in t.chain.levels),
-                         degree, e, degree // e, depth, tuple(frame))
+                         degree, e, degree // e, core.r, tuple(lev.phi for lev in core.levels))
 
 
 class RootResidual(Record):
@@ -97,21 +97,24 @@ class NodeClose(Record):
 
 class RunResult(Record):
     """The record of one walk of the tree, filled while the walk runs: the
-    certificates in walk order, the trace events, the node count and the
-    precision floor, one more than the largest integer ordinate seen on a
-    closing node's polygon (1 if none: every ordinate is nonnegative).
-    Mutable, so not hashable."""
+    trace events, the node count and the precision floor, one more than the
+    largest integer ordinate seen on a closing node's polygon (1 if none:
+    every ordinate is nonnegative). Mutable, so not hashable."""
 
-    __slots__ = ("certificates", "events", "nodes", "floor")
+    __slots__ = ("events", "nodes", "floor")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self) -> None:
-        self.certificates: list[FactorCertificate] = []
         self.events: list[object] = []
         self.nodes = 0
         self.floor = 1
+
+    @property
+    def certificates(self) -> list[FactorCertificate]:
+        """The certificate of each NodeClose event, in walk order."""
+        return [e.certificate for e in self.events if isinstance(e, NodeClose)]
 
     def tick(self) -> None:
         self.nodes += 1
@@ -137,10 +140,11 @@ def _is_squarefree(f: Poly) -> bool:
     is quadratic in the bit length, so the proof is tried only while
     bitlen(B) <= _EVAL_MAX_BITS.
 
-    Otherwise, for a prime q dividing no coefficient denominator, f monic makes
-    Res(f, f') mod q equal to Res(f mod q, (f mod q)'), so f mod q coprime to
-    its derivative proves disc f != 0. If no prime proves it, the exact gcd
-    degree decides (_gcd_degree); every non-squarefree f reaches it.
+    Otherwise, for a prime q not dividing D, the integral D f keeps its
+    leading coefficient D modulo q (and its derivative n D, as n < q), so
+    Res(D f, D f') mod q is the resultant of the reductions, and D f mod q
+    coprime to its derivative proves disc f != 0. If no prime proves it, the
+    exact gcd degree decides (_gcd_degree); every non-squarefree f reaches it.
     """
     D = math.lcm(*(c.denominator for c in f.coeffs))
     # F_{n-1}, ..., F_0, with scale = D^(n-i) until it reaches limit: from
@@ -162,11 +166,10 @@ def _is_squarefree(f: Poly) -> bool:
                 value = value * xi + c
             if math.gcd(value, slope) < xi - B:
                 return True
-    df = f.derivative()
+    Df = [c.numerator * (D // c.denominator) for c in f.coeffs]
+    dDf = [k * c for k, c in enumerate(Df)][1:]
     for q in _SQUAREFREE_PRIMES:
-        if any(c.denominator % q == 0 for c in f.coeffs):
-            continue
-        if len(modular_gcd(Fq.prime(q), f, df)) == 1:
+        if D % q and len(_pgcd(Fq.prime(q), [c % q for c in Df], [c % q for c in dDf])) == 1:
             return True
     return _gcd_degree(f) == 0
 
@@ -208,9 +211,8 @@ def _validate_input(f: Poly, p: int) -> None:
 
 def _close(t: Type, run: RunResult, approximation: Poly | None = None) -> None:
     """Close a branch of order 1: approximation is the exact divisor it isolates, if any."""
-    cert = FactorCertificate(_lift_representative(t) if approximation is None else approximation, t)
-    run.events.append(NodeClose(cert))
-    run.certificates.append(cert)
+    run.events.append(NodeClose(FactorCertificate(
+        _lift_representative(t) if approximation is None else approximation, t)))
 
 
 def _perturbed_representative(

@@ -226,11 +226,11 @@ def _check_representative_size(chain: MacLaneChain, psi_top: Poly) -> None:
     """Refuse a type whose representative would exceed the parser's limits.
     The representative has degree D = e_r m_r f and at most D + 1 terms, each
     an integer below p times p^k times keys of total degree at most D, with
-    k at most its value f (e_r V_r + h_r) / e(mu_{r-1}); the l1 norm bounds
-    the bits, as the parser bounds a power."""
-    r, f, top = chain.r, psi_top.degree, chain.at(chain.r)
-    degree = top.e * top.m * f
-    k = f * chain.key_value(r) // chain.e_cum[r - 1] if r else 0
+    k at most its value f e_r (e_r V_r + h_r) / e(mu_r), 0 at r = 0; the l1
+    norm bounds the bits, as the parser bounds a power."""
+    f = psi_top.degree
+    degree = chain.next_key_degree(f)
+    k = chain.next_key_value(f) // chain.e_cum[chain.r]
     keys = max((_size_bits(lev.phi.coeffs) for lev in chain.levels), default=0)
     bits = (k + 1) * chain.p.bit_length() + degree * keys + (degree + 1).bit_length()
     try:

@@ -44,9 +44,8 @@ class Type(Record):
         return self.psi_top.degree
 
     def degree(self) -> int:
-        """Degree of the factors singled out: e(mu_r) * m_r-growth * f_top."""
-        top = self.chain.at(self.chain.r)
-        return top.e * top.m * self.psi_top.degree
+        """Degree e_r m_r f_top of the factors singled out."""
+        return self.chain.next_key_degree(self.psi_top.degree)
 
 
 def ord_type(t: Type, g: Poly, res: ResidualResult | None = None) -> int:
@@ -136,25 +135,20 @@ def okutsu_core(t: Type) -> Type:
     return t_o
 
 
-def okutsu_data(t: Type) -> tuple[int, list[Poly]]:
-    """Okutsu depth and frame: order and keys of the core (okutsu_core).
-
-    A stationary top level contributes its refinement to the approximation
-    but not to the frame.
-    """
-    core = okutsu_core(t).chain
-    return core.r, [lev.phi for lev in core.levels]
-
-
 class EquivWitness(Record):
-    __slots__ = ("equivalent", "failed", "etas", "degenerate")
+    __slots__ = ("failed", "etas", "degenerate")
+
+    @property
+    def equivalent(self) -> bool:
+        """The verdict: no condition failed."""
+        return self.failed is None
 
     def __bool__(self) -> bool:
         return self.equivalent
 
 
 def _fail(reason: str, etas: list[FqElt], degenerate: bool = False) -> EquivWitness:
-    return EquivWitness(False, reason, tuple(etas), degenerate)
+    return EquivWitness(reason, tuple(etas), degenerate)
 
 
 def equivalent(ta: Type, tb: Type) -> EquivWitness:
@@ -202,4 +196,4 @@ def equivalent(ta: Type, tb: Type) -> EquivWitness:
     if not is_representative(ta_o, _lift_representative(tb_o)):
         degen = r > 0 and ta_o.psi_top.evaluate(-etas[r - 1]) == A.fields[r].zero
         return _fail("psi_top", etas, degen)
-    return EquivWitness(True, None, tuple(etas), False)
+    return EquivWitness(None, tuple(etas), False)

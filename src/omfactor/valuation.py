@@ -72,6 +72,11 @@ class MacLaneChain(Record):
         """Value d e_r (e_r V_r + h_r) of a key with top residual of degree d."""
         return d * self.at(self.r).e * self.key_value(self.r)
 
+    def next_key_degree(self, d: int) -> int:
+        """Degree d e_r m_r of a key with top residual of degree d."""
+        top = self.at(self.r)
+        return d * top.e * top.m
+
     def residual_value(self, i: int, res: ResidualResult) -> int:
         """Normalized value v_i(g) = e_i u_i + h_i s_i of res = ri(chain, i, g)."""
         lev = self.at(i)
@@ -141,7 +146,7 @@ def key_check(chain: MacLaneChain, phi: Poly) -> tuple[bool, str, ResidualResult
         return True, "key equivalent to the current key (improper step)", None, None
     if res.poly.degree == 0:
         return False, "residual polynomial is constant", res, None
-    if phi.degree != top.e * top.m * res.poly.degree:
+    if phi.degree != chain.next_key_degree(res.poly.degree):
         return False, "degree differs from e * m * deg(residual)", res, None
     if not res.poly.is_monic():
         raise InternalError("residual of a key polynomial must be monic")

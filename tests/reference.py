@@ -197,7 +197,7 @@ def flatten_field(field: Fq) -> tuple[Fq, list[FqElt]]:
 
 
 def _fail(reason: str, etas: list[FqElt], degenerate: bool = False) -> EquivWitness:
-    return EquivWitness(False, reason, tuple(etas), degenerate)
+    return EquivWitness(reason, tuple(etas), degenerate)
 
 
 def equivalent_by_transport(ta: Type, tb: Type) -> EquivWitness:
@@ -252,7 +252,7 @@ def equivalent_by_transport(ta: Type, tb: Type) -> EquivWitness:
             return _fail(f"psi@{j}" if j < r else "psi_top", etas, degen)
         if j < r:
             images.append(lift_from(dst, A.fields[j + 1].gen()) + shift)
-    return EquivWitness(True, None, tuple(etas), False)
+    return EquivWitness(None, tuple(etas), False)
 
 
 def _pth_root(g: Poly) -> Poly:

@@ -142,6 +142,14 @@ def test_factor_file_inputs_match_inline(capsys, tmp_path) -> None:
     assert code == 0 and out == inline_out
 
 
+def test_poly_starting_with_minus_after_an_equals_sign(capsys, tmp_path) -> None:
+    """--poly=EXPR takes an expression that starts with -, which argparse
+    would read as an option if given as a separate argument."""
+    _, want, _ = run_cli(capsys, ["factor", "--prime", "3", "--poly", "x^2 - 2"])
+    assert run_cli(capsys, ["factor", "--prime", "3", "--poly=-2+x^2"]) == (0, want, "")
+    assert run_cli(capsys, ["eval", "--file", write_chain(tmp_path), "--poly=-x"])[0] == 0
+
+
 def test_certify_failure_reported_and_floor_override(capsys) -> None:
     code, out, _ = run_cli(capsys, ["factor", "--prime", "3", "--poly", "x^3 - 9*x"])
     assert code == 0

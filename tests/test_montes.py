@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 import oracles
 from genchains import constructed_products, fixture_poly, random_qpoly, sweep_inputs
@@ -29,7 +31,7 @@ from omfactor import (
 )
 from omfactor import montes, valuation
 from omfactor.arith import QQ, content_vp, format_poly, parse_poly, phi_expansion
-from omfactor.finitefield import Fq, modular_gcd
+from omfactor.finitefield import Fq, _pgcd
 from omfactor.montes import (
     _EVAL_MAX_BITS, _SQUAREFREE_PRIMES, ExactDivisor, NodeClose, NodePolygon, _gcd_degree,
     _is_squarefree)
@@ -201,6 +203,63 @@ def test_each_approximation_walks_again_to_an_equivalent_core_type() -> None:
             full += bool(equivalent(first, second))
             certs += 1
     assert (certs, full) == (840, 629)
+
+
+def _polygon_index(E: int, vertices, omega: int) -> int:
+    """ind(N) for the principal polygon N, ordinates scaled by E: over the
+    abscissae x0 < x < x0 + omega, the lattice points above N's last point
+    and on or under N."""
+    end = vertices[0][0] + omega
+    N = [(x, E * y) for x, y in vertices if x <= end]
+    last, total = N[-1][1], 0
+    for (xa, ya), (xb, yb) in zip(N, N[1:]):
+        for x in range(xa + 1, min(xb, end - 1) + 1):
+            total += math.floor(ya + (yb - ya) * (x - xa) / (xb - xa)) - last
+    return total
+
+
+def test_index_theorem_matches_the_discriminant(monkeypatch) -> None:
+    """The Theorem of the index (Guardia, Montes and Nart, Newton polygons of
+    higher order in algebraic number theory, Trans. AMS 364, 2012) as an
+    oracle that shares no code with the walk: ind(f) is the sum over the
+    walk's nodes of f_0...f_r ind(N). For tame factors (p not dividing any
+    e), v_p(disc f) = 2 ind(f) + sum f (e - 1), sympy computing disc f;
+    a wild factor adds at least its f to the different."""
+    calls = []
+    branch = montes._branch
+
+    def recorded(t, f, omega, run_):
+        calls.append(t)
+        return branch(t, f, omega, run_)
+
+    monkeypatch.setattr(montes, "_branch", recorded)
+    inputs = (sweep_inputs(random.Random(1), 300)
+              + [(f, p) for f, p, _ in constructed_products(random.Random(1), 40)]
+              + _nested_towers(random.Random(1), 20))
+    kinds = Counter()
+    for f, p in inputs:
+        calls.clear()
+        try:
+            result = run(f, p)
+        except PreconditionError:
+            continue
+        polygons = [e for e in result.events if isinstance(e, NodePolygon)]
+        assert len(polygons) == len(calls)
+        index = 0
+        for t, node in zip(calls, polygons):
+            chain, r = t.chain, t.chain.r
+            weight = chain.fields[r].deg_abs * t.psi_top.degree
+            index += weight * _polygon_index(chain.e_cum[r], node.vertices, node.principal_length)
+        disc = sympy.Poly(list(reversed(list(f))), oracles.X, domain="QQ").discriminant()
+        gap = oracles.vp_fraction(Fraction(int(disc.p), int(disc.q)), p) - 2 * index
+        certs = result.certificates
+        tame, different = all(c.e % p for c in certs), sum(c.f * (c.e - 1) for c in certs)
+        if tame:
+            assert gap == different, (format_poly(f), p)
+        else:
+            assert gap >= different + sum(c.f for c in certs if c.e % p == 0), (format_poly(f), p)
+        kinds[tame] += 1
+    assert (kinds[True], kinds[False]) == (250, 103)
 
 
 def _random_squarefree(rng: random.Random, p: int, max_deg: int = 8):
@@ -480,18 +539,18 @@ Z = "Z"
 
 def _gcd_rings(monkeypatch) -> list:
     """Record the coefficient ring of every gcd the driver makes: the prime
-    field of each modular_gcd call, Z for each exact _gcd_degree call."""
+    field of each modular _pgcd call, Z for each exact _gcd_degree call."""
     rings: list = []
 
     def modular(field, a, b):
         rings.append(field)
-        return modular_gcd(field, a, b)
+        return _pgcd(field, a, b)
 
     def exact(f):
         rings.append(Z)
         return _gcd_degree(f)
 
-    monkeypatch.setattr(montes, "modular_gcd", modular)
+    monkeypatch.setattr(montes, "_pgcd", modular)
     monkeypatch.setattr(montes, "_gcd_degree", exact)
     return rings
 
@@ -550,7 +609,7 @@ def _wide_family(rng: random.Random) -> list[tuple[Poly, int]]:
 def test_valid_generated_inputs_need_no_euclidean_gcd(monkeypatch) -> None:
     """Every squarefree input of the seed-1 sweep, the wide family, the
     constructed products and the nested-tower slice is proved squarefree
-    by the evaluation alone: no modular_gcd and no _gcd_degree call. The
+    by the evaluation alone: no modular gcd and no _gcd_degree call. The
     rejected sweep inputs still get their verdict from the exact gcd."""
     inputs = (sweep_inputs(random.Random(1), 300) + _wide_family(random.Random(59))
               + [(f, p) for f, p, _ in constructed_products(random.Random(2014), 40)]

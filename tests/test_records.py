@@ -139,6 +139,27 @@ def test_no_source_assigns_a_field_element_slot() -> None:
     assert found == []
 
 
+def test_no_source_imports_an_unused_name() -> None:
+    """Every name a module of src/omfactor imports is read somewhere in it,
+    as a name or the base of an attribute, annotations included. The package
+    __init__ only re-exports, so it is left out."""
+    unused = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "omfactor").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_cli_import_loads_no_dataclasses() -> None:
     """A fresh interpreter, since pytest itself loads these modules; -S keeps
     site hooks, which may load them, out of the count."""

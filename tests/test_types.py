@@ -36,7 +36,6 @@ from omfactor import (
     equivalent,
     factorize,
     graded_lift,
-    okutsu_data,
     optimize,
     ord_type,
     parse_poly,
@@ -221,9 +220,9 @@ def test_representative_degree_and_ord() -> None:
 
 def test_okutsu_fixture() -> None:
     t4 = fixture_t4()
-    depth, frame = okutsu_data(t4)
-    assert depth == 2
-    assert frame == [qpoly([0, 1]), qpoly([15, 0, 1])]
+    core = okutsu_core(t4).chain
+    assert core.r == 2
+    assert [lev.phi for lev in core.levels] == [qpoly([0, 1]), qpoly([15, 0, 1])]
 
 
 def test_okutsu_truncates_stationary_top() -> None:
@@ -233,14 +232,14 @@ def test_okutsu_truncates_stationary_top() -> None:
     assert chain2.level(2).e == 1 and chain2.level(2).m == 1
     top = chain2.fields[2]
     linear_top = Type(chain2, ypoly(top, [1, 1]))
-    assert okutsu_data(linear_top) == (0, [])
     # optimize merges level 1 into level 2, whose stationary top the core drops.
     core = okutsu_core(linear_top)
+    assert (core.chain.r, [lev.phi for lev in core.chain.levels]) == (0, [])
     assert core.order == 0 and core.psi_top == optimize(linear_top).chain.level(1).psi_prev
     quad_top = Type(chain2, random_irreducible(random.Random(3), top, 2, proper=True))
-    depth, frame = okutsu_data(quad_top)
-    assert depth == 1
-    assert frame == [qpoly([3, 1])]
+    core = okutsu_core(quad_top).chain
+    assert core.r == 1
+    assert [lev.phi for lev in core.levels] == [qpoly([3, 1])]
 
 
 def test_equivalent_reflexive() -> None:
