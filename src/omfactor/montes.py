@@ -171,17 +171,17 @@ def _is_squarefree(f: Poly) -> bool:
     for q in _SQUAREFREE_PRIMES:
         if D % q and len(_pgcd(Fq.prime(q), [c % q for c in Df], [c % q for c in dDf])) == 1:
             return True
-    return _gcd_degree(f) == 0
+    return _gcd_degree(Df) == 0
 
 
-def _gcd_degree(f: Poly) -> int:
-    """deg gcd(f, f') for a rational f of degree >= 1, by the primitive
-    pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1) of D f and
-    its derivative, D the lcm of the denominators: every remainder is divided
-    by its content, which keeps the coefficient growth polynomial."""
-    D = math.lcm(*(c.denominator for c in f.coeffs))
-    a = [c.numerator * (D // c.denominator) for c in reversed(f.coeffs)]
-    b = [c * k for c, k in zip(a, range(f.degree, 0, -1))]
+def _gcd_degree(F: list[int]) -> int:
+    """deg gcd(F, F') for the integer coefficients F of a polynomial of
+    degree >= 1, constant first (D f, as _is_squarefree builds it), by the
+    primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2, 4.6.1):
+    every remainder is divided by its content, which keeps the coefficient
+    growth polynomial."""
+    a = F[::-1]
+    b = [c * k for c, k in zip(a, range(len(a) - 1, 0, -1))]
     while len(b) > 1:
         a, b = b, _primitive_prem(a, b)
     return 0 if b else len(a) - 1

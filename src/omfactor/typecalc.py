@@ -7,6 +7,9 @@ the factorization tree: ord_type counts how often psi_top divides the top
 residual polynomial. is_representative() walks a monic polynomial of the
 type's degree once, to check its residual is psi_top; optimize() reads the
 collapsed type's psi_top from a representative's walk over the merged chain.
+A type derives its optimal type (optimize) and its lifted representative
+(_lift_representative) on first use and keeps them, so later calls on the
+same Type object repeat no collapse and no lift; every check still walks.
 
 Two types are equivalent when they induce the same valuation and select the
 same branch. The decision procedure optimizes both sides, matches slopes
@@ -21,19 +24,32 @@ from __future__ import annotations
 from .arith import INF, Poly, qpoly
 from .errors import InternalError, PreconditionError
 from .finitefield import FqElt, multiplicity_of
-from .record import Record
+from .record import Record, _set
 from .residual import ResidualResult, graded_lift, ri
 from .valuation import MacLaneChain, collapse_step
 
 
 class Type(Record):
-    __slots__ = ("chain", "psi_top")
+    """A chain and psi_top. Its optimal type and its lifted representative
+    are derived on first use (optimize, _lift_representative) and kept in
+    the last two slots, which equality, hashing and repr leave out."""
+
+    __slots__ = ("chain", "psi_top", "_optimal", "_representative")
 
     def __init__(self, chain: MacLaneChain, psi_top: Poly) -> None:
-        super().__init__(chain, psi_top)
+        _set(self, "chain", chain)
+        _set(self, "psi_top", psi_top)
+        _set(self, "_optimal", None)
+        _set(self, "_representative", None)
         # A type of order r defines the next residue field F_r[y]/(psi_top):
         # extend checks the modulus, and augment reuses the interned field.
         chain.fields[chain.r].extend(psi_top)
+
+    def _values(self) -> tuple:
+        return (self.chain, self.psi_top)
+
+    def __repr__(self) -> str:
+        return f"Type(chain={self.chain!r}, psi_top={self.psi_top!r})"
 
     @property
     def order(self) -> int:
@@ -90,18 +106,23 @@ def representative(t: Type) -> Poly:
 
 
 def _lift_representative(t: Type) -> Poly:
-    """representative(t) from the top key and graded lifts, with no walk."""
+    """representative(t) from the top key and graded lifts, with no walk;
+    lifted on the first call for t and kept in t from then on."""
+    if t._representative is not None:
+        return t._representative
     chain, psi = t.chain, t.psi_top
     r = chain.r
     if r == 0:
-        return qpoly([c.lift_int() for c in psi.coeffs])
-    lev = chain.level(r)
-    step = chain.key_value(r)
-    phi = lev.phi ** (lev.e * psi.degree)
-    for j, beta in enumerate(psi.coeffs[:-1]):
-        if beta:
-            lift = graded_lift(chain, r, (psi.degree - j) * step, beta)
-            phi = phi + lift * lev.phi ** (lev.e * j)
+        phi = qpoly([c.lift_int() for c in psi.coeffs])
+    else:
+        lev = chain.level(r)
+        step = chain.key_value(r)
+        phi = lev.phi ** (lev.e * psi.degree)
+        for j, beta in enumerate(psi.coeffs[:-1]):
+            if beta:
+                lift = graded_lift(chain, r, (psi.degree - j) * step, beta)
+                phi = phi + lift * lev.phi ** (lev.e * j)
+    _set(t, "_representative", phi)
     return phi
 
 
@@ -119,9 +140,16 @@ def _collapse(t: Type, dropped: set[int]) -> Type:
 
 def optimize(t: Type) -> Type:
     """Collapse every stationary level below the top in one rebuild: the
-    optimal type that collapsing them one at a time, highest first, reaches."""
-    st = {i for i in range(1, t.chain.r) if is_stationary_level(t, i)}
-    return _collapse(t, st) if st else t
+    optimal type that collapsing them one at a time, highest first, reaches.
+    Computed on the first call for t and kept in t; the optimal type keeps
+    itself as its own, since collapsing leaves no stationary level below
+    the top."""
+    if t._optimal is None:
+        st = {i for i in range(1, t.chain.r) if is_stationary_level(t, i)}
+        opt = _collapse(t, st) if st else t
+        _set(opt, "_optimal", opt)
+        _set(t, "_optimal", opt)
+    return t._optimal
 
 
 def okutsu_core(t: Type) -> Type:

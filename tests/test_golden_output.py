@@ -36,7 +36,9 @@ F_64 = F_4[y]/(y^3 + z0). The representative cases were written by the
 code that read each document afresh on every call. Each case starts from an
 empty document memo, and each case that reads type documents (optimize,
 representative, equiv, eval) runs twice, so that its second run reads its
-document from the CLI's document memo.
+document from the CLI's document memo. No second run collapses a chain or
+lifts a representative: a memoized type keeps its optimal type and its
+representative.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from omfactor import cli
+from omfactor import cli, montes, residual, typecalc, valuation
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DEEP_P2 = "(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41"
@@ -108,13 +110,36 @@ CASES = {
 }
 
 
+def _count_derivations(monkeypatch) -> list:
+    """Record every collapse_step and graded_lift call, under each name the
+    package binds them to."""
+    calls: list = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module, name in [(valuation, "collapse_step"), (typecalc, "collapse_step"),
+                         (residual, "graded_lift"), (typecalc, "graded_lift"),
+                         (montes, "graded_lift")]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(capsys, monkeypatch, name: str) -> None:
     monkeypatch.setattr(cli, "_doc_cache", {})
+    derivations = _count_derivations(monkeypatch)
     reads_types = CASES[name][0] in ("optimize", "representative", "equiv", "eval")
-    for _ in range(2 if reads_types else 1):
+    for run in range(2 if reads_types else 1):
+        derivations.clear()
         code = cli.main(CASES[name])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text()
+        # The memoized type keeps its optimal type and representative.
+        if run:
+            assert derivations == []
     assert bool(cli._doc_cache) == reads_types

@@ -42,6 +42,7 @@ from omfactor import (
     qpoly,
     representative,
     ri,
+    typecalc,
 )
 from omfactor.serialize import canonical_json, format_type, type_from_json, type_to_json
 from omfactor.typecalc import f_level, is_stationary_level, okutsu_core
@@ -203,6 +204,77 @@ def test_optimize_equals_stepwise_fixed_point() -> None:
 def test_representative_of_optimized_fixture_is_input() -> None:
     t4 = fixture_t4()
     assert representative(optimize(t4)) == fixture_poly(3)
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Record the arguments of each call of module.name."""
+    calls: list = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_optimize_collapses_a_type_once(monkeypatch) -> None:
+    """The optimal type is derived on the first optimize call and kept: a
+    second call on the same type collapses nothing and returns the same
+    object, which is optimal and is its own optimal type."""
+    collapses = _counting(monkeypatch, typecalc, "collapse_step")
+    types = [fixture_t4(), _deep_raw_type()] + _stationary_types(191, 10)
+    for t in types:
+        collapses.clear()
+        opt = optimize(t)
+        assert len(collapses) == 1
+        assert optimize(t) is opt and optimize(opt) is opt
+        assert len(collapses) == 1
+        assert is_optimal(opt)
+    rng = random.Random(193)
+    for _ in range(10):
+        t = random_type(rng)
+        assert optimize(optimize(t)) is optimize(t)
+        assert is_optimal(optimize(t))
+
+
+def test_representative_lifts_once_and_walks_on_every_call(monkeypatch) -> None:
+    """representative lifts on its first call for a type only, and checks
+    the kept lift with one walk on every call."""
+    lifts = _counting(monkeypatch, typecalc, "graded_lift")
+    walks = _counting(monkeypatch, typecalc, "ri")
+    for t in [fixture_t4(), _deep_raw_type(), optimize(fixture_t4())]:
+        lifts.clear()
+        walks.clear()
+        rep = representative(t)
+        assert lifts and len(walks) == 1
+        lifts.clear()
+        assert representative(t) is rep
+        assert lifts == [] and len(walks) == 2
+
+
+def test_derived_values_leave_a_type_equal_to_a_fresh_copy() -> None:
+    """A type whose optimal type and representative are kept equals, hashes,
+    prints and serializes like a type read afresh from the same document;
+    an optimal type keeps itself, and its repr does not recurse."""
+    for path in (DATA / "golden" / "t4_type.json", DATA / "deep_p2_raw_type.json",
+                 DATA / "golden" / "p5_type.json"):
+        text = path.read_text()
+        used, fresh = (type_from_json(json.loads(text)) for _ in range(2))
+        opt = optimize(used)
+        representative(used)
+        representative(opt)
+        equivalent(used, used)
+        assert used._optimal is opt and opt._optimal is opt
+        assert used._representative is not None and fresh._representative is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert type_to_json(used) == type_to_json(fresh)
+        opt_fresh = Type(opt.chain, opt.psi_top)
+        assert repr(opt) == repr(opt_fresh) and opt == opt_fresh
+        assert hash(opt) == hash(opt_fresh)
+        assert type_to_json(opt) == type_to_json(opt_fresh)
 
 
 def test_representative_degree_and_ord() -> None:
