@@ -13,7 +13,8 @@ from __future__ import annotations
 import decimal
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from operator import not_
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ConfigError, ParseError, PreconditionError
 from .record import Record, _set
@@ -451,7 +452,7 @@ def format_poly(g: Poly) -> str:
     Integer polynomials round-trip through parse_poly; non-integer rational
     coefficients render as num/den, which the integer grammar does not accept.
     """
-    return format_terms(g, decimal_str, "x")
+    return format_terms(g.coeffs, decimal_str, "x", not_)
 
 
 def decimal_str(q: int | Fraction) -> str:
@@ -464,16 +465,16 @@ def decimal_str(q: int | Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
-def format_terms(g: Poly, render, var: str) -> str:
-    """Render a polynomial highest power first, each coefficient as
-    render(c). A coefficient rendered 1 or -1 prints as the bare power, a
-    leading - joins as ' - ', and a rendering with a space is parenthesized."""
-    if g.is_zero():
-        return "0"
+def format_terms(coeffs: Sequence, render, var: str, is_zero) -> str:
+    """Render a polynomial, given its coefficients constant term first,
+    highest power first, each coefficient c with is_zero(c) false as
+    render(c); with none, "0". A coefficient rendered 1 or -1 prints as the
+    bare power, a leading - joins as ' - ', and a rendering with a space is
+    parenthesized."""
     parts: list[str] = []
-    for k in range(g.degree, -1, -1):
-        c = g.coeff(k)
-        if not c:
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if is_zero(c):
             continue
         body = render(c)
         if " " in body:
@@ -492,4 +493,4 @@ def format_terms(g: Poly, render, var: str) -> str:
             parts.append(f"- {body[1:]}")
         else:
             parts.append(f"+ {body}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"

@@ -5,7 +5,8 @@ deterministic: identical inputs produce byte-identical text or JSON.
 Exit codes: 0 success, 2 parse or configuration error, 3 precondition
 failure reported by the library, 4 internal error (a failed consistency
 check or the exhausted node budget). Each type or chain document text is
-decoded and validated once per process (_load_doc).
+decoded and validated once per process (_load_doc), and an argv that
+starts with a command word goes straight to that command's parser (_parse).
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ def cmd_representative(args: argparse.Namespace) -> int:
 _POLY_HELP = "inline polynomial expression in x; write --poly=EXPR if EXPR starts with -"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command word's subparser."""
     top = argparse.ArgumentParser(
         prog="omfactor",
         description="Exact p-adic polynomial factorization via inductive valuations.",
@@ -265,19 +267,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--json", action="store_true")
     p_rep.set_defaults(fn=cmd_representative)
 
-    return top
+    commands = {"factor": p_factor, "equiv": p_equiv, "eval": p_eval,
+                "optimize": p_opt, "representative": p_rep}
+    return top, commands
 
 
 # Built on the first main call and reused: parse_args fills a fresh
 # namespace on every call, so no value carries over between calls.
 _parser: argparse.ArgumentParser | None = None
+_commands: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The top-level parse_args. A command word's argv goes to that command's
+    parser alone, as the top level would hand it; any other argv, and one
+    with arguments left over, takes the full parse, so help and every error
+    message are the ones the full parse gives."""
+    sub = _commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    global _parser, _commands
     if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+        _parser, _commands = _build_parser()
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except OmError as exc:

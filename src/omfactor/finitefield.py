@@ -10,6 +10,8 @@ equality. F_q[y] has one arithmetic here, the list kernel below (_pmul,
 _pdivmod, _pmonic, ...) on plain lists of element vectors: a tower product
 is the kernel's product of the two chunk lists over the base, reduced by the
 modulus, and Poly over F_q is only the container that commands pass around.
+The residual walk (Fq._reduce, the kernel product) and the text writer
+(Fq._chunks) read vectors too, and build no Poly over a lower field.
 Factorization is squarefree / distinct-degree / equal-degree
 splitting with a deterministic candidate sequence, run on plain lists of
 element vectors (no FqElt per operation), and factor lists are sorted
@@ -76,10 +78,6 @@ class FqElt:
         if self.field.base is None:
             raise PreconditionError("coords of a prime-field element")
         return [FqElt(self.field.base, c) for c in self.field._chunks(self.rep)]
-
-    def poly(self) -> Poly:
-        """The element as a reduced polynomial over the immediate base field."""
-        return Poly(self.field.base, self.coords())
 
     def flat_key(self) -> tuple[int, ...]:
         """Absolute coordinate vector over the prime field, balanced.

@@ -8,9 +8,10 @@ and hashes by the tuple of its field values, in slot order, and prints as
 A subclass defines `__init__`, storing through `_set`, only to check or
 derive fields (`Type`, `FactorCertificate`), to normalize them (`Poly`), to
 give defaults (`RunResult`), or on a measured hot path (`ResidualResult`).
-A slot that holds a value derived on first use (`ResidualResult._poly`,
-`Type._optimal` and `Type._representative`) is no field: such a record
-overrides `_values` and `__repr__` to list its fields alone.
+A slot that holds a value derived on first use (`ResidualResult._poly`
+and `_vecs`, with `_field` the field they lie over, and `Type._optimal`
+and `Type._representative`) is no field: such a record overrides
+`_values` and `__repr__` to list its fields alone.
 `finitefield.FqElt`, built and compared on every tower operation, stays
 outside: the base made its build 2x and its comparison 10x slower.
 """

@@ -8,10 +8,12 @@ and recurses on coefficient tuples down to r0, building no Poly for an
 expansion coefficient. expansion_entries gives (s, u_s, R_j(a_s)) for each
 nonzero a_s, with u_s = v_j(a_s phi^s) normalized (the polygon points are
 (s, u_s / e(mu_j))), and line_residual picks the line from the values alone.
-R_i is built on the first read of .poly, from the on-line entries only, so
-reading a value builds none: each on-line entry contributes its lower-level
-residual evaluated at the tower generator, twisted by a power of that
-generator set by the previous Bezout pair.
+R_i is built on first use, from the on-line entries only, so reading a
+value builds none. It is built as coordinate vectors over the level's
+residue field, constant term first: each on-line entry's lower-level
+vectors reduced into F_i (Fq._reduce), twisted by a power of the tower
+generator set by the previous Bezout pair (the kernel product). A Poly is
+built only on a read of .poly, so only at the level a caller reads.
 
 graded_lift inverts the residual map on homogeneous pieces: given a target
 normalized degree W >= V_i and a nonzero residue beta, it produces an
@@ -33,10 +35,12 @@ if TYPE_CHECKING:
 
 class ResidualResult(Record):
     """Residual data (s, u, R). R is given as a Poly, or as a function that
-    builds it on the first read of .poly; it is kept from then on.
-    Immutable, and compared by value."""
+    builds it on the first read of .poly; it is kept from then on. The walk
+    gives R as a function that builds its coordinate vectors over _field
+    (_from_vectors); .poly then wraps them in a Poly. Immutable, and
+    compared by value."""
 
-    __slots__ = ("s", "u", "_poly")
+    __slots__ = ("s", "u", "_poly", "_field", "_vecs")
 
     # Not the base constructor: one is built per walk step, and the base's
     # argument handling made an in-process deep_tower run about 8 % slower.
@@ -44,12 +48,30 @@ class ResidualResult(Record):
         _set(self, "s", s)
         _set(self, "u", u)
         _set(self, "_poly", poly)
+        _set(self, "_field", None)
+        _set(self, "_vecs", None)
 
     @property
     def poly(self) -> Poly:
-        if not isinstance(self._poly, Poly):
-            _set(self, "_poly", self._poly())
-        return self._poly
+        poly = self._poly
+        if not isinstance(poly, Poly):
+            field = self._field
+            if field is None:
+                poly = poly()
+            else:
+                poly = Poly(field, [FqElt(field, v) for v in self._vectors()])
+            _set(self, "_poly", poly)
+        return poly
+
+    def _vectors(self) -> list:
+        """R's coefficients as coordinate vectors over _field, constant term
+        first, trailing zeros stripped; for walk results only. Built on the
+        first call and kept."""
+        vecs = self._vecs
+        if type(vecs) is not list:
+            vecs = vecs()
+            _set(self, "_vecs", vecs)
+        return vecs
 
     def _values(self) -> tuple:
         return (self.s, self.u, self.poly)
@@ -58,22 +80,36 @@ class ResidualResult(Record):
         return f"ResidualResult(s={self.s!r}, u={self.u!r}, poly={self.poly!r})"
 
 
+def _from_vectors(s: int, u: int, field: Fq, vectors: Callable[[], list]) -> ResidualResult:
+    """Residual data whose R over field is built by vectors() on first use."""
+    res = object.__new__(ResidualResult)
+    _set(res, "s", s)
+    _set(res, "u", u)
+    _set(res, "_poly", None)
+    _set(res, "_field", field)
+    _set(res, "_vecs", vectors)
+    return res
+
+
 def r0(p: int, coeffs: tuple) -> ResidualResult:
     """Level-0 data of a nonzero g, given its coefficient tuple: content
     valuation u and (g / p^u) mod p."""
     if not coeffs:
         raise PreconditionError("residual of the zero polynomial")
     u = _content_vp(coeffs, p)
+    field = Fq.prime(p)
 
-    def build() -> Poly:
+    def vectors() -> list:
         if u >= 0:
             pu = p ** u  # divides every coefficient, so // is exact on ints
-            scaled = [c // pu if type(c) is int else c / pu for c in coeffs]
+            out = [c // pu % p if type(c) is int else field.coerce(c / pu).rep for c in coeffs]
         else:
-            scaled = [c * p ** -u for c in coeffs]
-        return Poly(Fq.prime(p), scaled)
+            out = [field.coerce(c * p ** -u).rep for c in coeffs]
+        while not out[-1]:
+            out.pop()
+        return out
 
-    return ResidualResult(0, u, build)
+    return _from_vectors(0, u, field, vectors)
 
 
 def ri(chain: MacLaneChain, i: int, g: Poly) -> ResidualResult:
@@ -97,14 +133,18 @@ def expansion_entries(chain: MacLaneChain, j: int, phi: Poly, V: int, coeffs: tu
     """(s, u_s, R_j(a_s)) for each nonzero a_s of g = sum a_s phi^s, given
     g's coefficient tuple, where u_s = v_j(a_s) + s V, the normalized value
     of a_s phi^s if V = v_j(phi)."""
-    subs = [(s, _walk(chain, j, a)) for s, a in enumerate(phi_expansion(coeffs, phi)) if a]
-    return [(s, chain.residual_value(j, sub) + s * V, sub) for s, sub in subs]
+    out = []
+    for s, a in enumerate(phi_expansion(coeffs, phi)):
+        if a:
+            sub = _walk(chain, j, a)
+            out.append((s, chain.residual_value(j, sub) + s * V, sub))
+    return out
 
 
 def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
     """Level-i residual data from the entries of the phi_i-expansion: the
     left endpoint of the slope-lambda_i line, and R_i built on that line
-    at the first read of .poly."""
+    on first use."""
     if not entries:
         raise InternalError("empty expansion of a nonzero polynomial")
     lev = chain.level(i)
@@ -120,15 +160,17 @@ def line_residual(chain: MacLaneChain, i: int, entries: list) -> ResidualResult:
     if any((s - s_i) % e for s, _, _ in line):
         raise InternalError("on-line abscissa not congruent to the left endpoint")
 
-    def build() -> Poly:
-        field, z, prev = chain.fields[i], chain.z(i - 1), chain.at(i - 1)
-        coeffs = [field.zero] * ((line[-1][0] - s_i) // e + 1)
-        for s, _, sub in line:
-            a, n = field.from_poly(sub.poly), prev.lp * sub.s - prev.l * sub.u
-            coeffs[(s - s_i) // e] = a * z ** n if n else a
-        return Poly(field, coeffs)
+    field = chain.fields[i]
 
-    return ResidualResult(s_i, u_i, build)
+    def vectors() -> list:
+        z, prev, mul = chain.z(i - 1), chain.at(i - 1), field._kernel._mul
+        out = [field.zero.rep] * ((line[-1][0] - s_i) // e + 1)
+        for s, _, sub in line:
+            a, n = field._reduce(sub._vectors()), prev.lp * sub.s - prev.l * sub.u
+            out[(s - s_i) // e] = mul(a, (z ** n).rep) if n else a
+        return out
+
+    return _from_vectors(s_i, u_i, field, vectors)
 
 
 def graded_lift(chain: MacLaneChain, i: int, W: int, beta: FqElt) -> Poly:

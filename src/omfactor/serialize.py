@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import not_
 
 from .arith import Poly, _check_size, _size_bits, decimal_str, format_poly, format_terms, qpoly
 from .errors import ConfigError, InternalError, ParseError, PreconditionError
-from .finitefield import Fq, FqElt
+from .finitefield import Fq, FqElt, balanced_int
 from .montes import (
     BranchStart,
     ExactDivisor,
@@ -271,14 +272,23 @@ def format_fraction(q: Fraction) -> str:
 
 
 def format_fq_elt(a: FqElt) -> str:
-    if a.field.base is None:
-        return str(a.lift_int())
-    return format_fq_poly(a.poly(), f"z{a.field.level - 1}")
+    return _format_vector(a.field, a.rep)
+
+
+def _format_vector(field: Fq, rep) -> str:
+    """The element of field with coordinate vector rep: a balanced integer
+    over the prime field, else a polynomial in the field's generator whose
+    coefficients are its chunks over the base (Fq._chunks), rendered alike."""
+    base = field.base
+    if base is None:
+        return str(balanced_int(rep, field.p))
+    return format_terms(field._chunks(rep), lambda c: _format_vector(base, c),
+                        f"z{field.level - 1}", base.zero.rep.__eq__)
 
 
 def format_fq_poly(g: Poly, var: str = "y") -> str:
     """Residue polynomial as text, highest power first, balanced coordinates."""
-    return format_terms(g, format_fq_elt, var)
+    return format_terms(g.coeffs, format_fq_elt, var, not_)
 
 
 def format_chain(chain: MacLaneChain) -> str:

@@ -5,8 +5,9 @@ A type pairs a chain with a monic irreducible polynomial psi_top over the
 top residue field (psi_top != y above order 0). It selects one branch of
 the factorization tree: ord_type counts how often psi_top divides the top
 residual polynomial. is_representative() walks a monic polynomial of the
-type's degree once, to check its residual is psi_top; optimize() reads the
-collapsed type's psi_top from a representative's walk over the merged chain.
+type's degree once, to check its residual is psi_top, and compares their
+coordinate vectors; optimize() reads the collapsed type's psi_top from a
+representative's walk over the merged chain.
 A type derives its optimal type (optimize) and its lifted representative
 (_lift_representative) on first use and keeps them, so later calls on the
 same Type object repeat no collapse and no lift; every check still walks.
@@ -89,11 +90,13 @@ def is_stationary_level(t: Type, i: int) -> bool:
 
 
 def is_representative(t: Type, g: Poly) -> bool:
-    """Whether g is monic of the type's degree with residual (0, *, psi_top)."""
+    """Whether g is monic of the type's degree with residual (0, *, psi_top).
+    Both residuals lie over t.chain.fields[r] (the Type constructor checks
+    psi_top's), so their coordinate vectors decide, and no Poly is built."""
     if not g.is_monic() or g.degree != t.degree():
         return False
     res = ri(t.chain, t.chain.r, g)
-    return res.s == 0 and res.poly == t.psi_top
+    return res.s == 0 and res._vectors() == [c.rep for c in t.psi_top.coeffs]
 
 
 def representative(t: Type) -> Poly:

@@ -12,8 +12,9 @@ residual tower through the tower homomorphism the key shifts induce, and
 factorization and the irreducibility test over a tower field run on
 generic Poly arithmetic, the Euclidean gcd over a field, the Euclidean gcd
 with the divisor made monic on each step, the certify report with one walk
-of f per certificate, and the parser's tokens read one character at a
-time). Polynomial composition and the lambda-components and shears of a
+of f per certificate, the parser's tokens read one character at a time,
+and the text of a residue-field element rendered through its Poly over the
+base). Polynomial composition and the lambda-components and shears of a
 polygon, which only tests use, live here too.
 """
 
@@ -145,6 +146,38 @@ def lift_from(field: Fq, x: FqElt) -> FqElt:
     if cur is None:
         raise InternalError("element does not belong to this tower")
     return FqElt(field, field._pad(x.rep))
+
+
+def elt_poly(a: FqElt) -> Poly:
+    """The element as a reduced polynomial over the immediate base field."""
+    return Poly(a.field.base, a.coords())
+
+
+def format_fq_elt_by_poly(a: FqElt) -> str:
+    """The text of a residue-field element, rendered through elt_poly: over
+    the prime field its balanced integer, else its Poly over the base in the
+    field's generator z_{level - 1}, each coefficient rendered alike."""
+    if a.field.base is None:
+        return str(a.lift_int())
+    g, var = elt_poly(a), f"z{a.field.level - 1}"
+    if g.is_zero():
+        return "0"
+    parts: list[str] = []
+    for k in range(g.degree, -1, -1):
+        c = g.coeff(k)
+        if not c:
+            continue
+        body = format_fq_elt_by_poly(c)
+        if " " in body:
+            body = f"({body})"
+        if k > 0:
+            head = var if k == 1 else f"{var}^{k}"
+            body = {"1": head, "-1": f"-{head}"}.get(body, f"{body}*{head}")
+        if not parts:
+            parts.append(body)
+        else:
+            parts.append(f"- {body[1:]}" if body.startswith("-") else f"+ {body}")
+    return " ".join(parts)
 
 
 def tower_moduli(field: Fq) -> list[Poly]:

@@ -415,6 +415,55 @@ def test_parser_built_once_without_leaks(capsys, tmp_path, monkeypatch) -> None:
     assert builds == [1]
 
 
+def _outcome(capsys, argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of main(argv), argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_command_dispatch_matches_the_full_parse(capsys, tmp_path, monkeypatch) -> None:
+    """main hands an argv that starts with a command word to that command's
+    subparser alone. On help, errors, abbreviations and valid argvs it gives
+    the exit code, stdout and stderr that the top-level parse_args gives."""
+    chain_path, type_path = write_chain(tmp_path), write_type(tmp_path, fixture_t4())
+    argvs = [
+        [],
+        ["-h"],
+        ["frobnicate"],
+        ["fac", "--prime", "3", "--poly", "x"],
+        ["factor", "-h"],
+        ["factor", "--poly", "x - 1"],
+        ["factor", "--prime", "three", "--poly", "x - 1"],
+        ["factor", "--prime", "3", "--poly", "x - 1", "--bogus"],
+        ["factor", "--prime", "3", "--poly", "x - 1", "stray"],
+        ["factor", "--pri", "3", "--poly", "x - 1"],
+        ["factor", "--prime", "3", "--poly", "-x"],
+        ["factor", "--prime", "3", "--poly=-x"],
+        ["eval", "--file", chain_path, "--poly=-x"],
+        ["eval", "--file", chain_path, "--poly", "x", "--level", "x"],
+        ["equiv", type_path],
+        ["equiv", type_path, type_path],
+        ["equiv", type_path, type_path, type_path],
+        ["optimize", "--file", type_path, "--json"],
+        ["representative", "-h"],
+    ]
+    got = [_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser.parse_args(argv))
+    want = [_outcome(capsys, argv) for argv in argvs]
+    assert got == want
+    assert [code for code, _, _ in got] == [2, 0, 2, 2, 0, 2, 2, 2, 2, 0, 2, 3, 0, 2, 2, 0, 2, 0, 0]
+    assert got[3][2].startswith("usage: omfactor [-h]")
+    assert got[7][2].startswith("usage: omfactor [-h]")
+    assert got[7][2].endswith("error: unrecognized arguments: --bogus\n")
+    assert got[8][2].endswith("error: unrecognized arguments: stray\n")
+    assert got[16][2].endswith(f"error: unrecognized arguments: {type_path}\n")
+    assert got[6][2].startswith("usage: omfactor factor [-h]")
+
+
 def test_eval_rejects_chain_with_reducible_key(capsys, tmp_path) -> None:
     path = tmp_path / "chain.json"
     doc = chain_to_json(fixture_chain3())

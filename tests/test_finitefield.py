@@ -15,10 +15,11 @@ from omfactor.finitefield import (
 )
 from genchains import random_fq_elt, random_irreducible, random_type, ypoly
 from reference import (
-    elements, flatten_field, fq_factor_by_poly, gcd_by_monic_steps, is_irreducible, lift_from,
-    map_poly, multiplicity_by_divmod, tower_map, tower_moduli,
+    elements, elt_poly, flatten_field, format_fq_elt_by_poly, fq_factor_by_poly,
+    gcd_by_monic_steps, is_irreducible, lift_from, map_poly, multiplicity_by_divmod, tower_map,
+    tower_moduli,
 )
-from omfactor.serialize import fq_elt_from_json, fq_elt_to_json
+from omfactor.serialize import format_fq_elt, fq_elt_from_json, fq_elt_to_json
 
 
 def small_tower(p: int = 3) -> Fq:
@@ -588,24 +589,41 @@ def test_flat_arithmetic_matches_quotient_ring(p: int, shape: list[int]) -> None
             assert pow(g, n, m) == (g ** n) % m
         assert pow(g, 0, m) == Poly(field, [field.one])
         for a in elems:
-            ap = a.poly()
+            ap = elt_poly(a)
             assert len(a.flat_key()) == field.deg_abs
             assert a.flat_key() == tuple(k for c in a.coords() for k in c.flat_key())
-            assert (-a).poly() == -ap
+            assert elt_poly(-a) == -ap
             assert tower_map(lift_from(top, a), top, images) == lift_from(top, a)
             assert fq_elt_from_json(field, fq_elt_to_json(a)) == a
             if a:
-                assert (a.inverse().poly() * ap) % mod == one
+                assert (elt_poly(a.inverse()) * ap) % mod == one
             for n in range(-3, 7):
                 if n < 0 and not a:
                     continue
-                want = _pow_mod(a.inverse().poly() if n < 0 else ap, abs(n), mod)
-                assert (a ** n).poly() == want
+                want = _pow_mod(elt_poly(a.inverse()) if n < 0 else ap, abs(n), mod)
+                assert elt_poly(a ** n) == want
             for b in elems:
-                bp = b.poly()
-                assert (a * b).poly() == (ap * bp) % mod
-                assert (a + b).poly() == ap + bp
-                assert (a - b).poly() == ap - bp
+                bp = elt_poly(b)
+                assert elt_poly(a * b) == (ap * bp) % mod
+                assert elt_poly(a + b) == ap + bp
+                assert elt_poly(a - b) == ap - bp
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("shape", TOWER_SHAPES)
+def test_element_text_matches_the_poly_rendering(p: int, shape: list[int]) -> None:
+    """format_fq_elt renders an element from its coordinate vector; the
+    reference renders it through its Poly over the base, degree-one levels
+    included (their extra parentheses too)."""
+    rng = random.Random(7000 * p + len(shape))
+    fields = _random_tower(p, shape, rng)
+    for field in fields:
+        for a in _random_elements(field, rng, 12):
+            assert format_fq_elt(a) == format_fq_elt_by_poly(a)
+    top = fields[-1]
+    zs = [lift_from(top, f.gen()) for f in fields[1:]]
+    for a in _random_elements(top, rng, 12) + zs + [-z for z in zs]:
+        assert format_fq_elt(a) == format_fq_elt_by_poly(a)
 
 
 def test_separately_built_fields_agree() -> None:

@@ -33,7 +33,7 @@ from omfactor import (
     ri,
     v_norm,
 )
-from omfactor.finitefield import Fq
+from omfactor import residual
 from omfactor.valuation import expansion_points
 
 
@@ -155,25 +155,58 @@ def test_residual_result_is_a_value() -> None:
         res.s = 1
 
 
-def test_values_build_no_residual_polynomial(monkeypatch) -> None:
-    """v_norm reads (s, u) only: over the chain of the degree-16 p = 2
-    input's certificate it reduces no coefficient into a residue field."""
+def _deep_chain_and_input():
+    """The degree-16 p = 2 input and the chain of its one certificate."""
     f = parse_poly("(((x^2+2)^2 + 2^3*x)^2 + 2^13)^2 + 2^40*x + 2^41")
     [cert] = factorize(f, 2)
-    chain = cert.final_type.chain
-    calls = []
-    from_poly = Fq.from_poly
+    return cert.final_type.chain, f
 
-    def counting(field, g):
-        calls.append(g)
-        return from_poly(field, g)
 
-    monkeypatch.setattr(Fq, "from_poly", counting)
+def test_values_build_no_residual_polynomial(monkeypatch) -> None:
+    """v_norm reads (s, u) only: over the chain of the degree-16 p = 2
+    input's certificate the walk builds no residual's coordinate vectors,
+    while a .poly read builds them."""
+    chain, f = _deep_chain_and_input()
+    built = []
+    from_vectors = residual._from_vectors
+
+    def counting(s, u, field, vectors):
+        def build():
+            built.append(field)
+            return vectors()
+        return from_vectors(s, u, field, build)
+
+    monkeypatch.setattr(residual, "_from_vectors", counting)
     values = [v_norm(chain, i, f) for i in range(chain.r + 1)]
-    assert calls == []
+    assert built == []
     eager = [ri_eager(chain, i, f) for i in range(chain.r + 1)]
     assert values == [chain.residual_value(i, ResidualResult(*e)) for i, e in enumerate(eager)]
-    assert calls
+    assert built == []
+    assert ri(chain, chain.r, f).poly == eager[-1][2]
+    assert built and built[0] is chain.fields[chain.r]
+
+
+def test_poly_read_builds_no_poly_below_its_level(monkeypatch) -> None:
+    """A .poly read of ri(chain, i, f) builds one Poly, over the level-i
+    field: the lower levels' residuals stay coordinate vectors. Over the
+    chain of the degree-16 p = 2 input's certificate, at every level."""
+    chain, f = _deep_chain_and_input()
+    rings = []
+    init = Poly.__init__
+
+    def counting(self, ring, coeffs):
+        rings.append(ring)
+        init(self, ring, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    for i in range(chain.r + 1):
+        want = ri_eager(chain, i, f)[2]
+        rings.clear()
+        res = ri(chain, i, f)
+        assert rings == []
+        assert res.poly == want
+        assert rings == [chain.fields[i]]
+        assert res.poly is res.poly and rings == [chain.fields[i]]
 
 
 def test_ri_rejects_zero() -> None:
