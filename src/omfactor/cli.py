@@ -280,13 +280,15 @@ _commands: dict[str, argparse.ArgumentParser] = {}
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The top-level parse_args. A command word's argv goes to that command's
-    parser alone, as the top level would hand it; any other argv, and one
-    with arguments left over, takes the full parse, so help and every error
-    message are the ones the full parse gives."""
+    parser alone, as the top level would hand it, and gives the namespace
+    the full parse gives; any other argv, and one with arguments left over,
+    takes the full parse, so help and every error message are the ones the
+    full parse gives."""
     sub = _commands.get(argv[0]) if argv else None
     if sub is not None:
         args, rest = sub.parse_known_args(argv[1:])
         if not rest:
+            args.command = argv[0]
             return args
     return _parser.parse_args(argv)
 

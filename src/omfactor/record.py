@@ -6,8 +6,8 @@ and hashes by the tuple of its field values, in slot order, and prints as
 `Name(field=value, ...)`. Records of different classes are never equal.
 
 A subclass defines `__init__`, storing through `_set`, only to check or
-derive fields (`Type`, `FactorCertificate`), to normalize them (`Poly`), to
-give defaults (`RunResult`), or on a measured hot path (`ResidualResult`).
+derive fields (`Type`, `FactorCertificate`, `ResidualResult`), to normalize
+them (`Poly`), or to give defaults (`RunResult`).
 A slot that holds a value derived on first use (`ResidualResult._poly`
 and `_vecs`, with `_field` the field they lie over, and `Type._optimal`
 and `Type._representative`) is no field: such a record overrides

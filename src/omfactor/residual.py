@@ -34,39 +34,37 @@ if TYPE_CHECKING:
 
 
 class ResidualResult(Record):
-    """Residual data (s, u, R). R is given as a Poly, or as a function that
-    builds it on the first read of .poly; it is kept from then on. The walk
-    gives R as a function that builds its coordinate vectors over _field
-    (_from_vectors); .poly then wraps them in a Poly. Immutable, and
-    compared by value."""
+    """Residual data (s, u, R), R a polynomial over a residue field F, held
+    as its coordinate vectors over F, constant term first, trailing zeros
+    stripped. The public constructor takes R as a Poly; the walk gives a
+    function that builds the vectors on first use (_from_vectors), and .poly
+    wraps them in a Poly on its first read. Both are kept from then on.
+    Immutable, and compared by value."""
 
     __slots__ = ("s", "u", "_poly", "_field", "_vecs")
 
-    # Not the base constructor: one is built per walk step, and the base's
-    # argument handling made an in-process deep_tower run about 8 % slower.
-    def __init__(self, s: int, u: int, poly: Poly | Callable[[], Poly]) -> None:
+    def __init__(self, s: int, u: int, poly: Poly) -> None:
         _set(self, "s", s)
         _set(self, "u", u)
         _set(self, "_poly", poly)
-        _set(self, "_field", None)
-        _set(self, "_vecs", None)
+        _set(self, "_field", poly.ring)
+        _set(self, "_vecs", [c.rep for c in poly.coeffs])
 
     @property
     def poly(self) -> Poly:
         poly = self._poly
-        if not isinstance(poly, Poly):
+        if poly is None:
             field = self._field
-            if field is None:
-                poly = poly()
-            else:
-                poly = Poly(field, [FqElt(field, v) for v in self._vectors()])
+            poly = Poly(field, [FqElt(field, v) for v in self._vectors()])
             _set(self, "_poly", poly)
         return poly
 
+    def poly_equals(self, g: Poly) -> bool:
+        """Whether R == g, decided on coordinate vectors, so no Poly is built."""
+        return g.ring is self._field and self._vectors() == [c.rep for c in g.coeffs]
+
     def _vectors(self) -> list:
-        """R's coefficients as coordinate vectors over _field, constant term
-        first, trailing zeros stripped; for walk results only. Built on the
-        first call and kept."""
+        """R's coordinate vectors over _field, built on the first call."""
         vecs = self._vecs
         if type(vecs) is not list:
             vecs = vecs()

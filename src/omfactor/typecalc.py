@@ -96,7 +96,7 @@ def is_representative(t: Type, g: Poly) -> bool:
     if not g.is_monic() or g.degree != t.degree():
         return False
     res = ri(t.chain, t.chain.r, g)
-    return res.s == 0 and res._vectors() == [c.rep for c in t.psi_top.coeffs]
+    return res.s == 0 and res.poly_equals(t.psi_top)
 
 
 def representative(t: Type) -> Poly:

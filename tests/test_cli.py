@@ -428,7 +428,8 @@ def _outcome(capsys, argv: list[str]) -> tuple:
 def test_command_dispatch_matches_the_full_parse(capsys, tmp_path, monkeypatch) -> None:
     """main hands an argv that starts with a command word to that command's
     subparser alone. On help, errors, abbreviations and valid argvs it gives
-    the exit code, stdout and stderr that the top-level parse_args gives."""
+    the exit code, stdout and stderr that the top-level parse_args gives,
+    and on a valid argv the same namespace."""
     chain_path, type_path = write_chain(tmp_path), write_type(tmp_path, fixture_t4())
     argvs = [
         [],
@@ -452,9 +453,13 @@ def test_command_dispatch_matches_the_full_parse(capsys, tmp_path, monkeypatch) 
         ["representative", "-h"],
     ]
     got = [_outcome(capsys, argv) for argv in argvs]
+    parse = cli._parse
     monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser.parse_args(argv))
     want = [_outcome(capsys, argv) for argv in argvs]
     assert got == want
+    valid = [argv for argv, (code, _, _) in zip(argvs, got) if code != 2 and "-h" not in argv]
+    assert len(valid) == 5
+    assert [parse(argv) for argv in valid] == [cli._parser.parse_args(argv) for argv in valid]
     assert [code for code, _, _ in got] == [2, 0, 2, 2, 0, 2, 2, 2, 2, 0, 2, 3, 0, 2, 2, 0, 2, 0, 0]
     assert got[3][2].startswith("usage: omfactor [-h]")
     assert got[7][2].startswith("usage: omfactor [-h]")

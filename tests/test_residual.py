@@ -34,6 +34,7 @@ from omfactor import (
     v_norm,
 )
 from omfactor import residual
+from omfactor.finitefield import Fq, FqElt
 from omfactor.valuation import expansion_points
 
 
@@ -145,8 +146,18 @@ def test_ri_matches_the_eager_walk_on_p_unit_rationals() -> None:
 
 
 def test_residual_result_is_a_value() -> None:
+    """A walk result and one built from its Poly are equal, and poly_equals
+    gives R == g on either: False for another polynomial, and for the same
+    vectors over a field of its own."""
     chain = fixture_chain3()
     res = ri(chain, 4, fixture_poly(3))
+    want = ri_eager(chain, 4, fixture_poly(3))[2]
+    field = want.ring
+    twin = Fq(field.p, field.base, field.modulus)
+    for r in (res, ResidualResult(res.s, res.u, want)):
+        assert r.poly_equals(want)
+        assert not r.poly_equals(want + Poly(field, [field.one]))
+        assert not r.poly_equals(Poly(twin, [FqElt(twin, c.rep) for c in want.coeffs]))
     same = ResidualResult(res.s, res.u, res.poly)
     assert same == res and hash(same) == hash(res)
     assert ri(chain, 4, fixture_poly(3)) == res
